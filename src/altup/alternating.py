@@ -3,9 +3,9 @@
 The representation is widened from d to K*d, split into K contiguous d-wide
 sub-blocks. Each layer runs the real transformer layer on one selected block
 and reconstructs the rest with a predict-compute-correct scheme driven by
-K*K + K trainable scalars. Also provides the summation baseline, the
-embedding-recycling input/output path, and the closed-form extra-parameter
-counts for these variants.
+K*K + K trainable scalars. Also provides the summation baseline and the
+embedding-recycling input/output path. The closed-form parameter counts of
+these variants live in :mod:`altup.costs`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .transformer import LayerParams, ModelConfig, embed, layer_forward
+from .transformer import LayerParams, embed, layer_forward
 
 SELECTION_MODES = ("same", "alternating")
 
@@ -71,32 +71,27 @@ def select_block(layer_index: int, cfg: AltUpConfig) -> int:
 
 def altup_layer_forward(x_old: Tensor, params: AltUpLayerParams, j_star: int,
                         causal: bool = True, inner_fn=None) -> Tensor:
-    """Predict-compute-correct over the K sub-blocks of ``x_old`` (N, K*d).
+    """Predict-compute-correct over the K sub-blocks of ``x_old`` (..., T, K*d).
 
     Predict  x_hat_i = sum_j p[i, j] * block_j,
     Compute  y = inner(block_{j_star})        (the single real layer call),
     Correct  x_new_i = x_hat_i + g_i * (y - x_hat_{j_star}).
 
-    ``inner_fn`` overrides the compute step (any (N, d) -> (N, d) map); by
-    default the wrapped transformer layer runs.
+    The stream is viewed as (..., T, K, d), so predict and correct are each one
+    product with p or g over the K axis. ``inner_fn`` overrides the compute
+    step (any (..., T, d) -> (..., T, d) map); by default the wrapped
+    transformer layer runs.
     """
     k, d = params.cfg.k, params.cfg.d
-    n, width = x_old.data.shape
+    *lead, width = x_old.data.shape
     if width != k * d:
-        raise T.ShapeError("altup_layer_forward", x_old.data.shape, (n, k * d))
+        raise T.ShapeError("altup_layer_forward", x_old.data.shape, (*lead, k * d))
     if not (0 <= j_star < k):
         raise ValueError(f"j_star {j_star} out of range [0, {k})")
 
-    blocks = [T.slice_last(x_old, j * d, d) for j in range(k)]
-    stacked = T.reshape(
-        T.concat_last([T.reshape(b, (1, n * d)) for b in blocks]), (k, n * d))
-    x_hat = T.matmul(params.p, stacked)
-
-    if inner_fn is None:
-        y = layer_forward(blocks[j_star], params.inner, causal=causal)
-    else:
-        y = inner_fn(blocks[j_star])
-    y_row = T.reshape(y, (1, n * d))
+    block = T.slice_last(x_old, j_star * d, d)
+    x_hat = T.matmul(params.p, T.reshape(x_old, (*lead, k, d)))
+    y = layer_forward(block, params.inner, causal=causal) if inner_fn is None else inner_fn(block)
     hat_star = T.gather_rows(x_hat, [j_star])
 
     # Evaluated as (x_hat_i - g_i*x_hat_star) + g_i*y: with g = 0 the output is
@@ -104,10 +99,8 @@ def altup_layer_forward(x_old: Tensor, params: AltUpLayerParams, j_star: int,
     # through bitwise (x - x cancels exactly), which the degeneracy identities
     # rely on.
     base = T.sub(x_hat, T.matmul(params.g, hat_star))
-    x_new = T.add(base, T.matmul(params.g, y_row))
-
-    out_blocks = [T.reshape(T.gather_rows(x_new, [i]), (n, d)) for i in range(k)]
-    return T.concat_last(out_blocks)
+    x_new = T.add(base, T.matmul(params.g, T.reshape(y, (*lead, 1, d))))
+    return T.reshape(x_new, x_old.data.shape)
 
 
 def sum_consume(x: Tensor, extra: Tensor) -> Tensor:
@@ -118,7 +111,7 @@ def sum_consume(x: Tensor, extra: Tensor) -> Tensor:
 
 
 def recycled_embed(token_ids, table: Tensor, k: int) -> Tensor:
-    """d-wide lookup replicated k times into a (N, k*d) representation."""
+    """d-wide lookup replicated k times into a (..., T, k*d) representation."""
     if k < 1:
         raise ValueError("k must be >= 1")
     base = embed(token_ids, table)
@@ -137,15 +130,3 @@ def recycled_downproject(x: Tensor, k: int) -> Tensor:
     for j in range(1, k):
         out = T.add(out, T.slice_last(x, j * d, d))
     return out
-
-
-def altup_param_count(model: ModelConfig, cfg: AltUpConfig, recycled: bool = False):
-    """Extra learnable parameters: (per-layer, embedding).
-
-    Per layer: k*k prediction scalars + k gains. Embedding: the widened table
-    costs (k-1)*|V|*d extra; the recycled path keeps the d-wide table and adds
-    nothing.
-    """
-    per_layer = cfg.k * cfg.k + cfg.k
-    embedding = 0 if recycled else (cfg.k - 1) * model.vocab_size * model.d_model
-    return per_layer, embedding

@@ -1,8 +1,11 @@
 """Versioned binary checkpoints: named float64 tensors, little-endian.
 
 Layout: magic, u32 format version, u64 header length, JSON header (config
-echo plus ordered (name, shape) entries), then the concatenated row-major
-float64 payload in header order. Round trips are bit-exact.
+echo, ordered (name, shape) entries, and named exact integers), then the
+concatenated row-major float64 payload in header order. Round trips are
+bit-exact. A model checkpoint holds the parameters, the lsh hyperplanes and
+offsets as tensors, and the min-hash permutation seeds (up to 2**62, more
+than a float64 holds exactly) as header integers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import struct
 import numpy as np
 
 MAGIC = b"ALTC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -32,12 +35,15 @@ class CheckpointShapeError(CheckpointError):
     pass
 
 
-def save_checkpoint(path, named_arrays, config: dict | None = None):
-    """Write (name, array) pairs in order, with a config echo in the header."""
+def save_checkpoint(path, named_arrays, config: dict | None = None,
+                    integers: dict | None = None):
+    """Write (name, array) pairs in order, with a config echo and named
+    integers in the header."""
     entries = [(name, np.asarray(a, dtype=np.float64)) for name, a in named_arrays]
     header = {
         "format_version": FORMAT_VERSION,
         "config": config or {},
+        "integers": integers or {},
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in entries],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -95,21 +101,37 @@ def save_model(model, path, extra_config: dict | None = None):
     }
     if extra_config:
         cfg.update(extra_config)
-    save_checkpoint(path, [(n, p.data) for n, p in model.named_parameters()], cfg)
+    save_checkpoint(path, _model_arrays(model), cfg, integers=model.perm_seeds())
+
+
+def _model_arrays(model):
+    return [(n, p.data) for n, p in model.named_parameters()] + model.named_buffers()
 
 
 def load_model(model, path):
-    """Load parameters into a constructed model; names and shapes must match."""
+    """Load parameters and routing state into a constructed model.
+
+    Names, shapes and seeds must match. Every entry is checked before any is
+    copied, so a load that raises leaves the model unchanged.
+    """
     header, arrays = load_checkpoint(path)
-    for name, p in model.named_parameters():
+    targets = _model_arrays(model)
+    for name, dest in targets:
         if name not in arrays:
             raise CheckpointShapeError(f"{path}: missing tensor {name!r}")
-        if arrays[name].shape != p.data.shape:
+        if arrays[name].shape != dest.shape:
             raise CheckpointShapeError(
                 f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
-                f"model expects {p.data.shape}")
-        p.data[...] = arrays[name]
-    extra = set(arrays) - {n for n, _ in model.named_parameters()}
+                f"model expects {dest.shape}")
+    extra = set(arrays) - {n for n, _ in targets}
     if extra:
         raise CheckpointShapeError(f"{path}: unexpected tensors {sorted(extra)}")
+    seeds = header.get("integers", {})
+    if (set(seeds) != set(model.perm_seeds())
+            or any(type(v) is not int for v in seeds.values())):
+        raise CheckpointShapeError(
+            f"{path}: integers {sorted(seeds)}, model expects {sorted(model.perm_seeds())}")
+    for name, dest in targets:
+        dest[...] = arrays[name]
+    model.set_perm_seeds(seeds)
     return header

@@ -1,8 +1,9 @@
 """Gradient-check suite over the full layer-variant matrix.
 
 Small instances (block width <= 8, sequence <= 4, vocab 11) of every variant,
-each checked end to end against central finite differences. Used by the
-acceptance tests and the ``gradcheck`` CLI command.
+each checked end to end against central finite differences, on one sequence
+and, for the batched instances, on a batch of two. Used by the acceptance
+tests and the ``gradcheck`` CLI command.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ GRADCHECK_TOLERANCE = 1e-4
 
 _IDS = [1, 4, 7, 2]
 _TARGETS = [4, 7, 2, 9]
+_BATCH_IDS = [_IDS, [3, 0, 9, 5]]
+_BATCH_TARGETS = [_TARGETS, [0, 9, 5, 1]]
 
 
 def _cfg(d=8, L=2, heads=2, ffn=8):
@@ -23,8 +26,12 @@ def _cfg(d=8, L=2, heads=2, ffn=8):
 
 
 def suite_instances():
-    """(name, model builder) pairs covering the variant matrix."""
-    instances = [
+    """(name, model builder, batched) triples covering the variant matrix.
+
+    Batched instances (names ending ``_b2``) take a (2, T) batch, so the
+    backward of every batched product and row gather/scatter is checked too.
+    """
+    instances = [(name, builder, False) for name, builder in [
         ("dense", lambda: Model(_cfg(), "dense", seed=11)),
         ("recycled_altup_k2", lambda: Model(_cfg(d=4, heads=1), "recycled_altup",
                                             altup_k=2, seed=13)),
@@ -42,24 +49,33 @@ def suite_instances():
         ("memory_softmax_top2", lambda: Model(
             _cfg(d=4, L=1, heads=1), "dense", seed=19,
             memory={"n": 3, "rank": 2, "lookup": "softmax", "k": 2})),
-    ]
+    ]]
     for k in (1, 2, 4):
         for selection in ("same", "alternating"):
             name = f"altup_k{k}_{selection}"
             instances.append((name, lambda k=k, s=selection: Model(
                 _cfg(d=4, heads=1), "altup", altup_k=k, altup_selection=s,
-                seed=20 + k)))
+                seed=20 + k), False))
+    instances += [
+        ("dense_b2", lambda: Model(_cfg(), "dense", seed=31), True),
+        ("altup_k2_b2", lambda: Model(_cfg(d=4, heads=1), "altup", altup_k=2, seed=32), True),
+        ("seq_altup_k2_b2", lambda: Model(_cfg(L=1), "seq_altup", seq_stride=2,
+                                          seq_wrap="all", seed=33), True),
+        ("stride_skip_b2", lambda: Model(_cfg(L=1), "stride_skip", seq_stride=2,
+                                         seq_wrap="all", seed=34), True),
+    ]
     return instances
 
 
 def run_gradcheck_suite(eps: float = 1e-5):
     """Run every instance; yields (name, max relative error)."""
     results = []
-    for name, builder in suite_instances():
+    for name, builder, batched in suite_instances():
         model = builder()
+        ids, targets = (_BATCH_IDS, _BATCH_TARGETS) if batched else (_IDS, _TARGETS)
 
-        def f(params, model=model):
-            return model.loss(_IDS, _TARGETS)
+        def f(params, model=model, ids=ids, targets=targets):
+            return model.loss(ids, targets)
 
         results.append((name, grad_check(f, model.parameters(), eps=eps)))
     return results

@@ -74,10 +74,6 @@ class MemoryTable:
     def param_count(self) -> int:
         return sum(e.param_count() for e in self.experts)
 
-    @staticmethod
-    def param_count_formula(n: int, rank: int, d: int) -> int:
-        return 2 * max(rank, 1) * n * d
-
 
 @dataclass
 class RouterParams:

@@ -5,6 +5,8 @@ updates (plain and recycled), the summation baseline, sequence-axis
 alternating updates, stride-and-skip, and average pooling, optionally with a
 memory table attached to each layer. Parameter creation order is fixed by
 construction so checkpoints and the parameter census are deterministic.
+``forward`` and ``loss`` take token ids of shape (T,) or (B, T) through the
+same code; only the memory lookups visit positions one at a time.
 """
 
 from __future__ import annotations
@@ -138,6 +140,25 @@ class Model:
     def named_parameters(self):
         return [(p.name, p) for p in self.parameters()]
 
+    # Routing state drawn from the seed but not trained; checkpoints carry it
+    # so a reloaded model routes like the saved one whatever its own seed.
+
+    def named_buffers(self):
+        """Each lsh layer's hyperplane directions and offsets, by name."""
+        return [(f"layers.{i}.lsh.{field}", getattr(slot["lsh"], field))
+                for i, slot in enumerate(self._mem) if "lsh" in slot
+                for field in ("directions", "offsets")]
+
+    def perm_seeds(self) -> dict:
+        """Each min-hash layer's permutation seed, by name."""
+        return {f"layers.{i}.perm_seed": slot["perm_seed"]
+                for i, slot in enumerate(self._mem) if "perm_seed" in slot}
+
+    def set_perm_seeds(self, seeds: dict):
+        for i, slot in enumerate(self._mem):
+            if "perm_seed" in slot:
+                slot["perm_seed"] = seeds[f"layers.{i}.perm_seed"]
+
     def census(self) -> int:
         return sum(p.size for p in self.parameters())
 
@@ -148,7 +169,7 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def _input_stream(self, ids):
-        t = len(ids)
+        t = ids.shape[-1]
         if t > self.cfg.max_seq_len:
             raise ValueError(f"sequence length {t} exceeds max_seq_len {self.cfg.max_seq_len}")
         pos = T.gather_rows(self.pos_table, np.arange(t))
@@ -167,29 +188,35 @@ class Model:
         return T.add(embed(ids, self.embed_table), pos)
 
     def _memory_augment(self, slot, x_in, inner_out, ids, training, rng):
-        kind = slot["kind"]
-        if kind == "softmax":
-            lookup = softmax_lookup(slot["router"], training=training, rng=rng)
-        elif kind == "token_id":
-            lookup = token_id_fixed_lookup(slot["table"].n)
-        elif kind == "lsh":
-            lookup = lsh_lookup(slot["lsh"])
+        kind, table = slot["kind"], slot["table"]
+        t, d = ids.shape[-1], x_in.data.shape[-1]
+        if kind == "minhash":
+            # one bucket per sequence, from the set of its token ids
+            lookups = [minhash_sequence_lookup(s, slot["perm_seed"], table.n)
+                       for s in ids.reshape(-1, t)]
         else:
-            lookup = minhash_sequence_lookup(ids, slot["perm_seed"], slot["table"].n)
-        t, d = x_in.data.shape
+            if kind == "softmax":
+                lookup = softmax_lookup(slot["router"], training=training, rng=rng)
+            elif kind == "token_id":
+                lookup = token_id_fixed_lookup(table.n)
+            else:
+                lookup = lsh_lookup(slot["lsh"])
+            lookups = [lookup] * (ids.size // t)
+        x_rows = T.reshape(x_in, (ids.size, d))
+        inner_rows = T.reshape(inner_out, (ids.size, d))
         rows = []
-        for pos in range(t):
-            x_t = T.reshape(T.gather_rows(x_in, [pos]), (d,))
-            inner_t = T.reshape(T.gather_rows(inner_out, [pos]), (d,))
-            out_t = memory_augmented_forward(x_t, int(ids[pos]), inner_t,
-                                             lookup, slot["table"])
+        for pos, token in enumerate(ids.reshape(-1)):
+            x_t = T.reshape(T.gather_rows(x_rows, [pos]), (d,))
+            inner_t = T.reshape(T.gather_rows(inner_rows, [pos]), (d,))
+            out_t = memory_augmented_forward(x_t, int(token), inner_t, lookups[pos // t], table)
             rows.append(T.reshape(out_t, (1, d)))
-        return T.reshape(T.concat_last(rows), (t, d))
+        return T.reshape(T.concat_last(rows), x_in.data.shape)
 
     def forward(self, ids, training: bool = False, rng=None):
-        """Token ids -> (logits, target positions the logit rows predict)."""
+        """Token ids (T,) or (B, T) -> (logits (..., T', V), the target
+        positions the T' logit rows predict)."""
         ids = np.asarray(ids, dtype=np.int64)
-        t = len(ids)
+        t = ids.shape[-1]
         x = self._input_stream(ids)
         out_positions = np.arange(t)
         if self.variant == "avg_pool":
@@ -209,18 +236,15 @@ class Model:
                 if self._mem:
                     x = self._memory_augment(self._mem[i], x_in, x, ids, training, rng)
 
-        if self.variant == "altup":
-            logits = lm_head(x, self.embed_table)
-        elif self.variant == "recycled_altup":
-            logits = lm_head(recycled_downproject(x, self.altup_cfg.k), self.embed_table)
-        else:
-            logits = lm_head(x, self.embed_table)
-        return logits, out_positions
+        if self.variant == "recycled_altup":
+            x = recycled_downproject(x, self.altup_cfg.k)
+        return lm_head(x, self.embed_table), out_positions
 
     def loss(self, ids, targets, training: bool = False, rng=None):
+        """Mean cross-entropy over every predicted position of every sequence."""
         logits, out_positions = self.forward(ids, training=training, rng=rng)
         targets = np.asarray(targets, dtype=np.int64)
-        return cross_entropy(logits, targets[out_positions])
+        return cross_entropy(logits, targets[..., out_positions])
 
 
 def build_model(cfg: ModelConfig, variant: str = "dense", **kwargs) -> Model:

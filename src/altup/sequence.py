@@ -4,7 +4,8 @@ Only every k-th position is processed by the wrapped transformer layer; the
 remaining positions are predicted from a two-scalar linear mix and corrected
 with the computed delta of their anchor position. The stride-and-skip
 baseline runs the layer on the same subsample but passes skipped positions
-through untouched, and average pooling shortens the sequence outright.
+through untouched, and average pooling shortens the sequence outright. All
+of them act on the sequence axis -2 of (..., T, d) activations.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def seq_altup_forward(x: Tensor, inner: LayerParams, p: SeqAltUpParams,
     {0, k, 2k, ...}; its attention spans only those positions, in order.
     Correction: y_i = y_hat_i + b*(y_computed_anchor(i) - y_hat_anchor(i)).
     """
-    t = x.data.shape[0]
+    t = x.data.shape[-2]
     if t < 1:
         raise ValueError("seq_altup_forward: empty sequence")
     k = p.stride
@@ -65,7 +66,7 @@ def seq_altup_forward(x: Tensor, inner: LayerParams, p: SeqAltUpParams,
 def stride_and_skip_forward(x: Tensor, inner: LayerParams, k: int,
                             causal: bool = True) -> Tensor:
     """Run the layer on every k-th position; other positions pass through."""
-    t = x.data.shape[0]
+    t = x.data.shape[-2]
     if t < 1:
         raise ValueError("stride_and_skip_forward: empty sequence")
     if k < 1:
@@ -73,14 +74,14 @@ def stride_and_skip_forward(x: Tensor, inner: LayerParams, k: int,
     sampled = _sampled_positions(t, k)
     y_sub = layer_forward(T.gather_rows(x, sampled), inner, causal=causal)
     placed = T.scatter_rows(y_sub, sampled, t)
-    keep = np.ones((t, 1))
+    keep = np.ones(x.data.shape[-2:])
     keep[sampled] = 0.0
-    return T.add(placed, T.scale_rows(x, Tensor(keep)))
+    return T.add(placed, T.mul(x, Tensor(keep)))
 
 
 def average_pool_seq(x: Tensor, k: int) -> Tensor:
     """Mean-pool disjoint windows of k positions; output length ceil(T/k)."""
-    t = x.data.shape[0]
+    t = x.data.shape[-2]
     if t < 1:
         raise ValueError("average_pool_seq: empty sequence")
     if k < 1:

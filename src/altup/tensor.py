@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -266,28 +266,42 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError("matmul", a.data.shape, b.data.shape)
-    global _mac_count
-    m, k = a.data.shape
-    n = b.data.shape[1]
-    _mac_count += m * n * k
-    out = a.data @ b.data
+    """Matrix product over the last two axes, (..., m, k) @ (..., k, n).
+
+    Leading (batch) shapes must be equal, or one operand must be 2-D, in which
+    case it is shared across the other's leading axes. Counts prod(lead)*m*n*k
+    multiply-accumulates.
+    """
     ad, bd = a.data, b.data
+    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
+            or (ad.ndim > 2 and bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
+        raise ShapeError("matmul", ad.shape, bd.shape)
+    global _mac_count
+    out = ad @ bd
+    _mac_count += out.size * ad.shape[-1]
+    # a 2-D operand shared across leading axes sums its gradient over them,
+    # which tensordot does as one product over the flattened axes
+    lead = tuple(range(out.ndim - 2))
+    rows, cols = (out.ndim - 2,), (out.ndim - 1,)
 
     def bw(g):
-        return (g @ bd.T, ad.T @ g)
+        if ad.ndim == bd.ndim:
+            return (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g)
+        if ad.ndim == 2:
+            return (np.tensordot(g, bd, axes=(lead + cols, lead + cols)), ad.T @ g)
+        return (g @ bd.T, np.tensordot(ad, g, axes=(lead + rows, lead + rows)))
 
     return _record("matmul", [a, b], out, bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
+    """Swap two axes (by default the last two)."""
+    if a.data.ndim < 2:
         raise ShapeError("transpose", a.data.shape)
-    out = a.data.T.copy()
+    out = np.swapaxes(a.data, axis1, axis2).copy()
 
     def bw(g):
-        return (g.T,)
+        return (np.swapaxes(g, axis1, axis2),)
 
     return _record("transpose", [a], out, bw)
 
@@ -313,25 +327,6 @@ def gelu(a: Tensor) -> Tensor:
         return (g * (cdf + x * pdf),)
 
     return _record("gelu", [a], out, bw)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = expit(a.data)
-
-    def bw(g):
-        return (g * s * (1.0 - s),)
-
-    return _record("sigmoid", [a], s, bw)
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-    ad = a.data
-
-    def bw(g):
-        return (g / ad,)
-
-    return _record("log", [a], out, bw)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -383,71 +378,68 @@ def layer_norm(x: Tensor, scale: Tensor, eps: float = _LN_EPS) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of ``x`` by integer index; backward scatter-adds."""
+    """Select rows (axis -2) of ``x`` by integer index; backward scatter-adds.
+
+    A 2-D ``x`` (a table) takes indices of any shape, giving
+    ``indices.shape + (x.shape[-1],)``; otherwise indices are 1-D.
+    """
     idx = np.asarray(indices, dtype=np.int64)
-    n_rows = x.data.shape[0]
-    if idx.ndim != 1:
+    if x.data.ndim < 2 or (x.data.ndim > 2 and idx.ndim != 1):
         raise ShapeError("gather_rows", x.data.shape, idx.shape)
+    n_rows = x.data.shape[-2]
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        bad = int(np.argmax((idx < 0) | (idx >= n_rows)))
-        raise IndexError(f"gather_rows: index {int(idx[bad])} at position {bad} out of range [0, {n_rows})")
-    out = x.data[idx]
+        flat = idx.reshape(-1)
+        bad = int(np.argmax((flat < 0) | (flat >= n_rows)))
+        raise IndexError(f"gather_rows: index {int(flat[bad])} at position {bad} out of range [0, {n_rows})")
+    at = (Ellipsis, idx, slice(None))
+    out = x.data[at]
     xshape = x.data.shape
 
     def bw(g):
         gx = np.zeros(xshape, dtype=np.float64)
-        np.add.at(gx, idx, g)
+        np.add.at(gx, at, g)
         return (gx,)
 
     return _record("gather_rows", [x], out, bw)
 
 
 def scatter_rows(x: Tensor, indices, n_rows: int) -> Tensor:
-    """Place rows of ``x`` at the given indices of a zero (n_rows, ...) tensor."""
+    """Place rows (axis -2) of ``x`` at the given indices of a zero tensor
+    with ``n_rows`` rows."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.shape[0] != x.data.shape[0]:
+    if x.data.ndim < 2 or idx.shape != x.data.shape[-2:-1]:
         raise ShapeError("scatter_rows", x.data.shape, idx.shape)
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         raise IndexError(f"scatter_rows: index out of range [0, {n_rows})")
-    out = np.zeros((n_rows,) + x.data.shape[1:], dtype=np.float64)
-    np.add.at(out, idx, x.data)
+    at = (Ellipsis, idx, slice(None))
+    out = np.zeros(x.data.shape[:-2] + (n_rows,) + x.data.shape[-1:], dtype=np.float64)
+    np.add.at(out, at, x.data)
 
     def bw(g):
-        return (g[idx],)
+        return (g[at],)
 
     return _record("scatter_rows", [x], out, bw)
 
 
 def gather_cols(x: Tensor, indices) -> Tensor:
-    """Pick one element per row, x[i, indices[i]], returned as a column (N, 1)."""
+    """Pick one element per row along the last axis, x[..., indices[...]],
+    returned with a trailing axis of 1."""
     idx = np.asarray(indices, dtype=np.int64)
-    if x.data.ndim != 2 or idx.shape != (x.data.shape[0],):
+    if x.data.ndim < 2 or idx.shape != x.data.shape[:-1]:
         raise ShapeError("gather_cols", x.data.shape, idx.shape)
-    n, m = x.data.shape
+    m = x.data.shape[-1]
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise IndexError(f"gather_cols: index out of range [0, {m})")
-    rows = np.arange(n)
-    out = x.data[rows, idx][:, None]
+    at = idx[..., None]
+    out = np.take_along_axis(x.data, at, axis=-1)
+    xshape = x.data.shape
 
     def bw(g):
-        gx = np.zeros((n, m), dtype=np.float64)
-        np.add.at(gx, (rows, idx), g[:, 0])
+        gx = np.zeros(xshape, dtype=np.float64)
+        np.put_along_axis(gx, at, g, axis=-1)
         return (gx,)
 
     return _record("gather_cols", [x], out, bw)
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of ``x`` by the scalar s[i, 0]."""
-    if x.data.ndim != 2 or s.data.shape != (x.data.shape[0], 1):
-        raise ShapeError("scale_rows", x.data.shape, s.data.shape)
-    out = x.data * s.data
-    xd, sd = x.data, s.data
-
-    def bw(g):
-        return (g * sd, (g * xd).sum(axis=1, keepdims=True))
-
-    return _record("scale_rows", [x, s], out, bw)
 
 
 def concat_last(tensors) -> Tensor:
@@ -512,40 +504,6 @@ def mean_all(x: Tensor) -> Tensor:
         return (np.full(xshape, float(g) * inv),)
 
     return _record("mean_all", [x], out, bw)
-
-
-PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scalar_mul": scalar_mul,
-    "matmul": matmul,
-    "transpose": transpose,
-    "relu": relu,
-    "gelu": gelu,
-    "sigmoid": sigmoid,
-    "log": log,
-    "softmax": softmax,
-    "log_softmax": log_softmax,
-    "layer_norm": layer_norm,
-    "gather_rows": gather_rows,
-    "scatter_rows": scatter_rows,
-    "gather_cols": gather_cols,
-    "scale_rows": scale_rows,
-    "concat_last": concat_last,
-    "slice_last": slice_last,
-    "reshape": reshape,
-    "sum_all": sum_all,
-    "mean_all": mean_all,
-}
-
-
-def apply_primitive(op: str, inputs, **kwargs) -> Tensor:
-    """Dispatch a primitive by name. Unknown names raise KeyError."""
-    fn = PRIMITIVES[op]
-    if op == "concat_last":
-        return fn(inputs, **kwargs)
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from . import costs
 from .checkpoint import save_model
 from .data import TASKS, make_task
 from .models import LOOKUPS, Model
-from .tensor import Graph, backward, scalar_mul
+from .tensor import Graph, backward
 from .transformer import ModelConfig
 
 
@@ -194,30 +194,17 @@ METRIC_COLUMNS = ("step", "train_loss", "eval_loss", "eval_token_accuracy",
                   "parameter_census")
 
 
-def _batch_loss(model: Model, inputs, targets, training, rng):
-    losses = [model.loss(inputs[i], targets[i], training=training, rng=rng)
-              for i in range(len(inputs))]
-    total = losses[0]
-    for extra in losses[1:]:
-        total = total + extra
-    return scalar_mul(total, 1.0 / len(losses))
-
-
 def evaluate(model: Model, inputs, targets, batch_cap: int | None = None):
-    """Mean loss and next-token accuracy over an evaluation set."""
-    count = len(inputs) if batch_cap is None else min(batch_cap, len(inputs))
-    losses = []
-    correct = 0
-    total = 0
-    for i in range(count):
-        logits, out_pos = model.forward(inputs[i])
-        mapped = np.asarray(targets[i])[out_pos]
-        shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        losses.append(-logp[np.arange(len(mapped)), mapped].mean())
-        correct += int((logits.data.argmax(axis=-1) == mapped).sum())
-        total += len(mapped)
-    return float(np.mean(losses)), correct / total
+    """Mean loss and next-token accuracy over an evaluation set (or its first
+    ``batch_cap`` sequences), from one batched forward pass."""
+    inputs = np.asarray(inputs)[:batch_cap]
+    logits, out_pos = model.forward(inputs)
+    mapped = np.asarray(targets)[:len(inputs)][..., out_pos]
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    loss = -np.take_along_axis(logp, mapped[..., None], axis=-1).mean()
+    correct = int((logits.data.argmax(axis=-1) == mapped).sum())
+    return float(loss), correct / mapped.size
 
 
 def train(cfg: RunConfig, out_dir) -> dict:
@@ -259,7 +246,7 @@ def train(cfg: RunConfig, out_dir) -> dict:
     # init row: loss of the first batch, no update, batch stream untouched
     first_inputs, first_targets = data.train_inputs[perm[:opt.batch_size]], \
         data.train_targets[perm[:opt.batch_size]]
-    init_loss = _batch_loss(model, first_inputs, first_targets, False, None).item()
+    init_loss = model.loss(first_inputs, first_targets).item()
     emit(0, init_loss)
 
     started = time.perf_counter()
@@ -269,7 +256,7 @@ def train(cfg: RunConfig, out_dir) -> dict:
         inputs, targets = next_batch()
         model.zero_grad()
         with Graph() as graph:
-            loss = _batch_loss(model, inputs, targets, True, jitter_rng)
+            loss = model.loss(inputs, targets, training=True, rng=jitter_rng)
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(step, value)

@@ -1,9 +1,9 @@
 """Baseline width-d transformer pieces: embedding, pre-LN layer, LM head.
 
 The layer is the unit every widened/strided variant wraps: pre-layer-norm
-residual attention followed by a gated-GELU feedforward block. Every call is
-logged (sequence length seen) so tests can assert how often and on how many
-positions the layer actually ran.
+residual attention followed by a gated-GELU feedforward block. Every function
+takes activations of shape (..., T, d): one sequence (T, d) or a batch
+(B, T, d) run through the same code.
 """
 
 from __future__ import annotations
@@ -73,27 +73,15 @@ class LayerParams:
         return self
 
 
-# Log of (sequence length) per layer_forward call; lets tests assert the
-# single-compute and strided-compute contracts.
-_layer_calls: list[int] = []
-
-
-def reset_layer_calls():
-    _layer_calls.clear()
-
-
-def layer_calls() -> list[int]:
-    return list(_layer_calls)
-
-
 def embed(token_ids, table: Tensor) -> Tensor:
-    """Rows of ``table`` selected by token id."""
+    """Rows of ``table`` selected by token id; ids of shape (T,) or (B, T)."""
     ids = np.asarray(token_ids, dtype=np.int64)
     vocab = table.data.shape[0]
-    bad = np.nonzero((ids < 0) | (ids >= vocab))[0]
+    flat = ids.reshape(-1)  # positions count in row-major order
+    bad = np.nonzero((flat < 0) | (flat >= vocab))[0]
     if bad.size:
         pos = int(bad[0])
-        raise IndexError(f"embed: token id {int(ids[pos])} at position {pos} out of range [0, {vocab})")
+        raise IndexError(f"embed: token id {int(flat[pos])} at position {pos} out of range [0, {vocab})")
     return T.gather_rows(table, ids)
 
 
@@ -103,29 +91,29 @@ def _causal_mask(n: int) -> Tensor:
 
 
 def layer_forward(x: Tensor, params: LayerParams, causal: bool = True) -> Tensor:
-    """One pre-LN residual layer: x + Attn(LN(x)), then + FFN(LN(.))."""
-    n, d = x.data.shape
+    """One pre-LN residual layer on (..., T, d): x + Attn(LN(x)), then + FFN(LN(.)).
+
+    Heads are a reshape to (..., T, H, d/H) and a swap to (..., H, T, d/H), so
+    scores and value mixing are one batched product each.
+    """
+    *lead, n, d = x.data.shape
     if d != params.d:
         raise T.ShapeError("layer_forward", x.data.shape, (params.d,))
-    _layer_calls.append(n)
-    dh = d // params.n_heads
-    scale = 1.0 / np.sqrt(dh)
+    heads = params.n_heads
+    dh = d // heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (*lead, n, heads, dh)), -3, -2)
 
     h = T.layer_norm(x, params.ln_attn)
-    q = T.matmul(h, params.wq)
-    k = T.matmul(h, params.wk)
-    v = T.matmul(h, params.wv)
-    mask = _causal_mask(n) if causal else None
-    heads = []
-    for i in range(params.n_heads):
-        qh = T.slice_last(q, i * dh, dh)
-        kh = T.slice_last(k, i * dh, dh)
-        vh = T.slice_last(v, i * dh, dh)
-        scores = T.scalar_mul(T.matmul(qh, T.transpose(kh)), scale)
-        if mask is not None:
-            scores = T.add(scores, mask)
-        heads.append(T.matmul(T.softmax(scores), vh))
-    attn = T.matmul(T.concat_last(heads), params.wo)
+    q = split(T.matmul(h, params.wq))
+    k = split(T.matmul(h, params.wk))
+    v = split(T.matmul(h, params.wv))
+    scores = T.scalar_mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
+    if causal:
+        scores = T.add(scores, _causal_mask(n))
+    mixed = T.transpose(T.matmul(T.softmax(scores), v), -3, -2)
+    attn = T.matmul(T.reshape(mixed, (*lead, n, d)), params.wo)
     x1 = T.add(x, attn)
 
     h2 = T.layer_norm(x1, params.ln_ffn)
@@ -142,12 +130,14 @@ def lm_head(x: Tensor, table: Tensor) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean over positions of -log softmax(logits)[target], max-shifted for stability."""
+    """Mean over all positions of -log softmax(logits)[target], max-shifted for
+    stability; logits (..., T, V) and targets (..., T)."""
     tgt = np.asarray(targets, dtype=np.int64)
     vocab = logits.data.shape[-1]
-    bad = np.nonzero((tgt < 0) | (tgt >= vocab))[0]
+    flat = tgt.reshape(-1)
+    bad = np.nonzero((flat < 0) | (flat >= vocab))[0]
     if bad.size:
         pos = int(bad[0])
-        raise IndexError(f"cross_entropy: target {int(tgt[pos])} at position {pos} out of range [0, {vocab})")
+        raise IndexError(f"cross_entropy: target {int(flat[pos])} at position {pos} out of range [0, {vocab})")
     picked = T.gather_cols(T.log_softmax(logits), tgt)
     return T.scalar_mul(T.mean_all(picked), -1.0)

@@ -95,14 +95,21 @@ def test_criterion_3_parameter_accounting():
                          vocab_size=11, max_seq_len=8)
     checks_ok = []
 
+    def extra_params(variant, k):
+        """(per-layer, embedding) parameters a block variant adds over dense."""
+        dense = costs.count_params(cfg, "dense")
+        wide = costs.count_params(cfg, variant, altup_k=k)
+        return ((wide.non_embedding_params - dense.non_embedding_params) // cfg.n_layers,
+                wide.embedding_params - dense.embedding_params)
+
     for k in (1, 2, 4):
         acfg = alt.AltUpConfig(k=k, d=8)
-        per_layer, emb_extra = alt.altup_param_count(cfg, acfg)
+        per_layer, emb_extra = extra_params("altup", k)
         checks_ok.append(per_layer == k * k + k)
         checks_ok.append(emb_extra == (k - 1) * 11 * 8)
         params = alt.AltUpLayerParams(acfg, tr.LayerParams(8, 16, 2, np.random.default_rng(k)))
         checks_ok.append(params.p.size + params.g.size == per_layer)
-    checks_ok.append(alt.altup_param_count(cfg, alt.AltUpConfig(k=2, d=8))[0] == 6)
+    checks_ok.append(extra_params("altup", 2)[0] == 6)
 
     dense = models.Model(cfg, "dense", seed=1)
     wide = models.Model(cfg, "altup", altup_k=2, seed=1)
@@ -110,12 +117,16 @@ def test_criterion_3_parameter_accounting():
     checks_ok.append(wide.embed_table.size / dense.embed_table.size == 2.0)
     checks_ok.append(wide.embed_table.size - dense.embed_table.size == 1 * 11 * 8)
     checks_ok.append(recycled.embed_table.size == dense.embed_table.size)
-    checks_ok.append(alt.altup_param_count(cfg, alt.AltUpConfig(k=2, d=8), recycled=True)[1] == 0)
+    checks_ok.append(extra_params("recycled_altup", 2)[1] == 0)
 
     table = mem.MemoryTable(n=128, d=64, rank=16, rng=np.random.default_rng(9))
-    formula = mem.MemoryTable.param_count_formula(128, 16, 64)
+    formula = costs.memory_params_per_layer(128, 16, 64, "lsh")
     checks_ok.append(table.param_count() == formula == 2 * 16 * 128 * 64)
     checks_ok.append(sum(p.size for p in table.params()) == formula)
+    constant = mem.MemoryTable(n=128, d=64, rank=16, rng=np.random.default_rng(9), constant=True)
+    formula = costs.memory_params_per_layer(128, 16, 64, "lsh", constant=True)
+    checks_ok.append(constant.param_count() == formula == 128 * 64)
+    checks_ok.append(sum(p.size for p in constant.params()) == formula)
 
     grid = 0
     for variant, kwargs in [("dense", {}), ("altup", {"altup_k": 2}),
@@ -135,7 +146,7 @@ def test_criterion_3_parameter_accounting():
 
 # -- 4: compute accounting ----------------------------------------------------
 
-def test_criterion_4_compute_accounting():
+def test_criterion_4_compute_accounting(layer_calls):
     ok = []
     for (n, d, ffn, heads) in [(4, 8, 16, 2), (8, 16, 32, 4), (6, 12, 24, 3), (1, 16, 8, 2)]:
         params = tr.LayerParams(d, ffn, heads, np.random.default_rng(0))
@@ -154,10 +165,10 @@ def test_criterion_4_compute_accounting():
     inner = tr.LayerParams(8, 16, 2, np.random.default_rng(2))
     p = seq.SeqAltUpParams(stride=k)
     x = Tensor(np.random.default_rng(3).standard_normal((t_len, 8)))
-    tr.reset_layer_calls()
+    layer_calls.clear()
     T.reset_mac_count()
     seq.seq_altup_forward(x, inner, p)
-    ok.append(tr.layer_calls() == [t_sub])
+    ok.append(layer_calls == [t_sub])
     attn_sub, ffn_sub = costs.layer_flops(t_sub, 8, 16, 2)
     ok.append(T.mac_count() == attn_sub + ffn_sub)
     lin_full = 4 * t_len * 8 * 8 + 3 * t_len * 8 * 16

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from altup import alternating as alt
+from altup import costs
 from altup import tensor as T
 from altup import transformer as tr
 from altup.tensor import Graph, Tensor, backward, grad_check
@@ -102,12 +103,11 @@ def test_full_formula_against_hand_combination():
     assert np.allclose(out.data, expected, rtol=1e-12, atol=1e-12)
 
 
-def test_single_inner_invocation_per_forward():
+def test_single_inner_invocation_per_forward(layer_calls):
     params = _altup_params(4, 2, seed=15)
     x = Tensor(np.random.default_rng(16).standard_normal((3, 8)))
-    tr.reset_layer_calls()
     alt.altup_layer_forward(x, params, j_star=2)
-    assert tr.layer_calls() == [3]
+    assert layer_calls == [3]
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -128,22 +128,29 @@ def test_width_mismatch_raises():
         alt.altup_layer_forward(Tensor(np.zeros((2, 9))), params, j_star=0)
 
 
+def _extra_params(model, variant, k):
+    """(per-layer, embedding) parameters a block variant adds over dense."""
+    dense = costs.count_params(model, "dense")
+    wide = costs.count_params(model, variant, altup_k=k)
+    per_layer = (wide.non_embedding_params - dense.non_embedding_params) // model.n_layers
+    return per_layer, wide.embedding_params - dense.embedding_params
+
+
 def test_param_count_formulas():
     model = tr.ModelConfig(d_model=8, n_layers=2, n_heads=2, ffn_hidden=16,
                            vocab_size=100, max_seq_len=16)
-    per_layer, emb = alt.altup_param_count(model, _cfg(2, 8))
+    per_layer, emb = _extra_params(model, "altup", 2)
     assert per_layer == 6
     assert emb == 1 * 100 * 8
-    assert alt.altup_param_count(model, _cfg(1, 8)) == (2, 0)
-    assert alt.altup_param_count(model, _cfg(2, 8), recycled=True) == (6, 0)
+    assert _extra_params(model, "altup", 1) == (2, 0)
+    assert _extra_params(model, "recycled_altup", 2) == (6, 0)
 
 
 def test_param_count_matches_scalar_census():
     for k in (1, 2, 4):
         params = _altup_params(k, 4, seed=30 + k)
         extra = sum(p.size for p in (params.p, params.g))
-        per_layer, _ = alt.altup_param_count(
-            tr.ModelConfig(4, 1, 1, 8, 10, 8), _cfg(k, 4))
+        per_layer, _ = _extra_params(tr.ModelConfig(4, 1, 1, 8, 10, 8), "altup", k)
         assert extra == per_layer
 
 

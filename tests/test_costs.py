@@ -25,6 +25,35 @@ def test_layer_flops_match_instrumented_counter(n, d, ffn, heads):
     assert T.mac_count() == attn + f
 
 
+def _forward_macs_per_example(cfg, variant, k, t):
+    """Closed-form matrix-product MACs of one forward pass over t tokens."""
+    attn, ffn = costs.layer_flops(t, cfg.d_model, cfg.ffn_hidden, cfg.n_heads)
+    if variant == "dense":
+        return cfg.n_layers * (attn + ffn) + t * cfg.d_model * cfg.vocab_size
+    # predict (K x K) and two K-gain corrections per position, per layer
+    per_layer = attn + ffn + k * k * t * cfg.d_model + 2 * k * t * cfg.d_model
+    return cfg.n_layers * per_layer + t * k * cfg.d_model * cfg.vocab_size
+
+
+@pytest.mark.parametrize("variant,k", [("dense", 1), ("altup", 1), ("altup", 2), ("altup", 4)])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_batched_forward_macs_are_batch_times_per_example(variant, k, batch):
+    cfg = _cfg(L=3, n=6)
+    model = models.Model(cfg, variant, altup_k=k, seed=4)
+    ids = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(batch, 6))
+    T.reset_mac_count()
+    model.forward(ids)
+    assert T.mac_count() == batch * _forward_macs_per_example(cfg, variant, k, 6)
+
+
+def test_batched_layer_macs_are_batch_times_layer_flops():
+    params = tr.LayerParams(8, 16, 2, np.random.default_rng(0))
+    x = T.Tensor(np.random.default_rng(1).standard_normal((4, 5, 8)))
+    T.reset_mac_count()
+    tr.layer_forward(x, params)
+    assert T.mac_count() == 4 * sum(costs.layer_flops(5, 8, 16, 2))
+
+
 def test_altup_overhead_examples():
     assert costs.altup_overhead(16, 1) == 3 * 16
     # quadratic in k: doubling k approaches a factor of 4
@@ -115,17 +144,16 @@ def test_memory_table_extra_params():
     assert with_mem.non_embedding_params - base.non_embedding_params == cfg.n_layers * per_layer
 
 
-def test_seq_altup_inner_compute_is_subsampled_exactly():
+def test_seq_altup_inner_compute_is_subsampled_exactly(layer_calls):
     d, ffn, heads = 8, 16, 2
     inner = tr.LayerParams(d, ffn, heads, np.random.default_rng(5))
     p = sequence.SeqAltUpParams(stride=3)
     x = T.Tensor(np.random.default_rng(6).standard_normal((10, d)))
     t_sub = -(-10 // 3)  # ceil
 
-    tr.reset_layer_calls()
     T.reset_mac_count()
     sequence.seq_altup_forward(x, inner, p)
-    assert tr.layer_calls() == [t_sub]
+    assert layer_calls == [t_sub]
     attn, f = costs.layer_flops(t_sub, d, ffn, heads)
     assert T.mac_count() == attn + f
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from altup import costs
 from altup import memory as mem
 from altup import tensor as T
 from altup.tensor import Graph, Tensor, backward, grad_check
@@ -40,11 +41,14 @@ def test_expert_param_count():
 def test_table_param_census_matches_formula():
     rng = np.random.default_rng(3)
     table = mem.MemoryTable(n=128, d=64, rank=16, rng=rng)
-    assert table.param_count() == mem.MemoryTable.param_count_formula(128, 16, 64)
+    assert table.param_count() == costs.memory_params_per_layer(128, 16, 64, "lsh")
     assert table.param_count() == 262144
     small = mem.MemoryTable(n=5, d=6, rank=2, rng=rng)
     assert small.param_count() == 2 * 2 * 5 * 6
     assert sum(p.size for p in small.params()) == small.param_count()
+    constant = mem.MemoryTable(n=5, d=6, rank=2, rng=rng, constant=True)
+    assert constant.param_count() == costs.memory_params_per_layer(5, 2, 6, "lsh", constant=True)
+    assert sum(p.size for p in constant.params()) == constant.param_count() == 5 * 6
 
 
 def test_softmax_route_uniform_when_router_zero():

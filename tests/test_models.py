@@ -40,6 +40,54 @@ def test_every_variant_forwards_and_backwards(variant, kwargs):
     assert len(grads) > 0
 
 
+MEMORY_LOOKUPS = [("softmax", 6), ("token_id", 11), ("lsh", 5), ("minhash", 4)]
+
+
+def _max_rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("variant,kwargs", ALL_VARIANTS + [
+    ("dense", {"memory": {"n": n, "rank": 2, "lookup": lookup, "k": 1}})
+    for lookup, n in MEMORY_LOOKUPS])
+def test_batched_forward_matches_per_example(variant, kwargs):
+    model = models.Model(_cfg(L=3), variant, seed=12, **kwargs)
+    rng = np.random.default_rng(13)
+    ids = rng.integers(0, 11, size=(3, 6))
+    targets = rng.integers(0, 11, size=(3, 6))
+    logits, positions = model.forward(ids)
+    for b in range(3):
+        one, one_positions = model.forward(ids[b])
+        assert np.array_equal(positions, one_positions)
+        assert _max_rel(logits.data[b], one.data) <= 1e-12
+    per_example = np.mean([model.loss(ids[b], targets[b]).item() for b in range(3)])
+    assert abs(model.loss(ids, targets).item() - per_example) <= 1e-12 * per_example
+
+
+# One training step of the smoke model at seq 16 records the same tape for
+# any batch size; the AltUp block's nodes do not depend on K either.
+SMOKE_NODES = [
+    ("dense", {}, 90),
+    ("altup", {"altup_k": 2}, 121),
+    ("altup", {"altup_k": 4}, 121),
+    ("recycled_altup", {"altup_k": 2}, 124),
+    ("seq_altup", {"seq_stride": 4}, 101),
+]
+
+
+@pytest.mark.parametrize("variant,kwargs,nodes", SMOKE_NODES)
+def test_tape_nodes_per_step_do_not_grow_with_batch(variant, kwargs, nodes):
+    cfg = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
+                         vocab_size=258, max_seq_len=20)
+    model = models.Model(cfg, variant, seed=1, **kwargs)
+    rng = np.random.default_rng(2)
+    for batch in (1, 8):
+        ids, targets = rng.integers(0, 258, size=(2, batch, 16))
+        with Graph() as g:
+            model.loss(ids, targets, training=True, rng=rng)
+        assert len(g.nodes) == nodes, f"batch {batch}"
+
+
 def test_same_seed_same_parameters():
     cfg = _cfg()
     a = models.Model(cfg, "altup", altup_k=2, seed=7)
@@ -56,24 +104,22 @@ def test_unknown_variant_rejected():
         models.Model(_cfg(), "bogus")
 
 
-def test_altup_model_runs_inner_on_subblocks():
+def test_altup_model_runs_inner_on_subblocks(layer_calls):
     cfg = _cfg(d=4, L=4)
     model = models.Model(cfg, "altup", altup_k=2, seed=2)
-    tr.reset_layer_calls()
     model.forward([1, 2, 3])
-    assert tr.layer_calls() == [3, 3, 3, 3]  # one d-wide inner call per layer
+    assert layer_calls == [3, 3, 3, 3]  # one d-wide inner call per layer
     stars = [e["j_star"] for e in model.layers]
     assert stars == [0, 1, 0, 1]
 
 
-def test_seq_variants_wrap_interior_layers_only():
+def test_seq_variants_wrap_interior_layers_only(layer_calls):
     cfg = _cfg(L=4)
     model = models.Model(cfg, "seq_altup", seq_stride=2, seed=3)
     wrapped = [e.get("wrapped", False) for e in model.layers]
     assert wrapped == [False, True, True, False]
-    tr.reset_layer_calls()
     model.forward([1, 2, 3, 4, 5, 6])
-    assert tr.layer_calls() == [6, 3, 3, 6]
+    assert layer_calls == [6, 3, 3, 6]
 
 
 def test_avg_pool_shortens_logits_and_maps_targets():
@@ -106,7 +152,7 @@ def test_sum_baseline_has_two_tables_and_gradients_in_both():
     assert np.abs(model.extra_table.grad).sum() > 0
 
 
-@pytest.mark.parametrize("lookup,n", [("softmax", 6), ("token_id", 11), ("lsh", 5), ("minhash", 4)])
+@pytest.mark.parametrize("lookup,n", MEMORY_LOOKUPS)
 def test_memory_attaches_to_every_layer(lookup, n):
     cfg = _cfg(L=2)
     model = models.Model(cfg, "dense", seed=7,

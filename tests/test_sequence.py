@@ -57,15 +57,14 @@ def test_empty_sequence_rejected():
         seq.stride_and_skip_forward(Tensor(np.zeros((0, 4))), inner, 2)
 
 
-def test_inner_layer_sees_subsampled_length():
+def test_inner_layer_sees_subsampled_length(layer_calls):
     inner = _inner(seed=8)
     p = seq.SeqAltUpParams(stride=4)
-    tr.reset_layer_calls()
     seq.seq_altup_forward(_x(10, 4, seed=9), inner, p)
-    assert tr.layer_calls() == [3]  # ceil(10/4)
-    tr.reset_layer_calls()
+    assert layer_calls == [3]  # ceil(10/4)
+    layer_calls.clear()
     seq.stride_and_skip_forward(_x(10, 4, seed=10), inner, 4)
-    assert tr.layer_calls() == [3]
+    assert layer_calls == [3]
 
 
 def test_gradients_through_mix_and_gain_scalars():

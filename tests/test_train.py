@@ -197,6 +197,46 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     assert "embed.table" in str(ei.value) or "altup" in str(ei.value)
 
 
+@pytest.mark.parametrize("lookup", ["lsh", "minhash"])
+def test_checkpoint_carries_routing_state(tmp_path, lookup):
+    # lsh hyperplanes and min-hash seeds are drawn from the model seed, not
+    # trained: a model of another seed routes like the saved one once loaded
+    cfg = tr.ModelConfig(8, 2, 2, 16, 11, 8)
+    memory = {"n": 5, "rank": 2, "lookup": lookup}
+    model = models.Model(cfg, "dense", seed=4, memory=memory)
+    path = tmp_path / "m.ckpt"
+    ckpt.save_model(model, path)
+    clone = models.Model(cfg, "dense", seed=5, memory=memory)
+    ckpt.load_model(clone, path)
+    assert clone.perm_seeds() == model.perm_seeds()
+    for (_, a), (_, b) in zip(model.named_buffers(), clone.named_buffers()):
+        assert np.array_equal(a, b)
+    ids = np.random.default_rng(6).integers(0, 11, size=(16, 8))
+    assert np.array_equal(model.forward(ids)[0].data, clone.forward(ids)[0].data)
+
+
+def test_checkpoint_failed_load_changes_nothing(tmp_path):
+    cfg = tr.ModelConfig(8, 2, 2, 16, 11, 8)
+    memory = {"n": 5, "rank": 2, "lookup": "lsh"}
+    model = models.Model(cfg, "dense", seed=4, memory=memory)
+
+    def arrays(m):
+        return [(n, p.data) for n, p in m.named_parameters()] + m.named_buffers()
+
+    entries = arrays(model)
+    # only the last tensor is mis-shaped, so every other entry would fit
+    name, last = entries[-1]
+    path = tmp_path / "bad.ckpt"
+    ckpt.save_checkpoint(path, entries[:-1] + [(name, last[:-1])],
+                         integers=model.perm_seeds())
+    other = models.Model(cfg, "dense", seed=5, memory=memory)
+    before = [a.copy() for _, a in arrays(other)]
+    with pytest.raises(ckpt.CheckpointShapeError) as ei:
+        ckpt.load_model(other, path)
+    assert name in str(ei.value)
+    assert all(np.array_equal(a, b) for a, (_, b) in zip(before, arrays(other)))
+
+
 def _write_config(tmp_path, raw):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
