@@ -8,6 +8,12 @@ top-1 softmax routing over random unit rows) hash that mixed vector, while
 token-id lookup collides per token. Collision probabilities are estimated
 with fresh pairs and fresh hash randomness per trial, seeded per trial by
 counter so results are independent of batching or worker count.
+
+A spherical trial draws only the sufficient statistics of each router row:
+for an isotropic Gaussian row g and two unit mixes spanning the plane
+(e1, e2), g = a e1 + b e2 + g_perp with a, b standard normal and |g_perp|^2
+chi-square with d-2 degrees of freedom, all independent. The row's angle to
+either mix, and so the top-1 routing, depends on (a, b, |g|) alone.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import HyperplaneLshParams, RouterParams, hyperplane_lsh_lookup, softmax_route
-from .tensor import Tensor
+# softmax_route is unused here; the benchmark tracer patches both names in this module
+from .memory import HyperplaneLshParams, hyperplane_lsh_lookup, softmax_route  # noqa: F401
 
 SCHEMES = ("hyperplane", "spherical", "minhash")
 _SCHEME_SALT = {"hyperplane": 1, "spherical": 2, "minhash": 3}
@@ -189,14 +195,42 @@ def _hyperplane_trial(pair: SentencePair, rng: np.random.Generator, n: int,
     return hits
 
 
+def _plane_basis(m1: np.ndarray, m2: np.ndarray):
+    """Orthonormal (e1, e2) whose span holds both mixes (m1 nonzero).
+
+    When m2 is parallel to m1 (or zero), e2 is any unit vector orthogonal to e1.
+    """
+    e1 = m1 / np.linalg.norm(m1)
+    e2 = m2 - (m2 @ e1) * e1
+    e2 -= (e2 @ e1) * e1  # second Gram-Schmidt pass restores orthogonality
+    if np.linalg.norm(e2) <= 1e-12 * np.linalg.norm(m2):
+        # the standard axis least aligned with e1 leaves a residual >= sqrt(1/2)
+        j = int(np.argmin(np.abs(e1)))
+        e2 = -e1[j] * e1
+        e2[j] += 1.0
+    return e1, e2 / np.linalg.norm(e2)
+
+
+def _spherical_bucket(m: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+                      a: np.ndarray, b: np.ndarray, norms: np.ndarray) -> int:
+    """First row maximizing g_i . m / |g_i| for rows g_i = a_i e1 + b_i e2 + g_perp_i.
+
+    Bitwise-equal mixes get bitwise-equal scores, so they always collide.
+    """
+    return int(np.argmax((a * (m @ e1) + b * (m @ e2)) / norms))
+
+
 def _spherical_trial(pair: SentencePair, rng: np.random.Generator, n: int) -> bool:
-    # top-1 softmax routing over random unit rows = nearest bucket center in angle
-    w = rng.standard_normal((n, pair.d))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    router = RouterParams(w=Tensor(w), k=1, jitter_eps=0.0)
-    i1, _ = softmax_route(Tensor(_unit(mix(pair.emb1))), router)
-    i2, _ = softmax_route(Tensor(_unit(mix(pair.emb2))), router)
-    return i1[0] == i2[0]
+    # top-1 softmax routing over n isotropic unit rows = nearest row in angle;
+    # softmax is monotone and the stable top-1 is the first maximum
+    m1 = _unit(mix(pair.emb1))
+    m2 = _unit(mix(pair.emb2))
+    e1, e2 = _plane_basis(m1, m2)
+    a, b = rng.standard_normal((2, n))
+    rest = rng.chisquare(pair.d - 2, n) if pair.d > 2 else 0.0
+    norms = np.sqrt(a * a + b * b + rest)
+    return (_spherical_bucket(m1, e1, e2, a, b, norms)
+            == _spherical_bucket(m2, e1, e2, a, b, norms))
 
 
 def _token_id_trial(pair: SentencePair, rng: np.random.Generator) -> bool:
@@ -270,6 +304,8 @@ def estimate_collision(scheme: str, n: int, l: int, f: float, d: int,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if n < 1:
+        raise ValueError("bucket count n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _validate_pair_args(l, f, d)

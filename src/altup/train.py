@@ -17,7 +17,7 @@ import numpy as np
 
 from . import costs
 from .checkpoint import save_model
-from .data import TASKS, make_task
+from .data import TASKS, VOCAB_SIZE, make_task
 from .models import LOOKUPS, Model
 from .tensor import Graph, backward
 from .transformer import ModelConfig
@@ -83,14 +83,26 @@ class RunConfig:
         return d
 
 
+def _is_int(value) -> bool:
+    # JSON true/false parse to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _take_fields(section: str, raw: dict, allowed: dict) -> dict:
+    """Type-checked copy of a config section: bool is not an int, and an int
+    is accepted (as a float) where a float is expected."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section}: expected an object, got {type(raw).__name__}")
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"{section}: unknown keys {sorted(unknown)}")
     out = {}
     for key, value in raw.items():
-        if not isinstance(value, allowed[key]):
-            raise ConfigError(f"{section}.{key}: expected {allowed[key]}, got {type(value).__name__}")
+        expected = allowed[key]
+        if expected is float and _is_int(value):
+            value = float(value)
+        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+            raise ConfigError(f"{section}.{key}: expected {expected}, got {type(value).__name__}")
         out[key] = value
     return out
 
@@ -115,6 +127,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         model = ModelConfig(**mfields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model: {exc}") from exc
+    if model.vocab_size < VOCAB_SIZE:
+        # every task emits byte ids plus the separator and begin specials
+        raise ConfigError(f"model.vocab_size: {model.vocab_size} is below the "
+                          f"task vocabulary of {VOCAB_SIZE} ids")
 
     variant = raw.get("variant", "dense")
     if variant not in costs.VARIANTS:
@@ -153,16 +169,16 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"task.name: unknown {task.name!r}; expected one of {TASKS}")
 
     optimizer = OptimizerConfig(**_take_fields("optimizer", raw.get("optimizer", {}), {
-        "learning_rate": (int, float), "steps": int, "batch_size": int,
-        "momentum": (int, float)}))
+        "learning_rate": float, "steps": int, "batch_size": int,
+        "momentum": float}))
     if optimizer.steps < 0 or optimizer.batch_size < 1:
         raise ConfigError("optimizer: steps must be >= 0 and batch_size >= 1")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed must be an integer")
     eval_interval = raw.get("eval_interval", 100)
-    if not isinstance(eval_interval, int) or eval_interval < 1:
+    if not _is_int(eval_interval) or eval_interval < 1:
         raise ConfigError("eval_interval must be a positive integer")
 
     return RunConfig(model=model, variant=variant, altup=altup, seq=seq,

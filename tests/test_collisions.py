@@ -169,3 +169,92 @@ def test_csv_emission(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "scheme,n,l,f,d,trials,probability,stderr,ci_low,ci_high"
     assert lines[1].startswith("minhash,16,8,0.5,4,100,")
+
+
+def test_estimate_rejects_empty_table():
+    for scheme in col.SCHEMES:
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            col.estimate_collision(scheme, 0, 8, 0.5, 4, 10, seed=0)
+
+
+def test_spherical_statistics_reduce_a_full_router_draw():
+    # projecting one full Gaussian router onto the mixes' plane and scoring
+    # from (a, b, |g|^2 - a^2 - b^2) routes exactly like softmax_route on the
+    # row-normalized router
+    from altup.memory import RouterParams, softmax_route
+    from altup.tensor import Tensor
+
+    rng = np.random.default_rng(40)
+    n, d = 256, 16
+    for _ in range(10):
+        g = rng.standard_normal((n, d))
+        router = RouterParams(w=Tensor(g / np.linalg.norm(g, axis=1, keepdims=True)),
+                              k=1, jitter_eps=0.0)
+        pair = col.gen_sentence_pair(8, 0.25, d, seed=rng)
+        m1, m2 = col._unit(col.mix(pair.emb1)), col._unit(col.mix(pair.emb2))
+        e1, e2 = col._plane_basis(m1, m2)
+        assert abs(e1 @ e2) < 1e-12
+        assert np.allclose([e1 @ e1, e2 @ e2], 1.0)
+        a, b = g @ e1, g @ e2
+        rest = np.einsum("ij,ij->i", g, g) - a * a - b * b
+        norms = np.sqrt(a * a + b * b + rest)
+        for m in (m1, m2):
+            want, _ = softmax_route(Tensor(m), router)
+            assert col._spherical_bucket(m, e1, e2, a, b, norms) == want[0]
+
+
+def test_plane_basis_parallel_and_zero_mixes():
+    m = col._unit(np.array([0.6, 0.0, 0.8]))
+    for m2 in (m, -m, np.zeros(3)):
+        e1, e2 = col._plane_basis(m, m2)
+        assert np.allclose(e1, m) and abs(e1 @ e2) < 1e-12
+        assert np.isclose(np.linalg.norm(e2), 1.0)
+
+
+def _full_draw_rate(n, l, f, d, trials, seed):
+    """Reference: the full-draw trial, n unit router rows and top-1 softmax."""
+    from altup.memory import RouterParams, softmax_route
+    from altup.tensor import Tensor
+
+    hits = 0
+    for t in range(trials):
+        pair = col._gen_trial_pair(l, f, d, col._pair_rng(seed, t))
+        rng = col._hash_rng(seed, t, "spherical")
+        w = rng.standard_normal((n, d))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        router = RouterParams(w=Tensor(w), k=1, jitter_eps=0.0)
+        i1, _ = softmax_route(Tensor(col._unit(col.mix(pair.emb1))), router)
+        i2, _ = softmax_route(Tensor(col._unit(col.mix(pair.emb2))), router)
+        hits += i1[0] == i2[0]
+    return hits / trials
+
+
+@pytest.mark.parametrize("n,l,f,d", [(16, 8, 0.5, 8), (8, 4, 0.5, 2)])
+def test_spherical_sampler_matches_full_draw(n, l, f, d):
+    trials = 3000
+    want = _full_draw_rate(n, l, f, d, trials, seed=41)
+    got = col.estimate_collision("spherical", n, l, f, d, trials, seed=42).probability
+    se = np.sqrt(want * (1 - want) / trials + got * (1 - got) / trials)
+    assert abs(got - want) <= 3 * se, (got, want)
+
+
+def test_spherical_runs_at_two_dims():
+    est = col.estimate_collision("spherical", 16, 8, 0.5, 2, trials=200, seed=43)
+    assert 0.0 < est.probability < 1.0
+    assert col.estimate_collision("spherical", 16, 8, 1.0, 2, trials=50,
+                                  seed=43).probability == 1.0
+
+
+@pytest.mark.parametrize("args,hits,width", [
+    (("hyperplane", 64, 16, 0.5, 16, 300, 31), 20, 2.0),
+    (("hyperplane", 32, 8, 0.25, 8, 200, 32), 22, 2.0),
+    (("minhash", 64, 16, 0.25, 8, 500, 33), 128, None),
+    (("minhash", 16, 8, 0.5, 4, 300, 34), 146, None),
+])
+def test_other_scheme_estimates_are_pinned(args, hits, width):
+    # values from before the spherical sampler changed; these schemes' random
+    # streams must not move
+    scheme, n, l, f, d, trials, seed = args
+    est = col.estimate_collision(scheme, n, l, f, d, trials, seed)
+    assert est.probability == hits / trials
+    assert est.selected_width == width

@@ -59,6 +59,47 @@ def test_config_memory_only_for_dense():
                               memory={"n": 4, "rank": 1, "lookup": "lsh"}))
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("altup", "k", True), ("model", "d_model", True), ("optimizer", "steps", False),
+    ("memory", "constant", 1), ("optimizer", "learning_rate", True),
+])
+def test_config_rejects_bool_for_numbers_and_numbers_for_bool(section, key, value):
+    raw = _raw(variant="altup", altup={"k": 2}) if section == "altup" else _raw()
+    if section == "memory":
+        raw["memory"] = {"n": 4, "rank": 1, "lookup": "lsh"}
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("key", ["seed", "eval_interval"])
+def test_config_rejects_bool_seed_and_interval(key):
+    with pytest.raises(ConfigError):
+        config_from_dict(_raw(**{key: True}))
+
+
+def test_config_accepts_int_for_float_fields():
+    cfg = config_from_dict(_raw(memory={"n": 4, "rank": 1, "lookup": "softmax",
+                                        "jitter_eps": 0},
+                                optimizer={"learning_rate": 1, "steps": 2,
+                                           "batch_size": 2, "momentum": 0}))
+    assert cfg.memory["jitter_eps"] == 0.0 and isinstance(cfg.memory["jitter_eps"], float)
+    assert isinstance(cfg.optimizer.learning_rate, float)
+    assert isinstance(cfg.optimizer.momentum, float)
+
+
+def test_config_rejects_vocab_below_task_ids():
+    raw = _raw()
+    raw["model"]["vocab_size"] = 16
+    with pytest.raises(ConfigError, match="vocab_size"):
+        config_from_dict(raw)
+    raw["model"]["vocab_size"] = 257
+    with pytest.raises(ConfigError, match="vocab_size"):
+        config_from_dict(raw)
+    raw["model"]["vocab_size"] = 300
+    assert config_from_dict(raw).model.vocab_size == 300
+
+
 def test_zero_steps_emits_init_metrics_only(tmp_path):
     cfg = config_from_dict(_raw(optimizer={"steps": 0, "batch_size": 2,
                                            "learning_rate": 0.05}))
@@ -273,6 +314,29 @@ def test_cli_config_error_exit_code(tmp_path):
                      "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("override", [
+    ['variant="altup"', 'altup={"k":true}'],
+    ["seed=true"],
+    ["model.vocab_size=16"],
+    ["optimizer.batch_size=true"],
+    ["task=5"],
+])
+def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
+    cfg_path = _write_config(tmp_path, _raw())
+    argv = ["cost", "--config", cfg_path]
+    for item in override:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    if override != ["seed=true"]:
+        # train overrides the seed with --seed, so it sees every other case
+        assert cli.main(["train", "--seed", "1", "--out", str(tmp_path / "x")]
+                        + argv[1:]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_divergence_exit_code(tmp_path):
     raw = _raw(optimizer={"learning_rate": 50.0, "steps": 50, "batch_size": 2})
@@ -295,3 +359,13 @@ def test_cli_collide(tmp_path, capsys):
                    "--out", str(tmp_path / "c.csv")])
     assert rc == 0
     assert (tmp_path / "c.csv").read_text().startswith("scheme,")
+
+
+@pytest.mark.parametrize("scheme", ["hyperplane", "spherical", "minhash"])
+def test_cli_collide_rejects_empty_table(scheme, capsys):
+    rc = cli.main(["collide", "--seed", "1", "--schemes", scheme, "--n", "0",
+                   "--trials", "10"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "n must be >= 1" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
