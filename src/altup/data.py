@@ -61,10 +61,21 @@ def char_lm_task(corpus: np.ndarray, seq_len: int, n_train: int, n_eval: int, se
     return TaskData("char_lm", tr_in, tr_tg, ev_in, ev_tg)
 
 
+def _echo_source_len(seq_len: int) -> int:
+    return max(1, (seq_len - 1) // 2)
+
+
+def input_length(name: str, seq_len: int) -> int:
+    """Length of the input sequences ``make_task`` builds for a task: char_lm
+    windows are seq_len long, while a copy/reverse input is the source, the
+    separator and the echo less its last token."""
+    return seq_len if name == "char_lm" else 2 * _echo_source_len(seq_len)
+
+
 def _echo_sequences(seq_len: int, count: int, rng, alphabet: int, reverse: bool) -> tuple:
     # sequence = src, SEP, src (or reversed src); inputs/targets are the
     # next-token shift of it
-    m = max(1, (seq_len - 1) // 2)
+    m = _echo_source_len(seq_len)
     symbols = rng.integers(97, 97 + alphabet, size=(count, m))
     second = symbols[:, ::-1] if reverse else symbols
     sep = np.full((count, 1), SEP_ID, dtype=np.int64)

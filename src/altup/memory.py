@@ -19,7 +19,9 @@ _M64 = (1 << 64) - 1
 _LSH_SEED_CONST = 0x8445D61A4E774912
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    """SplitMix64 finalizer of a Python int in [0, 2**64), or elementwise of a
+    uint64 array with the same bits (array arithmetic wraps mod 2**64)."""
     z = (z + 0x9E3779B97F4A7C15) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
@@ -174,12 +176,18 @@ def hyperplane_lsh_lookup(x, p: HyperplaneLshParams) -> int:
 
 
 def minhash_lookup(token_ids, perm_seed: int) -> int:
-    """Member of the set with the smallest seeded pseudo-random priority."""
-    ids = set(int(i) for i in token_ids)
-    if not ids:
+    """Member of the set of int64 ids with the smallest seeded pseudo-random
+    priority.
+
+    The priority, splitmix of the id xor a seeded base, is a bijection of the
+    id's 64 bits, so distinct ids never tie.
+    """
+    ids = (np.asarray(token_ids, dtype=np.int64) if isinstance(token_ids, np.ndarray)
+           else np.fromiter(token_ids, dtype=np.int64))
+    if ids.size == 0:
         raise ValueError("minhash_lookup: empty set")
-    base = _splitmix64(int(perm_seed) & _M64)
-    return min(ids, key=lambda i: (_splitmix64(base ^ i), i))
+    base = np.uint64(_splitmix64(int(perm_seed) & _M64))
+    return int(ids[np.argmin(_splitmix64(base ^ ids.view(np.uint64)))])
 
 
 def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,

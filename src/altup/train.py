@@ -17,7 +17,8 @@ import numpy as np
 
 from . import costs
 from .checkpoint import save_model
-from .data import TASKS, VOCAB_SIZE, make_task
+from .alternating import AltUpConfig
+from .data import TASKS, VOCAB_SIZE, input_length, make_task
 from .models import LOOKUPS, Model
 from .tensor import Graph, backward
 from .transformer import ModelConfig
@@ -141,6 +142,12 @@ def config_from_dict(raw: dict) -> RunConfig:
         if altup is None:
             raise ConfigError(f"variant {variant!r} requires an 'altup' section")
         altup = _take_fields("altup", altup, {"k": int, "selection": str, "j_fixed": int})
+        try:  # the defaults build_model applies
+            AltUpConfig(k=altup.get("k", 2), d=model.d_model,
+                        selection=altup.get("selection", "alternating"),
+                        j_fixed=altup.get("j_fixed", 0))
+        except ValueError as exc:
+            raise ConfigError(f"altup: {exc}") from exc
     elif altup is not None:
         raise ConfigError(f"'altup' section is only valid for variants {VARIANTS_WITH_BLOCKS}")
 
@@ -149,6 +156,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         if seq is None:
             raise ConfigError(f"variant {variant!r} requires a 'seq' section")
         seq = _take_fields("seq", seq, {"stride": int, "wrap": str})
+        if seq.get("stride", 4) < 1:
+            raise ConfigError("seq.stride must be >= 1")
     elif seq is not None:
         raise ConfigError(f"'seq' section is only valid for variants {VARIANTS_WITH_STRIDE}")
 
@@ -161,12 +170,30 @@ def config_from_dict(raw: dict) -> RunConfig:
             "jitter_eps": float, "constant": bool})
         if memory.get("lookup") not in LOOKUPS:
             raise ConfigError(f"memory.lookup: expected one of {LOOKUPS}")
+        n = memory.get("n", 0)
+        if n < 1:
+            raise ConfigError("memory.n must be >= 1")
+        if memory["lookup"] == "token_id" and n != model.vocab_size:
+            raise ConfigError(f"memory.n: the token_id lookup needs n = model.vocab_size "
+                              f"({model.vocab_size}), got {n}")
+        if not 1 <= memory.get("k", 1) <= n:
+            raise ConfigError(f"memory.k must lie in [1, memory.n = {n}]")
+        if not memory.get("constant", False) and memory.get("rank", 1) < 1:
+            raise ConfigError("memory.rank must be >= 1 for matrix experts")
+        if memory.get("jitter_eps", 0.0) < 0:
+            raise ConfigError("memory.jitter_eps must be >= 0")
 
     task = TaskConfig(**_take_fields("task", raw.get("task", {}), {
         "name": str, "corpus_path": (str, type(None)), "seq_len": int,
         "n_train": int, "n_eval": int, "alphabet": int}))
     if task.name not in TASKS:
         raise ConfigError(f"task.name: unknown {task.name!r}; expected one of {TASKS}")
+    if min(task.seq_len, task.n_train, task.n_eval, task.alphabet) < 1:
+        raise ConfigError("task: seq_len, n_train, n_eval and alphabet must be >= 1")
+    if input_length(task.name, task.seq_len) > model.max_seq_len:
+        raise ConfigError(f"task.seq_len: {task.name} inputs of length "
+                          f"{input_length(task.name, task.seq_len)} exceed "
+                          f"model.max_seq_len {model.max_seq_len}")
 
     optimizer = OptimizerConfig(**_take_fields("optimizer", raw.get("optimizer", {}), {
         "learning_rate": float, "steps": int, "batch_size": int,

@@ -3,8 +3,12 @@ the acceptance suite runs the full-scale configuration)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from altup import collisions as col
+from altup import memory as mem
 
 
 def test_pair_full_overlap_identical():
@@ -200,7 +204,7 @@ def test_spherical_statistics_reduce_a_full_router_draw():
         norms = np.sqrt(a * a + b * b + rest)
         for m in (m1, m2):
             want, _ = softmax_route(Tensor(m), router)
-            assert col._spherical_bucket(m, e1, e2, a, b, norms) == want[0]
+            assert col._spherical_bucket(m @ e1, m @ e2, a, b, norms) == want[0]
 
 
 def test_plane_basis_parallel_and_zero_mixes():
@@ -211,6 +215,15 @@ def test_plane_basis_parallel_and_zero_mixes():
         assert np.isclose(np.linalg.norm(e2), 1.0)
 
 
+def _full_draw_mixes(l, f, d, rng):
+    """Reference pair: randomized rounding of f*l, then a full vocabulary draw;
+    returns the two unit mixes in the ambient d dimensions."""
+    base, frac = col._split_overlap(l, f)
+    s = base + int(frac > 0 and rng.random() < frac)
+    pair = col.gen_sentence_pair(l, s / l, d, seed=rng)
+    return col._unit(col.mix(pair.emb1)), col._unit(col.mix(pair.emb2))
+
+
 def _full_draw_rate(n, l, f, d, trials, seed):
     """Reference: the full-draw trial, n unit router rows and top-1 softmax."""
     from altup.memory import RouterParams, softmax_route
@@ -218,13 +231,13 @@ def _full_draw_rate(n, l, f, d, trials, seed):
 
     hits = 0
     for t in range(trials):
-        pair = col._gen_trial_pair(l, f, d, col._pair_rng(seed, t))
+        u1, u2 = _full_draw_mixes(l, f, d, col._pair_rng(seed, t))
         rng = col._hash_rng(seed, t, "spherical")
         w = rng.standard_normal((n, d))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         router = RouterParams(w=Tensor(w), k=1, jitter_eps=0.0)
-        i1, _ = softmax_route(Tensor(col._unit(col.mix(pair.emb1))), router)
-        i2, _ = softmax_route(Tensor(col._unit(col.mix(pair.emb2))), router)
+        i1, _ = softmax_route(Tensor(u1), router)
+        i2, _ = softmax_route(Tensor(u2), router)
         hits += i1[0] == i2[0]
     return hits / trials
 
@@ -246,15 +259,125 @@ def test_spherical_runs_at_two_dims():
 
 
 @pytest.mark.parametrize("args,hits,width", [
-    (("hyperplane", 64, 16, 0.5, 16, 300, 31), 20, 2.0),
-    (("hyperplane", 32, 8, 0.25, 8, 200, 32), 22, 2.0),
+    (("hyperplane", 64, 16, 0.5, 16, 300, 31), 22, 2.0),
+    (("hyperplane", 32, 8, 0.25, 8, 200, 32), 20, 2.0),
     (("minhash", 64, 16, 0.25, 8, 500, 33), 128, None),
     (("minhash", 16, 8, 0.5, 4, 300, 34), 146, None),
 ])
 def test_other_scheme_estimates_are_pinned(args, hits, width):
-    # values from before the spherical sampler changed; these schemes' random
-    # streams must not move
+    # token-id values from before both vector samplers changed, hyperplane
+    # values from the pair sampler on; these random streams must not move
     scheme, n, l, f, d, trials, seed = args
     est = col.estimate_collision(scheme, n, l, f, d, trials, seed)
     assert est.probability == hits / trials
     assert est.selected_width == width
+
+
+def test_pair_geometry_reduces_a_full_vocabulary_draw():
+    # fed one full draw's own walk cosines, norms and direction cosines, the
+    # 3-D construction reproduces the draw's u1 . u2
+    rng = np.random.default_rng(50)
+    for l, s, d in [(8, 3, 16), (12, 0, 5), (6, 6, 4), (9, 1, 2), (1, 0, 3)]:
+        pair = col.gen_sentence_pair(l, s / l, d, seed=rng)
+        shared, p1, p2 = pair.emb1[:s], pair.emb1[s:], pair.emb2[s:]
+
+        def walk_cosines(vectors):
+            partial = np.cumsum(vectors, axis=0)[:-1]
+            cos = np.einsum("ij,ij->i", vectors[1:], partial)
+            return cos / np.linalg.norm(partial, axis=1)
+
+        cos = np.zeros((3, max(l - 1, 0)))
+        for w, vectors in enumerate((shared, p1, p2)):
+            cos[w, :max(len(vectors) - 1, 0)] = walk_cosines(vectors)
+        count = np.array([s, l - s, l - s])
+        sums = [v.sum(axis=0) for v in (shared, p1, p2)]
+        r = col._walk_norms(cos, count)
+        assert np.allclose(r, [np.linalg.norm(v) for v in sums], rtol=0, atol=1e-12)
+
+        # frame: e1 along S (any unit vector when S = 0), e2 from P1, rest from P2
+        dirs = [v / n if n > 0 else v for v, n in zip(sums, r)]
+        e1 = dirs[0] if s else col._unit(rng.standard_normal(d))
+        c1 = dirs[1] @ e1
+        e2 = col._unit(dirs[1] - c1 * e1)
+        x, y = dirs[2] @ e1, dirs[2] @ e2
+        g = np.array([x, y, np.sqrt(max(1.0 - x * x - y * y, 0.0))])
+        u = col._frame_mixes(r, np.array(c1), g)
+        want = col._unit(col.mix(pair.emb1)) @ col._unit(col.mix(pair.emb2))
+        assert abs(u[0] @ u[1] - want) <= 1e-12, (l, s, d)
+
+
+@pytest.mark.parametrize("l,f,d", [(8, 0.5, 8), (16, 0.25, 2), (8, 0.5, 3),
+                                   (8, 0.0, 16), (7, 0.3, 5), (64, 0.1, 64),
+                                   (2, 0.5, 3), (4, 0.5, 2)])
+def test_pair_sampler_cosine_law_matches_full_draw(l, f, d):
+    # two-sample KS test of u1 . u2 against full vocabulary draws; (7, 0.3)
+    # has fractional f*l, (8, 0.0) no shared word
+    trials = 1500
+    want = [u1 @ u2 for u1, u2 in (_full_draw_mixes(l, f, d, np.random.default_rng([51, t]))
+                                   for t in range(trials))]
+    u = col._pair_mixes(l, f, d, 52, 0, trials)
+    assert np.allclose(np.linalg.norm(u, axis=-1), 1.0)
+    assert stats.ks_2samp(want, np.einsum("ij,ij->i", u[:, 0], u[:, 1])).pvalue > 0.01
+
+
+def _full_draw_hyperplane_hits(n, l, f, d, m, trials, seed):
+    """Reference: full-draw pairs hashed one mix at a time by
+    memory.hyperplane_lsh_lookup, per swept width."""
+    hits = np.zeros(len(col.LSH_WIDTH_SWEEP), dtype=np.int64)
+    for t in range(trials):
+        u1, u2 = _full_draw_mixes(l, f, d, col._pair_rng(seed, t))
+        rng = col._hash_rng(seed, t, "hyperplane")
+        directions = rng.standard_normal((m, d))
+        unit_offsets = rng.uniform(0.0, 1.0, m)
+        for wi, w in enumerate(col.LSH_WIDTH_SWEEP):
+            p = mem.HyperplaneLshParams(directions, unit_offsets * w, w, n)
+            hits[wi] += mem.hyperplane_lsh_lookup(u1, p) == mem.hyperplane_lsh_lookup(u2, p)
+    return hits
+
+
+@pytest.mark.parametrize("n,l,f,d", [(16, 8, 0.5, 8), (8, 4, 0.5, 2)])
+def test_hyperplane_sampler_matches_full_draw(n, l, f, d):
+    trials, m = 3000, 4
+    want = _full_draw_hyperplane_hits(n, l, f, d, m, trials, seed=53) / trials
+    (got,) = col._run_trials("hyperplane", n, l, d, trials, [(f, 54)], m=m)
+    got = got / trials
+    se = np.sqrt(want * (1 - want) / trials + got * (1 - got) / trials)
+    assert np.all(np.abs(got - want) <= 3 * se), (got, want)
+
+
+def test_blocked_lsh_hash_matches_single_lookups():
+    rng = np.random.default_rng(55)
+    trials, m, n = 40, 5, 37
+    u = rng.standard_normal((trials, 2, 3)) * 4.0  # cells of both signs
+    directions = rng.standard_normal((trials, m, 3))
+    unit_offsets = rng.uniform(0.0, 1.0, (trials, m))
+    buckets = col._lsh_buckets(u, directions, unit_offsets, n)
+    assert buckets.shape == (trials, 2, len(col.LSH_WIDTH_SWEEP))
+    for t in range(trials):
+        for wi, w in enumerate(col.LSH_WIDTH_SWEEP):
+            p = mem.HyperplaneLshParams(directions[t], unit_offsets[t] * w, w, n)
+            for k in range(2):
+                assert buckets[t, k, wi] == mem.hyperplane_lsh_lookup(u[t, k], p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+def test_array_splitmix_matches_scalar_chain(cells):
+    # the chain over one cell vector, as uint64 arrays and as Python ints
+    arr = np.array(cells, dtype=np.int64).view(np.uint64)
+    assert [int(v) for v in mem._splitmix64(arr)] == [
+        mem._splitmix64(c & mem._M64) for c in cells]
+    h = np.full(3, mem._LSH_SEED_CONST, dtype=np.uint64)
+    want = mem._LSH_SEED_CONST
+    for c, a in zip(cells, arr):
+        h = mem._splitmix64(h ^ a)
+        want = mem._splitmix64(want ^ (c & mem._M64))
+    assert all(int(v) == want for v in h)
+
+
+@pytest.mark.parametrize("l,d", [(1, 2), (8, 3), (64, 64)])
+def test_full_overlap_mixes_are_bitwise_equal(l, d):
+    u = col._pair_mixes(l, 1.0, d, 56, 0, 50)
+    assert np.array_equal(u[:, 0], u[:, 1])
+    for scheme in ("hyperplane", "spherical"):
+        assert col.estimate_collision(scheme, 64, l, 1.0, d, 50, seed=56).probability == 1.0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altup import costs
 from altup import memory as mem
@@ -167,6 +169,24 @@ def test_minhash_singleton_and_subset():
             assert mem.minhash_lookup(a, seed) == hb
     with pytest.raises(ValueError):
         mem.minhash_lookup(set(), perm_seed=0)
+
+
+def _minhash_reference(token_ids, perm_seed):
+    """Min-hash choice on Python ints, one id at a time."""
+    ids = set(int(i) for i in token_ids)
+    base = mem._splitmix64(int(perm_seed) & mem._M64)
+    return min(ids, key=lambda i: (mem._splitmix64(base ^ i), i))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=80),
+       st.integers(-2**63, 2**64 - 1))
+def test_minhash_matches_python_int_reference(ids, perm_seed):
+    want = _minhash_reference(ids, perm_seed)
+    assert mem.minhash_lookup(ids, perm_seed) == want
+    # a sequence row of ids, repeats included, picks the same member
+    row = np.array(sorted(ids) * 2, dtype=np.int64)
+    assert mem.minhash_lookup(row, perm_seed) == want
 
 
 def test_minhash_collision_matches_jaccard():

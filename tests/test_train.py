@@ -7,6 +7,7 @@ import pytest
 
 from altup import checkpoint as ckpt
 from altup import cli, models, transformer as tr
+from altup.data import input_length, make_task
 from altup.train import (ConfigError, DivergenceError, build_model,
                          config_from_dict, train)
 
@@ -320,6 +321,20 @@ def test_cli_config_error_exit_code(tmp_path):
     ["model.vocab_size=16"],
     ["optimizer.batch_size=true"],
     ["task=5"],
+    ['memory={"n":0,"rank":1,"lookup":"lsh"}'],
+    ["task.n_eval=0"],
+    ["task.n_train=0"],
+    ["task.alphabet=0"],
+    ['memory={"n":8,"rank":1,"lookup":"softmax","jitter_eps":-1}'],
+    ['memory={"n":8,"rank":1,"lookup":"softmax","k":0}'],
+    ['memory={"n":8,"rank":1,"lookup":"softmax","k":9}'],
+    ['memory={"n":8,"rank":0,"lookup":"softmax"}'],
+    ['memory={"n":8,"rank":1,"lookup":"token_id"}'],
+    ['variant="altup"', 'altup={"k":0}'],
+    ['variant="altup"', 'altup={"k":2,"selection":"bogus"}'],
+    ['variant="seq_altup"', 'seq={"stride":0}'],
+    ["task.seq_len=19"],
+    ['task={"name":"char_lm","seq_len":17,"corpus_path":"corpus.txt"}'],
 ])
 def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, _raw())
@@ -335,6 +350,17 @@ def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
                         + argv[1:]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "x").exists()
+
+
+def test_config_input_length_bound_matches_task_data(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("abcdefgh" * 20)
+    for name in ("char_lm", "copy", "reverse"):
+        for seq_len in (1, 2, 9, 16, 17):
+            task = make_task(name, seq_len, 2, 2, seed=0, corpus_path=corpus)
+            assert task.seq_len == input_length(name, seq_len)
+    # copy at seq_len 17 builds inputs of 16, which a max_seq_len of 16 holds
+    config_from_dict(_raw(task={"name": "copy", "seq_len": 17, "n_train": 4, "n_eval": 2}))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
