@@ -15,18 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .schema import DEFAULTS, SELECTION_MODES
 from .tensor import Tensor
 from .transformer import LayerParams, embed, layer_forward
-
-SELECTION_MODES = ("same", "alternating")
 
 
 @dataclass
 class AltUpConfig:
     k: int
     d: int
-    selection: str = "alternating"
-    j_fixed: int = 0
+    selection: str = DEFAULTS["altup"]["selection"]
+    j_fixed: int = DEFAULTS["altup"]["j_fixed"]
 
     def __post_init__(self):
         if self.k < 1:

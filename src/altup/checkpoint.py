@@ -90,15 +90,7 @@ def load_checkpoint(path):
 
 
 def save_model(model, path, extra_config: dict | None = None):
-    cfg = {
-        "variant": model.variant,
-        "d_model": model.cfg.d_model,
-        "n_layers": model.cfg.n_layers,
-        "n_heads": model.cfg.n_heads,
-        "ffn_hidden": model.cfg.ffn_hidden,
-        "vocab_size": model.cfg.vocab_size,
-        "max_seq_len": model.cfg.max_seq_len,
-    }
+    cfg = {"variant": model.variant, **vars(model.cfg)}
     if extra_config:
         cfg.update(extra_config)
     save_checkpoint(path, _model_arrays(model), cfg, integers=model.perm_seeds())

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import checks, collisions, costs, train as training
@@ -50,6 +51,16 @@ def _load_config(args) -> training.RunConfig:
     return config_from_dict(raw)
 
 
+def _cost_report(cfg: training.RunConfig) -> costs.CostReport:
+    """The closed form for the model ``build_model(cfg)`` constructs."""
+    sections = {}
+    if cfg.altup:
+        sections["altup_k"] = cfg.altup["k"]
+    if cfg.seq:
+        sections["seq_wrap"] = cfg.seq["wrap"]
+    return costs.count_params(cfg.model, cfg.variant, memory=cfg.memory, **sections)
+
+
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     summary = training.train(cfg, args.out)
@@ -73,13 +84,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    cfg = _load_config(args)
-    report = costs.count_params(
-        cfg.model, cfg.variant,
-        altup_k=(cfg.altup or {}).get("k", 1),
-        memory=cfg.memory,
-        seq_wrap=(cfg.seq or {}).get("wrap", "interior"))
-    print(json.dumps(report.as_dict(), indent=2))
+    report = _cost_report(_load_config(args))
+    print(json.dumps(asdict(report), indent=2))
     rows = [
         ("embedding params (tied)", report.embedding_params),
         ("embedding params (untied view)", report.embedding_params_untied),
@@ -146,11 +152,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_census(args) -> int:
     cfg = _load_config(args)
     model = build_model(cfg)
-    report = costs.count_params(
-        cfg.model, cfg.variant,
-        altup_k=(cfg.altup or {}).get("k", 1),
-        memory=cfg.memory,
-        seq_wrap=(cfg.seq or {}).get("wrap", "interior"))
+    report = _cost_report(cfg)
     actual = model.census()
     closed = report.embedding_params + report.non_embedding_params
     print(f"constructed-model census: {actual}")

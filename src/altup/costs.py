@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .schema import DEFAULTS, complete
 from .transformer import ModelConfig
 
 VARIANTS = ("dense", "altup", "recycled_altup", "sum_baseline",
@@ -27,18 +28,6 @@ class CostReport:
     activation_memory_entries: float
     activation_memory_bytes: int
     assumptions: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "embedding_params": self.embedding_params,
-            "non_embedding_params": self.non_embedding_params,
-            "embedding_params_untied": self.embedding_params_untied,
-            "flops_per_token_per_layer": self.flops_per_token_per_layer,
-            "altup_overhead_flops_per_token": self.altup_overhead_flops_per_token,
-            "activation_memory_entries": self.activation_memory_entries,
-            "activation_memory_bytes": self.activation_memory_bytes,
-            "assumptions": list(self.assumptions),
-        }
 
 
 def layer_flops(n: int, d_model: int, ffn_hidden: int, n_heads: int = 1):
@@ -88,7 +77,7 @@ def _per_layer_params(d: int, ffn_hidden: int) -> int:
     return 4 * d * d + 3 * d * ffn_hidden + 2 * d
 
 
-def wrapped_layer_count(n_layers: int, wrap: str = "interior") -> int:
+def wrapped_layer_count(n_layers: int, wrap: str) -> int:
     """How many layers the sequence-stride variants actually wrap."""
     if wrap == "all":
         return n_layers
@@ -98,14 +87,15 @@ def wrapped_layer_count(n_layers: int, wrap: str = "interior") -> int:
 
 
 def memory_params_per_layer(n: int, rank: int, d: int, lookup: str,
-                            constant: bool = False) -> int:
+                            constant: bool = DEFAULTS["memory"]["constant"]) -> int:
     table = n * d if constant else 2 * rank * n * d
     router = n * d if lookup == "softmax" else 0
     return table + router
 
 
-def count_params(cfg: ModelConfig, variant: str, altup_k: int = 1,
-                 memory: dict | None = None, seq_wrap: str = "interior") -> CostReport:
+def count_params(cfg: ModelConfig, variant: str, altup_k: int = DEFAULTS["altup"]["k"],
+                 memory: dict | None = None,
+                 seq_wrap: str = DEFAULTS["seq"]["wrap"]) -> CostReport:
     """Closed-form parameter split for a model variant.
 
     Embedding params count the vocabulary table(s) under the weight-tied
@@ -138,9 +128,9 @@ def count_params(cfg: ModelConfig, variant: str, altup_k: int = 1,
     if variant == "seq_altup":
         non_emb += 3 * wrapped_layer_count(L, seq_wrap)
     if memory is not None:
+        memory = complete("memory", memory)
         non_emb += L * memory_params_per_layer(
-            memory["n"], memory.get("rank", 1), d, memory["lookup"],
-            memory.get("constant", False))
+            memory["n"], memory["rank"], d, memory["lookup"], memory["constant"])
         assumptions.append("memory: one table (and router, for softmax lookup) per layer")
 
     attn, ffn = layer_flops(cfg.max_seq_len, d, cfg.ffn_hidden, cfg.n_heads)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .schema import DEFAULTS
 from .tensor import Tensor
 
 _M64 = (1 << 64) - 1
@@ -60,7 +61,7 @@ class MemoryTable:
     """Indexed collection of n partial experts sharing d and rank."""
 
     def __init__(self, n: int, d: int, rank: int, rng: np.random.Generator,
-                 constant: bool = False, prefix: str = "table"):
+                 constant: bool = DEFAULTS["memory"]["constant"], prefix: str = "table"):
         if n < 1:
             raise ValueError("table size must be >= 1")
         self.n = n
@@ -82,8 +83,8 @@ class RouterParams:
     """Learned softmax router: logits h(x) = W x, probabilities by softmax."""
 
     w: Tensor
-    k: int = 1
-    jitter_eps: float = 0.01
+    k: int = DEFAULTS["memory"]["k"]
+    jitter_eps: float = DEFAULTS["memory"]["jitter_eps"]
 
     def __post_init__(self):
         if self.k > self.w.data.shape[0]:
@@ -92,8 +93,9 @@ class RouterParams:
             raise ValueError("jitter_eps must be >= 0")
 
     @classmethod
-    def create(cls, n: int, d: int, rng: np.random.Generator, k: int = 1,
-               jitter_eps: float = 0.01, name: str = "router.w"):
+    def create(cls, n: int, d: int, rng: np.random.Generator,
+               k: int = DEFAULTS["memory"]["k"],
+               jitter_eps: float = DEFAULTS["memory"]["jitter_eps"], name: str = "router.w"):
         w = Tensor(rng.normal(0, 2e-2, (n, d)), requires_grad=True, name=name)
         return cls(w=w, k=k, jitter_eps=jitter_eps)
 

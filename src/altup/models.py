@@ -21,20 +21,22 @@ from .memory import (HyperplaneLshParams, MemoryTable, RouterParams,
                      lsh_lookup, memory_augmented_forward,
                      minhash_sequence_lookup, softmax_lookup,
                      token_id_fixed_lookup)
+from .schema import DEFAULTS, complete
 from .sequence import (SeqAltUpParams, average_pool_seq, pooled_target_positions,
                        seq_altup_forward, stride_and_skip_forward)
 from .tensor import Tensor
 from .transformer import LayerParams, ModelConfig, cross_entropy, embed, layer_forward, lm_head
 
-LOOKUPS = ("softmax", "token_id", "lsh", "minhash")
-
 
 class Model:
     """A decoder-only LM in one of the variant configurations."""
 
-    def __init__(self, cfg: ModelConfig, variant: str = "dense", altup_k: int = 2,
-                 altup_selection: str = "alternating", altup_j_fixed: int = 0,
-                 seq_stride: int = 4, seq_wrap: str = "interior",
+    def __init__(self, cfg: ModelConfig, variant: str = "dense",
+                 altup_k: int = DEFAULTS["altup"]["k"],
+                 altup_selection: str = DEFAULTS["altup"]["selection"],
+                 altup_j_fixed: int = DEFAULTS["altup"]["j_fixed"],
+                 seq_stride: int = DEFAULTS["seq"]["stride"],
+                 seq_wrap: str = DEFAULTS["seq"]["wrap"],
                  memory: dict | None = None, seed: int = 0):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -84,35 +86,29 @@ class Model:
                         entry["seq"] = SeqAltUpParams(seq_stride, prefix=f"{prefix}.seq")
             self.layers.append(entry)
 
-        self.memory = memory
+        self.memory = None if memory is None else complete("memory", memory)
         self._mem = []
-        if memory is not None:
-            self._init_memory(memory, rng)
+        if self.memory is not None:
+            self._init_memory(self.memory, rng)
 
     def _init_memory(self, memory, rng):
         d, v = self.cfg.d_model, self.cfg.vocab_size
-        lookup = memory["lookup"]
-        if lookup not in LOOKUPS:
-            raise ValueError(f"unknown lookup {lookup!r}; expected one of {LOOKUPS}")
-        n = memory["n"]
+        n, lookup = memory["n"], memory["lookup"]
         if lookup == "token_id" and n != v:
             raise ValueError(f"token_id lookup requires table size {v} (= vocab), got {n}")
-        rank = memory.get("rank", 1)
-        topk = memory.get("k", 1)
-        jitter = memory.get("jitter_eps", 0.01)
         for i in range(self.cfg.n_layers):
             slot = {"kind": lookup}
             if lookup == "softmax":
                 slot["router"] = RouterParams.create(
-                    n, d, rng, k=topk, jitter_eps=jitter, name=f"layers.{i}.router.w")
+                    n, d, rng, k=memory["k"], jitter_eps=memory["jitter_eps"],
+                    name=f"layers.{i}.router.w")
             elif lookup == "lsh":
                 slot["lsh"] = HyperplaneLshParams.create(
                     d, n, seed=np.random.SeedSequence([self.seed, 7, i]))
             elif lookup == "minhash":
                 slot["perm_seed"] = int(np.random.default_rng(
                     np.random.SeedSequence([self.seed, 11, i])).integers(0, 2**62))
-            slot["table"] = MemoryTable(n, d, rank, rng,
-                                        constant=memory.get("constant", False),
+            slot["table"] = MemoryTable(n, d, memory["rank"], rng, constant=memory["constant"],
                                         prefix=f"layers.{i}.table")
             self._mem.append(slot)
 
@@ -246,6 +242,3 @@ class Model:
         targets = np.asarray(targets, dtype=np.int64)
         return cross_entropy(logits, targets[..., out_positions])
 
-
-def build_model(cfg: ModelConfig, variant: str = "dense", **kwargs) -> Model:
-    return Model(cfg, variant, **kwargs)

@@ -1,0 +1,89 @@
+"""The dict-valued run-config sections ``altup``, ``seq`` and ``memory``.
+
+Each field is declared once in :data:`SECTIONS` with its type, its default
+(or none, for a required field), and the bound or choices a value must meet
+on its own. Config parsing, model construction and the cost model complete a
+section through :func:`complete`, and constructor keyword defaults read
+:data:`DEFAULTS`, so no two of them can disagree on a default. Checks that
+relate two values (``altup.j_fixed < altup.k``, say) stay with the parser.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+SELECTION_MODES = ("same", "alternating")
+WRAP_MODES = ("interior", "all")
+LOOKUPS = ("softmax", "token_id", "lsh", "minhash")
+REQUIRED = object()  # the "default" of a field that has none
+
+
+class ConfigError(ValueError):
+    """Invalid or unknown run-configuration content."""
+
+
+@dataclass(frozen=True)
+class Field:
+    type: type
+    default: object = REQUIRED
+    minimum: float | None = None
+    choices: tuple | None = None
+
+
+SECTIONS = {
+    "altup": {"k": Field(int, 2, minimum=1),
+              "selection": Field(str, "alternating", choices=SELECTION_MODES),
+              "j_fixed": Field(int, 0, minimum=0)},
+    "seq": {"stride": Field(int, 4, minimum=1),
+            "wrap": Field(str, "interior", choices=WRAP_MODES)},
+    "memory": {"n": Field(int, minimum=1),
+               "rank": Field(int, 1),  # >= 1 unless the experts are constant
+               "lookup": Field(str, choices=LOOKUPS),
+               "k": Field(int, 1, minimum=1),
+               "jitter_eps": Field(float, 0.01, minimum=0),
+               "constant": Field(bool, False)},
+}
+
+DEFAULTS = {name: {key: f.default for key, f in fields.items() if f.default is not REQUIRED}
+            for name, fields in SECTIONS.items()}
+
+
+def is_int(value) -> bool:
+    # JSON true/false parse to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def take_fields(section: str, raw: dict, allowed: dict) -> dict:
+    """Type-checked copy of a config section: bool is not an int, and an int
+    is accepted (as a float) where a float is expected."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section}: expected an object, got {type(raw).__name__}")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{section}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, value in raw.items():
+        expected = allowed[key]
+        if expected is float and is_int(value):
+            value = float(value)
+        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+            raise ConfigError(f"{section}.{key}: expected {expected}, got {type(value).__name__}")
+        out[key] = value
+    return out
+
+
+def complete(section: str, raw: dict) -> dict:
+    """A type-checked copy of one of :data:`SECTIONS` with every missing field
+    at its default. Missing required fields and values outside their bound or
+    choices raise :class:`ConfigError`."""
+    fields = SECTIONS[section]
+    out = {**DEFAULTS[section],
+           **take_fields(section, raw, {key: f.type for key, f in fields.items()})}
+    for key, f in fields.items():
+        if key not in out:
+            raise ConfigError(f"{section}.{key} is required")
+        if f.minimum is not None and out[key] < f.minimum:
+            raise ConfigError(f"{section}.{key} must be >= {f.minimum}")
+        if f.choices is not None and out[key] not in f.choices:
+            raise ConfigError(f"{section}.{key}: expected one of {f.choices}, got {out[key]!r}")
+    return out

@@ -346,10 +346,9 @@ def log_softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
-    sm = np.exp(out)
 
     def bw(g):
-        return (g - sm * g.sum(axis=-1, keepdims=True),)
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
     return _record("log_softmax", [a], out, bw)
 

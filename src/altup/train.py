@@ -10,22 +10,19 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import costs
 from .checkpoint import save_model
-from .alternating import AltUpConfig
 from .data import TASKS, VOCAB_SIZE, input_length, make_task
-from .models import LOOKUPS, Model
+from .models import Model
+from .schema import ConfigError, complete, is_int, take_fields
 from .tensor import Graph, backward
-from .transformer import ModelConfig
-
-
-class ConfigError(ValueError):
-    """Invalid or unknown run-configuration content."""
+from .transformer import ModelConfig, cross_entropy
 
 
 class DivergenceError(RuntimeError):
@@ -60,52 +57,16 @@ class TaskConfig:
 class RunConfig:
     model: ModelConfig
     variant: str = "dense"
-    altup: dict | None = None      # {k, selection, j_fixed}
-    seq: dict | None = None        # {stride, wrap}
-    memory: dict | None = None     # {n, rank, lookup, k, jitter_eps, constant}
+    altup: dict | None = None      # complete sections of schema.SECTIONS,
+    seq: dict | None = None        # or None where the config has none
+    memory: dict | None = None
     task: TaskConfig = field(default_factory=TaskConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
     eval_interval: int = 100
 
     def as_dict(self):
-        d = {
-            "model": vars(self.model).copy(),
-            "variant": self.variant,
-            "task": vars(self.task).copy(),
-            "optimizer": vars(self.optimizer).copy(),
-            "seed": self.seed,
-            "eval_interval": self.eval_interval,
-        }
-        for key in ("altup", "seq", "memory"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = dict(val)
-        return d
-
-
-def _is_int(value) -> bool:
-    # JSON true/false parse to bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _take_fields(section: str, raw: dict, allowed: dict) -> dict:
-    """Type-checked copy of a config section: bool is not an int, and an int
-    is accepted (as a float) where a float is expected."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{section}: expected an object, got {type(raw).__name__}")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{section}: unknown keys {sorted(unknown)}")
-    out = {}
-    for key, value in raw.items():
-        expected = allowed[key]
-        if expected is float and _is_int(value):
-            value = float(value)
-        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
-            raise ConfigError(f"{section}.{key}: expected {expected}, got {type(value).__name__}")
-        out[key] = value
-    return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -113,19 +74,14 @@ def config_from_dict(raw: dict) -> RunConfig:
     sections must be present exactly when the variant needs them."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    top_allowed = {"model", "variant", "altup", "seq", "memory", "task",
-                   "optimizer", "seed", "eval_interval"}
-    unknown = set(raw) - top_allowed
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
     if "model" not in raw:
         raise ConfigError("config: missing required 'model' section")
 
-    mfields = _take_fields("model", raw["model"], {
-        "d_model": int, "n_layers": int, "n_heads": int,
-        "ffn_hidden": int, "vocab_size": int, "max_seq_len": int})
     try:
-        model = ModelConfig(**mfields)
+        model = ModelConfig(**take_fields("model", raw["model"], get_type_hints(ModelConfig)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model: {exc}") from exc
     if model.vocab_size < VOCAB_SIZE:
@@ -141,13 +97,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if variant in VARIANTS_WITH_BLOCKS:
         if altup is None:
             raise ConfigError(f"variant {variant!r} requires an 'altup' section")
-        altup = _take_fields("altup", altup, {"k": int, "selection": str, "j_fixed": int})
-        try:  # the defaults build_model applies
-            AltUpConfig(k=altup.get("k", 2), d=model.d_model,
-                        selection=altup.get("selection", "alternating"),
-                        j_fixed=altup.get("j_fixed", 0))
-        except ValueError as exc:
-            raise ConfigError(f"altup: {exc}") from exc
+        altup = complete("altup", altup)
+        if altup["j_fixed"] >= altup["k"]:
+            raise ConfigError("altup.j_fixed must lie in [0, altup.k)")
     elif altup is not None:
         raise ConfigError(f"'altup' section is only valid for variants {VARIANTS_WITH_BLOCKS}")
 
@@ -155,9 +107,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if variant in VARIANTS_WITH_STRIDE:
         if seq is None:
             raise ConfigError(f"variant {variant!r} requires a 'seq' section")
-        seq = _take_fields("seq", seq, {"stride": int, "wrap": str})
-        if seq.get("stride", 4) < 1:
-            raise ConfigError("seq.stride must be >= 1")
+        seq = complete("seq", seq)
     elif seq is not None:
         raise ConfigError(f"'seq' section is only valid for variants {VARIANTS_WITH_STRIDE}")
 
@@ -165,29 +115,21 @@ def config_from_dict(raw: dict) -> RunConfig:
     if memory is not None:
         if variant != "dense":
             raise ConfigError("'memory' section is only valid for the dense variant")
-        memory = _take_fields("memory", memory, {
-            "n": int, "rank": int, "lookup": str, "k": int,
-            "jitter_eps": float, "constant": bool})
-        if memory.get("lookup") not in LOOKUPS:
-            raise ConfigError(f"memory.lookup: expected one of {LOOKUPS}")
-        n = memory.get("n", 0)
-        if n < 1:
-            raise ConfigError("memory.n must be >= 1")
+        memory = complete("memory", memory)
+        n = memory["n"]
         if memory["lookup"] == "token_id" and n != model.vocab_size:
             raise ConfigError(f"memory.n: the token_id lookup needs n = model.vocab_size "
                               f"({model.vocab_size}), got {n}")
-        if not 1 <= memory.get("k", 1) <= n:
+        if memory["k"] > n:
             raise ConfigError(f"memory.k must lie in [1, memory.n = {n}]")
-        if not memory.get("constant", False) and memory.get("rank", 1) < 1:
+        if not memory["constant"] and memory["rank"] < 1:
             raise ConfigError("memory.rank must be >= 1 for matrix experts")
-        if memory.get("jitter_eps", 0.0) < 0:
-            raise ConfigError("memory.jitter_eps must be >= 0")
 
-    task = TaskConfig(**_take_fields("task", raw.get("task", {}), {
-        "name": str, "corpus_path": (str, type(None)), "seq_len": int,
-        "n_train": int, "n_eval": int, "alphabet": int}))
+    task = TaskConfig(**take_fields("task", raw.get("task", {}), get_type_hints(TaskConfig)))
     if task.name not in TASKS:
         raise ConfigError(f"task.name: unknown {task.name!r}; expected one of {TASKS}")
+    if task.name == "char_lm" and task.corpus_path is None:
+        raise ConfigError("task.corpus_path is required for the char_lm task")
     if min(task.seq_len, task.n_train, task.n_eval, task.alphabet) < 1:
         raise ConfigError("task: seq_len, n_train, n_eval and alphabet must be >= 1")
     if input_length(task.name, task.seq_len) > model.max_seq_len:
@@ -195,17 +137,16 @@ def config_from_dict(raw: dict) -> RunConfig:
                           f"{input_length(task.name, task.seq_len)} exceed "
                           f"model.max_seq_len {model.max_seq_len}")
 
-    optimizer = OptimizerConfig(**_take_fields("optimizer", raw.get("optimizer", {}), {
-        "learning_rate": float, "steps": int, "batch_size": int,
-        "momentum": float}))
+    optimizer = OptimizerConfig(**take_fields("optimizer", raw.get("optimizer", {}),
+                                              get_type_hints(OptimizerConfig)))
     if optimizer.steps < 0 or optimizer.batch_size < 1:
         raise ConfigError("optimizer: steps must be >= 0 and batch_size >= 1")
 
     seed = raw.get("seed", 0)
-    if not _is_int(seed):
+    if not is_int(seed):
         raise ConfigError("seed must be an integer")
     eval_interval = raw.get("eval_interval", 100)
-    if not _is_int(eval_interval) or eval_interval < 1:
+    if not is_int(eval_interval) or eval_interval < 1:
         raise ConfigError("eval_interval must be a positive integer")
 
     return RunConfig(model=model, variant=variant, altup=altup, seq=seq,
@@ -214,17 +155,10 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def build_model(cfg: RunConfig) -> Model:
-    kwargs = {}
-    if cfg.altup:
-        kwargs["altup_k"] = cfg.altup.get("k", 2)
-        kwargs["altup_selection"] = cfg.altup.get("selection", "alternating")
-        kwargs["altup_j_fixed"] = cfg.altup.get("j_fixed", 0)
-    if cfg.seq:
-        kwargs["seq_stride"] = cfg.seq.get("stride", 4)
-        kwargs["seq_wrap"] = cfg.seq.get("wrap", "interior")
-    if cfg.memory:
-        kwargs["memory"] = dict(cfg.memory)
-    return Model(cfg.model, cfg.variant, seed=cfg.seed, **kwargs)
+    # Model's keywords are the altup and seq fields, prefixed: altup_k, seq_wrap, ...
+    kwargs = {f"{name}_{key}": value for name in ("altup", "seq")
+              for key, value in (getattr(cfg, name) or {}).items()}
+    return Model(cfg.model, cfg.variant, memory=cfg.memory, seed=cfg.seed, **kwargs)
 
 
 def make_task_data(cfg: RunConfig):
@@ -243,11 +177,8 @@ def evaluate(model: Model, inputs, targets, batch_cap: int | None = None):
     inputs = np.asarray(inputs)[:batch_cap]
     logits, out_pos = model.forward(inputs)
     mapped = np.asarray(targets)[:len(inputs)][..., out_pos]
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    loss = -np.take_along_axis(logp, mapped[..., None], axis=-1).mean()
     correct = int((logits.data.argmax(axis=-1) == mapped).sum())
-    return float(loss), correct / mapped.size
+    return cross_entropy(logits, mapped).item(), correct / mapped.size
 
 
 def train(cfg: RunConfig, out_dir) -> dict:

@@ -1,13 +1,17 @@
 """Config validation, deterministic training, checkpoints, CLI plumbing."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altup import checkpoint as ckpt
-from altup import cli, models, transformer as tr
-from altup.data import input_length, make_task
+from altup import cli, costs, models, schema, transformer as tr
+from altup.data import TASKS, input_length, make_task
 from altup.train import (ConfigError, DivergenceError, build_model,
                          config_from_dict, train)
 
@@ -179,12 +183,11 @@ def test_loss_reduces_on_copy_task(tmp_path):
 
 
 def test_metrics_census_matches_cost_model(tmp_path):
-    from altup import costs
     cfg = config_from_dict(_raw(variant="recycled_altup", altup={"k": 2},
                                 optimizer={"steps": 2, "batch_size": 2,
                                            "learning_rate": 0.05}))
     summary = train(cfg, tmp_path / "run")
-    rep = costs.count_params(cfg.model, cfg.variant, altup_k=2)
+    rep = costs.count_params(cfg.model, cfg.variant, altup_k=cfg.altup["k"])
     assert summary["parameter_census"] == rep.embedding_params + rep.non_embedding_params
 
 
@@ -335,6 +338,8 @@ def test_cli_config_error_exit_code(tmp_path):
     ['variant="seq_altup"', 'seq={"stride":0}'],
     ["task.seq_len=19"],
     ['task={"name":"char_lm","seq_len":17,"corpus_path":"corpus.txt"}'],
+    ['variant="seq_altup"', 'seq={"stride":2,"wrap":"bogus"}'],
+    ['task={"name":"char_lm","seq_len":8}'],
 ])
 def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, _raw())
@@ -377,6 +382,80 @@ def test_cli_cost_and_census(tmp_path, capsys):
     assert "embedding_params" in capsys.readouterr().out
     assert cli.main(["census", "--config", cfg_path]) == 0
     assert "census" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("variant,section", [
+    ("altup", "altup"), ("recycled_altup", "altup"), ("seq_altup", "seq")])
+def test_cost_and_census_count_the_model_built_from_section_defaults(
+        tmp_path, capsys, variant, section):
+    raw = _raw(variant=variant, **{section: {}})
+    raw["model"]["n_layers"] = 4  # interior wrap covers layers 1 and 2
+    built = build_model(config_from_dict(raw)).census()
+    cfg_path = _write_config(tmp_path, raw)
+    assert cli.main(["cost", "--config", cfg_path]) == 0
+    report, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert report["embedding_params"] + report["non_embedding_params"] == built
+    assert cli.main(["census", "--config", cfg_path]) == 0
+    out = capsys.readouterr().out
+    assert f"constructed-model census: {built}\n" in out
+    assert f"closed-form total:        {built}\n" in out
+
+
+_JUNK = st.sampled_from([-1, 0, True, 1.5, "bogus", None, {}])
+
+
+@st.composite
+def _configs(draw):
+    """A small valid config across every section; then, half the time, one
+    section or field set to a junk value."""
+    heads = draw(st.integers(1, 2))
+    model = {"d_model": heads * draw(st.sampled_from([1, 2, 4])),
+             "n_layers": draw(st.integers(1, 3)), "n_heads": heads,
+             "ffn_hidden": draw(st.integers(1, 8)),
+             "vocab_size": draw(st.sampled_from([258, 260])),
+             "max_seq_len": draw(st.integers(8, 20))}
+    with_memory = draw(st.booleans())
+    variant = "dense" if with_memory else draw(st.sampled_from(costs.VARIANTS))
+    raw = {"model": model, "variant": variant,
+           "task": {"name": draw(st.sampled_from(TASKS)), "corpus_path": "corpus.txt",
+                    "seq_len": draw(st.integers(1, 8)), "alphabet": draw(st.integers(1, 8))},
+           "optimizer": {"steps": draw(st.integers(0, 3)), "batch_size": draw(st.integers(1, 3))},
+           "seed": draw(st.integers(0, 9))}
+    if variant in ("altup", "recycled_altup"):
+        k = draw(st.integers(1, 4))
+        raw["altup"] = draw(st.fixed_dictionaries({}, optional={
+            "k": st.just(k), "selection": st.sampled_from(schema.SELECTION_MODES),
+            "j_fixed": st.integers(0, k - 1)}))
+    elif variant in ("seq_altup", "stride_skip", "avg_pool"):
+        raw["seq"] = draw(st.fixed_dictionaries({}, optional={
+            "stride": st.integers(1, 5), "wrap": st.sampled_from(schema.WRAP_MODES)}))
+    elif with_memory:
+        lookup = draw(st.sampled_from(schema.LOOKUPS))
+        n = model["vocab_size"] if lookup == "token_id" else draw(st.integers(1, 8))
+        raw["memory"] = {"n": n, "lookup": lookup, **draw(st.fixed_dictionaries({}, optional={
+            "rank": st.integers(1, 3), "k": st.integers(1, n),
+            "jitter_eps": st.sampled_from([0, 0.01]), "constant": st.booleans()}))}
+    if draw(st.booleans()):
+        paths = sorted([key for key in raw] + [f"{key}.{field}" for key, value in raw.items()
+                                              if isinstance(value, dict) for field in value])
+        *parents, leaf = draw(st.sampled_from(paths)).split(".")
+        node = raw[parents[0]] if parents else raw
+        node[leaf] = draw(_JUNK)
+    return raw
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw=_configs())
+def test_cost_and_census_never_fail_at_runtime(raw):
+    argv = [f"--set={key}={json.dumps(value)}" for key, value in raw.items()]
+    for command in ("cost", "census"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main([command] + argv)
+        assert rc in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if command == "census" and rc == 0:
+            assert "MISMATCH" not in out.getvalue()
 
 
 def test_cli_collide(tmp_path, capsys):
