@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import checks, collisions, costs, train as training
+from . import checks, collisions, train as training
 from .checkpoint import CheckpointError, load_model
 from .train import ConfigError, DivergenceError, build_model, config_from_dict
 
@@ -51,16 +51,6 @@ def _load_config(args) -> training.RunConfig:
     return config_from_dict(raw)
 
 
-def _cost_report(cfg: training.RunConfig) -> costs.CostReport:
-    """The closed form for the model ``build_model(cfg)`` constructs."""
-    sections = {}
-    if cfg.altup:
-        sections["altup_k"] = cfg.altup["k"]
-    if cfg.seq:
-        sections["seq_wrap"] = cfg.seq["wrap"]
-    return costs.count_params(cfg.model, cfg.variant, memory=cfg.memory, **sections)
-
-
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     summary = training.train(cfg, args.out)
@@ -84,7 +74,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    report = _cost_report(_load_config(args))
+    report = training.cost_report(_load_config(args))
     print(json.dumps(asdict(report), indent=2))
     rows = [
         ("embedding params (tied)", report.embedding_params),
@@ -152,7 +142,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_census(args) -> int:
     cfg = _load_config(args)
     model = build_model(cfg)
-    report = _cost_report(cfg)
+    report = training.cost_report(cfg)
     actual = model.census()
     closed = report.embedding_params + report.non_embedding_params
     print(f"constructed-model census: {actual}")

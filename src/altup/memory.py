@@ -231,8 +231,10 @@ def softmax_lookup(router: RouterParams, training: bool = False,
 
     Builds the routing probabilities inside the active graph so gradients
     reach W through the probability weighting; the top-k selection itself is
-    discrete and carries no gradient.
+    discrete and carries no gradient. W is transposed once per closure, so
+    every position's logits share one (d, n) tape node. Weights are (1, 1).
     """
+    w_t = T.transpose(router.w)
 
     def q(x: Tensor, token_id: int):
         d = x.data.shape[-1]
@@ -242,9 +244,9 @@ def softmax_lookup(router: RouterParams, training: bool = False,
                 raise ValueError("softmax_lookup: training jitter requires an rng")
             jitter = rng.uniform(1.0 - router.jitter_eps, 1.0 + router.jitter_eps, (1, d))
             xg = T.mul(xg, Tensor(jitter))
-        probs = T.softmax(T.matmul(xg, T.transpose(router.w)))
+        probs = T.softmax(T.matmul(xg, w_t))
         order = np.argsort(-probs.data[0], kind="stable")[: router.k]
-        weights = [T.reshape(T.gather_cols(probs, [int(i)]), (1,)) for i in order]
+        weights = [T.gather_cols(probs, [int(i)]) for i in order]
         return [int(i) for i in order], weights
 
     return q

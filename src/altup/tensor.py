@@ -10,6 +10,7 @@ Anything else raises :class:`ShapeError` rather than silently expanding.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -116,17 +117,22 @@ class _Node:
         self.backward_fn = backward_fn
 
 
-_state = threading.local()
+class _GraphState(threading.local):
+    """Per-thread stack of open graphs; each thread starts with an empty one."""
+
+    def __init__(self):
+        self.stack = []
+
+
+_state = _GraphState()
 
 
 def _graph_stack():
-    if not hasattr(_state, "stack"):
-        _state.stack = []
     return _state.stack
 
 
 def active_graph():
-    stack = _graph_stack()
+    stack = _state.stack
     return stack[-1] if stack else None
 
 
@@ -153,12 +159,14 @@ class Graph:
 
 
 def _record(op, inputs, out_data, backward_fn) -> Tensor:
-    graph = active_graph()
-    tracked = graph is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=tracked)
-    if tracked:
-        graph.nodes.append(_Node(op, inputs, out, backward_fn))
-    return out
+    stack = _state.stack
+    if stack:
+        for t in inputs:
+            if t.requires_grad:
+                out = Tensor(out_data, requires_grad=True)
+                stack[-1].nodes.append(_Node(op, inputs, out, backward_fn))
+                return out
+    return Tensor(out_data)
 
 
 def backward(graph: Graph, loss: Tensor):
@@ -286,7 +294,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if ad.ndim == bd.ndim:
-            return (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g)
+            return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
         if ad.ndim == 2:
             return (np.tensordot(g, bd, axes=(lead + cols, lead + cols)), ad.T @ g)
         return (g @ bd.T, np.tensordot(ad, g, axes=(lead + rows, lead + rows)))
@@ -298,10 +306,10 @@ def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
     """Swap two axes (by default the last two)."""
     if a.data.ndim < 2:
         raise ShapeError("transpose", a.data.shape)
-    out = np.swapaxes(a.data, axis1, axis2).copy()
+    out = a.data.swapaxes(axis1, axis2).copy()
 
     def bw(g):
-        return (np.swapaxes(g, axis1, axis2),)
+        return (g.swapaxes(axis1, axis2),)
 
     return _record("transpose", [a], out, bw)
 
@@ -429,13 +437,18 @@ def gather_cols(x: Tensor, indices) -> Tensor:
     m = x.data.shape[-1]
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise IndexError(f"gather_cols: index out of range [0, {m})")
-    at = idx[..., None]
-    out = np.take_along_axis(x.data, at, axis=-1)
+    # an arange per leading axis plus the column index, broadcast together;
+    # the output takes the memory order of ``indices``, which fixes the
+    # summation order of any reduction over it
+    nd = idx.ndim
+    at = tuple(np.arange(n).reshape((n,) + (1,) * (nd - i))
+               for i, n in enumerate(idx.shape)) + (idx[..., None],)
+    out = x.data[at]
     xshape = x.data.shape
 
     def bw(g):
         gx = np.zeros(xshape, dtype=np.float64)
-        np.put_along_axis(gx, at, g, axis=-1)
+        gx[at] = g
         return (gx,)
 
     return _record("gather_cols", [x], out, bw)
@@ -473,7 +486,7 @@ def slice_last(x: Tensor, start: int, size: int) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    if int(np.prod(shape)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise ShapeError("reshape", x.data.shape, shape)
     out = x.data.reshape(shape)
     xshape = x.data.shape

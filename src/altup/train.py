@@ -33,6 +33,11 @@ class DivergenceError(RuntimeError):
 
 VARIANTS_WITH_BLOCKS = ("altup", "recycled_altup")
 VARIANTS_WITH_STRIDE = ("seq_altup", "stride_skip", "avg_pool")
+# Echo tasks draw symbols from ids [97, 97 + alphabet), below the separator.
+MAX_ALPHABET = 256 - 97
+# float64 parameter bytes a config may build, by the closed form: a size past
+# this is a config error at parse time, not a failure in numpy's allocator
+MAX_PARAM_BYTES = 1 << 30
 
 
 @dataclass
@@ -132,6 +137,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("task.corpus_path is required for the char_lm task")
     if min(task.seq_len, task.n_train, task.n_eval, task.alphabet) < 1:
         raise ConfigError("task: seq_len, n_train, n_eval and alphabet must be >= 1")
+    if task.alphabet > MAX_ALPHABET:
+        raise ConfigError(f"task.alphabet must lie in [1, {MAX_ALPHABET}], got {task.alphabet}")
     if input_length(task.name, task.seq_len) > model.max_seq_len:
         raise ConfigError(f"task.seq_len: {task.name} inputs of length "
                           f"{input_length(task.name, task.seq_len)} exceed "
@@ -149,9 +156,25 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not is_int(eval_interval) or eval_interval < 1:
         raise ConfigError("eval_interval must be a positive integer")
 
-    return RunConfig(model=model, variant=variant, altup=altup, seq=seq,
-                     memory=memory, task=task, optimizer=optimizer,
-                     seed=seed, eval_interval=eval_interval)
+    cfg = RunConfig(model=model, variant=variant, altup=altup, seq=seq,
+                    memory=memory, task=task, optimizer=optimizer,
+                    seed=seed, eval_interval=eval_interval)
+    report = cost_report(cfg)
+    param_bytes = 8 * (report.embedding_params + report.non_embedding_params)
+    if param_bytes > MAX_PARAM_BYTES:
+        raise ConfigError(f"model: {param_bytes} float64 parameter bytes exceed the "
+                          f"cap of {MAX_PARAM_BYTES >> 30} GiB")
+    return cfg
+
+
+def cost_report(cfg: RunConfig) -> costs.CostReport:
+    """The closed form for the model ``build_model(cfg)`` constructs."""
+    sections = {}
+    if cfg.altup:
+        sections["altup_k"] = cfg.altup["k"]
+    if cfg.seq:
+        sections["seq_wrap"] = cfg.seq["wrap"]
+    return costs.count_params(cfg.model, cfg.variant, memory=cfg.memory, **sections)
 
 
 def build_model(cfg: RunConfig) -> Model:

@@ -75,17 +75,40 @@ SMOKE_NODES = [
 ]
 
 
+# Memory layers still visit positions one at a time, so their count grows
+# with B*T until the lookups are routed for all positions at once. At B=2 and
+# T=16, each of the 96 (layer, position) pairs records 12 nodes with softmax
+# routing (8 otherwise): two row gathers, the expert's matmul, relu,
+# transpose and matmul, its weighting and the residual add, plus jitter,
+# logits, softmax and the probability pick for softmax. Each layer adds 4
+# around the loop (one more for softmax: the router's shared transpose).
+MEMORY_SMOKE_NODES = [("softmax", 64, 1257), ("token_id", 258, 870),
+                      ("lsh", 64, 870), ("minhash", 64, 870)]
+
+SMOKE_CFG = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
+                           vocab_size=258, max_seq_len=20)
+
+
+def _step_nodes(model, batch, rng):
+    ids, targets = rng.integers(0, 258, size=(2, batch, 16))
+    with Graph() as g:
+        model.loss(ids, targets, training=True, rng=rng)
+    return len(g.nodes)
+
+
 @pytest.mark.parametrize("variant,kwargs,nodes", SMOKE_NODES)
 def test_tape_nodes_per_step_do_not_grow_with_batch(variant, kwargs, nodes):
-    cfg = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
-                         vocab_size=258, max_seq_len=20)
-    model = models.Model(cfg, variant, seed=1, **kwargs)
+    model = models.Model(SMOKE_CFG, variant, seed=1, **kwargs)
     rng = np.random.default_rng(2)
     for batch in (1, 8):
-        ids, targets = rng.integers(0, 258, size=(2, batch, 16))
-        with Graph() as g:
-            model.loss(ids, targets, training=True, rng=rng)
-        assert len(g.nodes) == nodes, f"batch {batch}"
+        assert _step_nodes(model, batch, rng) == nodes, f"batch {batch}"
+
+
+@pytest.mark.parametrize("lookup,n,nodes", MEMORY_SMOKE_NODES)
+def test_memory_tape_nodes_per_step(lookup, n, nodes):
+    model = models.Model(SMOKE_CFG, "dense", seed=1,
+                         memory={"n": n, "rank": 4, "lookup": lookup})
+    assert _step_nodes(model, 2, np.random.default_rng(2)) == nodes
 
 
 def test_same_seed_same_parameters():

@@ -1,7 +1,13 @@
 """Primitive-level autodiff checks: examples, finite differences, invariants."""
 
+import math
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from altup import tensor as T
 from altup.tensor import Graph, Tensor, backward, grad_check
@@ -323,3 +329,116 @@ def test_mac_counter_counts_matmul_only():
     T.relu(a)
     T.add(a, a)
     assert T.mac_count() == 3 * 4 * 5
+
+
+# The primitives below must reproduce numpy's own expression of the same rule
+# bit for bit, zero-length axes included: the tape's metrics bytes depend on it.
+
+_SIDES = dict(min_side=0, max_side=4)
+
+
+def _recorded(op, x, *args):
+    """Output and backward rule of one primitive applied to ``x`` on a tape."""
+    with Graph() as g:
+        out = op(x, *args)
+    assert len(g.nodes) == 1
+    return out.data, g.nodes[0].backward_fn
+
+
+def _floats(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lead=hnp.array_shapes(min_dims=1, max_dims=3, **_SIDES), m=st.integers(1, 5),
+       fortran=st.booleans(), seed=st.integers(0, 2**16))
+def test_gather_cols_is_bitwise_take_and_put_along_axis(lead, m, fortran, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(lead + (m,))
+    idx = rng.integers(0, m, size=lead)
+    if fortran:  # batches of targets picked by fancy indexing arrive in this order
+        idx = np.asfortranarray(idx)
+    out, bw = _recorded(T.gather_cols, t(x, rg=True), idx)
+    want = np.take_along_axis(x, idx[..., None], axis=-1)
+    assert out.shape == want.shape and np.array_equal(out, want)
+    # the memory order decides the summation order of a reduction over it
+    assert out.size == 0 or out.strides == want.strides
+    g = rng.standard_normal(want.shape)
+    (gx,) = bw(g)
+    want_gx = np.zeros_like(x)
+    np.put_along_axis(want_gx, idx[..., None], g, axis=-1)
+    assert gx.shape == x.shape and np.array_equal(gx, want_gx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=hnp.array_shapes(min_dims=2, max_dims=4, **_SIDES), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_transpose_is_bitwise_swapaxes(shape, data, seed):
+    axes = st.integers(-len(shape), len(shape) - 1)
+    axis1, axis2 = data.draw(axes), data.draw(axes)
+    x = _floats(shape, seed)
+    out, bw = _recorded(T.transpose, t(x, rg=True), axis1, axis2)
+    want = np.swapaxes(x, axis1, axis2)
+    assert out.shape == want.shape and np.array_equal(out, want)
+    g = _floats(want.shape, seed + 1)
+    (gx,) = bw(g)
+    assert gx.shape == x.shape and np.array_equal(gx, np.swapaxes(g, axis1, axis2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lead=hnp.array_shapes(min_dims=0, max_dims=2, **_SIDES),
+       mkn=st.tuples(*[st.integers(0, 4)] * 3), seed=st.integers(0, 2**16))
+def test_matmul_backward_is_bitwise_numpy(lead, mkn, seed):
+    m, k, n = mkn
+    a, b = _floats(lead + (m, k), seed), _floats(lead + (k, n), seed + 1)
+    with Graph() as graph:
+        out = T.matmul(t(a, rg=True), t(b, rg=True))
+    assert np.array_equal(out.data, a @ b)
+    g = _floats(out.data.shape, seed + 2)
+    ga, gb = graph.nodes[0].backward_fn(g)
+    assert np.array_equal(ga, g @ np.swapaxes(b, -1, -2))
+    assert np.array_equal(gb, np.swapaxes(a, -1, -2) @ g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=hnp.array_shapes(min_dims=0, max_dims=4, **_SIDES), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_reshape_is_bitwise_numpy_and_checks_size(shape, data, seed):
+    target = tuple(data.draw(st.permutations(shape + (1,) * data.draw(st.integers(0, 2)))))
+    x = _floats(shape, seed)
+    out, bw = _recorded(T.reshape, t(x, rg=True), target)
+    assert np.array_equal(out, x.reshape(target)) and out.shape == target
+    g = _floats(target, seed + 1)
+    (gx,) = bw(g)
+    assert np.array_equal(gx, g.reshape(shape)) and gx.shape == shape
+    wrong = target + (2,) if x.size else (1,)
+    assert math.prod(wrong) != x.size
+    with pytest.raises(T.ShapeError):
+        T.reshape(t(x), wrong)
+
+
+def test_graphs_do_not_see_other_threads():
+    x = t([1.0, 2.0], rg=True)
+    opened, recorded = threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        seen["fresh"] = T.active_graph()
+        with Graph() as own:
+            opened.set()
+            seen["waited"] = recorded.wait(timeout=10)
+            T.relu(x)
+        seen["own"] = [node.op for node in own.nodes]
+        seen["untracked"] = not T.mul(x, x).requires_grad
+
+    with Graph() as main:
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert opened.wait(timeout=10)
+        T.scalar_mul(x, 2.0)  # while the worker's graph is open
+        recorded.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == {"fresh": None, "waited": True, "own": ["relu"], "untracked": True}
+    assert [node.op for node in main.nodes] == ["scalar_mul"]
+    assert T.active_graph() is None

@@ -1,5 +1,6 @@
 """Config validation, deterministic training, checkpoints, CLI plumbing."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -129,6 +130,45 @@ def test_training_is_byte_deterministic(tmp_path):
     ca = (tmp_path / "a" / "model.ckpt").read_bytes()
     cb = (tmp_path / "b" / "model.ckpt").read_bytes()
     assert ca == cb
+
+
+# sha256 of metrics.csv and repr of the final train loss after 4 steps of
+# _raw() at seed 5. A tape change that keeps the arithmetic keeps these bytes.
+# Routing every memory position at once draws the jitter in another order, so
+# it will change the four memory entries on purpose. The digests hold for the
+# numpy/OpenBLAS build the suite runs on; another BLAS may sum in another order.
+BITWISE_RUNS = {
+    "dense": ({}, "342fbb7bc29528ee856f36419e2d57f8135ff2bde6e6a5d8024885b891e35e62",
+              "5.5002480122472726"),
+    "altup": ({"variant": "altup", "altup": {"k": 2}},
+              "b85a9bc30f476d23c16ff7be86b480442b984d17f43478e3fcc45fbde9ea5fdd",
+              "5.7532413372320335"),
+    "seq_altup": ({"variant": "seq_altup", "seq": {"stride": 4, "wrap": "all"}},
+                  "bd398d885c3f1f9f3c75104b0c3ce6a240b58272943698a3b3652ed4f9c426ed",
+                  "6.8111646453613375"),
+    "softmax": ({"memory": {"n": 16, "rank": 2, "lookup": "softmax", "k": 2}},
+                "baa327a8e7348a80665730220e515ed1c536c24065dcdf467ff82babb986d639",
+                "5.5115916051172755"),
+    "token_id": ({"memory": {"n": 258, "rank": 2, "lookup": "token_id"}},
+                 "951a16fcedadfff02684a5779810d660214950385d92171cfbb4c64624d445e2",
+                 "5.557994704836965"),
+    "lsh": ({"memory": {"n": 16, "rank": 2, "lookup": "lsh"}},
+            "3c7d7720ccb693d7fcb63025f2a976bc8d146b80bf059c460df55a904bf4eb7e",
+            "6.201462075532593"),
+    "minhash": ({"memory": {"n": 16, "rank": 2, "lookup": "minhash"}},
+                "091d1ec65e3edf168bfc273eaa2dbccaa473278bb05374fdbfeaf8c900e5ee6a",
+                "5.698188634996607"),
+}
+
+
+@pytest.mark.parametrize("name", BITWISE_RUNS)
+def test_metrics_bytes_are_pinned(name, tmp_path):
+    over, digest, final_loss = BITWISE_RUNS[name]
+    raw = _raw(optimizer={"learning_rate": 0.05, "steps": 4, "batch_size": 2},
+               seed=5, eval_interval=2, **over)
+    summary = train(config_from_dict(raw), tmp_path)
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest
+    assert repr(summary["final_train_loss"]) == final_loss
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -340,6 +380,9 @@ def test_cli_config_error_exit_code(tmp_path):
     ['task={"name":"char_lm","seq_len":17,"corpus_path":"corpus.txt"}'],
     ['variant="seq_altup"', 'seq={"stride":2,"wrap":"bogus"}'],
     ['task={"name":"char_lm","seq_len":8}'],
+    ["task.alphabet=160"],
+    ["model.d_model=1000000000000"],
+    ['memory={"n":100000000,"rank":1,"lookup":"lsh"}'],
 ])
 def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, _raw())
@@ -409,7 +452,8 @@ def _configs(draw):
     """A small valid config across every section; then, half the time, one
     section or field set to a junk value."""
     heads = draw(st.integers(1, 2))
-    model = {"d_model": heads * draw(st.sampled_from([1, 2, 4])),
+    # 10**12 is in range but past the parameter-bytes cap
+    model = {"d_model": heads * draw(st.sampled_from([1, 2, 4, 10**12])),
              "n_layers": draw(st.integers(1, 3)), "n_heads": heads,
              "ffn_hidden": draw(st.integers(1, 8)),
              "vocab_size": draw(st.sampled_from([258, 260])),
