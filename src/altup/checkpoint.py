@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 MAGIC = b"ALTC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3  # 3 stores expert v as V^T (rank, d), where 2 stored (d, rank)
 
 
 class CheckpointError(Exception):

@@ -107,9 +107,9 @@ def _cmd_collide(args) -> int:
               f"ci99=[{e.ci_low:.6f}, {e.ci_high:.6f}]{extra}")
     if args.ordering:
         for f in args.f:
-            report = collisions.verify_ordering(args.n, args.l, f, args.d,
-                                                args.trials, args.seed,
-                                                workers=args.workers)
+            report = collisions.verify_ordering(
+                args.n, args.l, f, args.d, args.trials, args.seed, workers=args.workers,
+                known={e.scheme: e for e in estimates if e.f == f})
             print(f"ordering at f={f}: token_id >= spherical >= hyperplane "
                   f"{'PASS' if report.pass_flag else 'FAIL'}"
                   f"{'' if report.in_regime else ' (outside large-n/small-f regime)'}")

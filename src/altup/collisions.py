@@ -447,14 +447,17 @@ class OrderingReport:
 
 
 def verify_ordering(n: int, l: int, f: float, d: int, trials: int, seed: int,
-                    workers: int = 1) -> OrderingReport:
+                    workers: int = 1, known: dict | None = None) -> OrderingReport:
     """Estimate all three schemes on shared pairs and test the efficacy order.
 
-    The pass flag asserts token-id >= spherical >= hyperplane with
-    non-overlapping 99% confidence intervals; it is only meaningful in the
+    Schemes in ``known`` (name -> estimate at these arguments) are not
+    estimated again. The pass flag asserts token-id >= spherical >= hyperplane
+    with non-overlapping 99% confidence intervals; it is only meaningful in the
     large-n, small-f regime, which ``in_regime`` reports (n >= 64, f <= 0.5).
     """
-    estimates = {s: estimate_collision(s, n, l, f, d, trials, seed, workers=workers)
+    known = known or {}
+    estimates = {s: known[s] if s in known
+                 else estimate_collision(s, n, l, f, d, trials, seed, workers=workers)
                  for s in SCHEMES}
     mh, sph, hyp = estimates["minhash"], estimates["spherical"], estimates["hyperplane"]
     pass_flag = mh.ci_low > sph.ci_high and sph.ci_low > hyp.ci_high

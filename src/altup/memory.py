@@ -4,6 +4,8 @@ A table of n small experts sits beside a layer; a lookup function maps the
 layer input (and/or its token id) to table indices, and the selected experts'
 outputs are added to the layer output. Lookups: learned softmax top-k routing,
 token-id indexing, hyperplane LSH bucketing, and min-hash over token-id sets.
+Lookups return ``(indices, weights)``: weights is None (unit weights) for
+token-id, lsh and min-hash, and scalar probability Tensors for softmax.
 """
 
 from __future__ import annotations
@@ -47,14 +49,12 @@ class PartialExpert:
             # LeCun-normal: std 1/sqrt(fan_in)
             self.u = Tensor(rng.normal(0, 1 / np.sqrt(d), (d, rank)),
                             requires_grad=True, name=f"{prefix}.u")
-            self.v = Tensor(rng.normal(0, 1 / np.sqrt(rank), (d, rank)),
+            # stored as V^T, (rank, d), so a row x maps to relu(x U) V^T
+            self.v = Tensor(rng.normal(0, 1 / np.sqrt(rank), (d, rank)).T.copy(),
                             requires_grad=True, name=f"{prefix}.v")
 
     def params(self):
         return [self.b] if self.constant else [self.u, self.v]
-
-    def param_count(self) -> int:
-        return self.d if self.constant else 2 * self.rank * self.d
 
 
 class MemoryTable:
@@ -75,7 +75,7 @@ class MemoryTable:
         return [p for e in self.experts for p in e.params()]
 
     def param_count(self) -> int:
-        return sum(e.param_count() for e in self.experts)
+        return sum(p.size for p in self.params())
 
 
 @dataclass
@@ -127,16 +127,13 @@ class HyperplaneLshParams:
 
 
 def expert_forward(x: Tensor, e: PartialExpert) -> Tensor:
-    """V relu(U^T x) for a d-vector (or row-batched (N, d)) input."""
-    vec = x.data.ndim == 1
-    if x.data.shape[-1] != e.d:
-        raise T.ShapeError("expert_forward", x.data.shape, (e.d,))
+    """V relu(U^T x) for each row of an (N, d) input."""
+    if x.data.ndim != 2 or x.data.shape[1] != e.d:
+        raise T.ShapeError("expert_forward", x.data.shape, (-1, e.d))
     if e.constant:
         # constant output b, broadcast over rows; no gradient reaches x
         return T.add(T.scalar_mul(x, 0.0), e.b)
-    x2 = T.reshape(x, (1, e.d)) if vec else x
-    out = T.matmul(T.relu(T.matmul(x2, e.u)), T.transpose(e.v))
-    return T.reshape(out, (e.d,)) if vec else out
+    return T.matmul(T.relu(T.matmul(x, e.u)), e.v)
 
 
 def softmax_route(x: Tensor, r: RouterParams, training: bool = False,
@@ -196,32 +193,23 @@ def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,
                              lookup, table: MemoryTable, weights=None) -> Tensor:
     """inner_out + sum_i w_i * expert_i(x) for the looked-up indices.
 
-    ``lookup(x, token_id)`` returns indices, or (indices, weights); explicit
-    ``weights`` override. Weights may be floats (fixed, e.g. 1.0 for
-    token-id/LSH/min-hash lookups) or scalar Tensors (differentiable softmax
-    probabilities). With no selected index the inner output passes through
-    untouched.
+    ``lookup(x, token_id)`` returns ``(indices, weights)``, with weights None
+    for unit weights (token-id, lsh and min-hash lookups) or a list of scalar
+    Tensors (differentiable softmax probabilities); explicit ``weights``
+    override them. A unit-weight expert output is added as is. With no
+    selected index the inner output passes through untouched.
     """
-    res = lookup(x, token_id)
-    if isinstance(res, tuple):
-        indices, w = res
-    else:
-        indices, w = res, None
+    indices, w = lookup(x, token_id)
     if weights is not None:
         w = weights
-    if w is None:
-        w = [1.0] * len(indices)
-    if len(w) != len(indices):
+    if w is not None and len(w) != len(indices):
         raise ValueError("memory_augmented_forward: weights/indices length mismatch")
     out = inner_out
-    for i, wi in zip(indices, w):
+    for j, i in enumerate(indices):
         if not (0 <= i < table.n):
             raise IndexError(f"memory_augmented_forward: index {i} out of range [0, {table.n})")
         e_out = expert_forward(x, table.experts[i])
-        if isinstance(wi, Tensor):
-            out = T.add(out, T.mul(wi, e_out))
-        else:
-            out = T.add(out, T.scalar_mul(e_out, float(wi)))
+        out = T.add(out, e_out if w is None else T.mul(w[j], e_out))
     return out
 
 
@@ -232,19 +220,17 @@ def softmax_lookup(router: RouterParams, training: bool = False,
     Builds the routing probabilities inside the active graph so gradients
     reach W through the probability weighting; the top-k selection itself is
     discrete and carries no gradient. W is transposed once per closure, so
-    every position's logits share one (d, n) tape node. Weights are (1, 1).
+    every position's logits share one (d, n) tape node. Rows are (1, d), weights (1, 1).
     """
     w_t = T.transpose(router.w)
 
     def q(x: Tensor, token_id: int):
-        d = x.data.shape[-1]
-        xg = T.reshape(x, (1, d)) if x.data.ndim == 1 else x
         if training and router.jitter_eps > 0:
             if rng is None:
                 raise ValueError("softmax_lookup: training jitter requires an rng")
-            jitter = rng.uniform(1.0 - router.jitter_eps, 1.0 + router.jitter_eps, (1, d))
-            xg = T.mul(xg, Tensor(jitter))
-        probs = T.softmax(T.matmul(xg, w_t))
+            x = T.mul(x, Tensor(rng.uniform(1.0 - router.jitter_eps, 1.0 + router.jitter_eps,
+                                            x.data.shape)))
+        probs = T.softmax(T.matmul(x, w_t))
         order = np.argsort(-probs.data[0], kind="stable")[: router.k]
         weights = [T.gather_cols(probs, [int(i)]) for i in order]
         return [int(i) for i in order], weights
@@ -256,7 +242,7 @@ def token_id_fixed_lookup(n: int):
     """Lookup closure: index = token id, unit weight."""
 
     def q(x: Tensor, token_id: int):
-        return [token_id_lookup(token_id, n)], [1.0]
+        return [token_id_lookup(token_id, n)], None
 
     return q
 
@@ -265,7 +251,7 @@ def lsh_lookup(params: HyperplaneLshParams):
     """Lookup closure: hyperplane LSH bucket of the layer input, unit weight."""
 
     def q(x: Tensor, token_id: int):
-        return [hyperplane_lsh_lookup(x, params)], [1.0]
+        return [hyperplane_lsh_lookup(x, params)], None
 
     return q
 
@@ -275,6 +261,6 @@ def minhash_sequence_lookup(sequence_ids, perm_seed: int, n: int):
     bucket = minhash_lookup(sequence_ids, perm_seed) % n
 
     def q(x: Tensor, token_id: int):
-        return [bucket], [1.0]
+        return [bucket], None
 
     return q

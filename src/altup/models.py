@@ -6,9 +6,9 @@ alternating updates, stride-and-skip, and average pooling, optionally with a
 memory table attached to each layer. Parameter creation order is fixed by
 construction so checkpoints and the parameter census are deterministic.
 ``forward`` and ``loss`` take token ids of shape (T,) or (B, T) through the
-same code; only the memory lookups visit positions one at a time. Each
-position hands its (1, d) row to the lookup and the experts unchanged, so it
-records 8 tape nodes (12 with softmax routing) and no reshapes.
+same code; only the memory lookups visit positions one at a time, each
+lookup returning ``(indices, weights | None)``. Each position hands its (1, d)
+row to the lookup and the experts unchanged: 6 tape nodes (11 with softmax).
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ relate two values (``altup.j_fixed < altup.k``, say) stay with the parser.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 SELECTION_MODES = ("same", "alternating")
@@ -54,8 +55,8 @@ def is_int(value) -> bool:
 
 
 def take_fields(section: str, raw: dict, allowed: dict) -> dict:
-    """Type-checked copy of a config section: bool is not an int, and an int
-    is accepted (as a float) where a float is expected."""
+    """Type-checked copy of a config section: bool is not an int, an int is
+    accepted (as a float) where a float is expected, and floats are finite."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{section}: expected an object, got {type(raw).__name__}")
     unknown = set(raw) - set(allowed)
@@ -68,6 +69,8 @@ def take_fields(section: str, raw: dict, allowed: dict) -> dict:
             value = float(value)
         if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
             raise ConfigError(f"{section}.{key}: expected {expected}, got {type(value).__name__}")
+        if expected is float and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key}: expected a finite number, got {value}")
         out[key] = value
     return out
 

@@ -75,8 +75,8 @@ def test_criterion_2_degeneracy_identities():
     for e in table.experts:
         e.u.data[...] = 0.0
         e.v.data[...] = 0.0
-    x1 = Tensor(rng.standard_normal(4))
-    inner_out = Tensor(rng.standard_normal(4))
+    x1 = Tensor(rng.standard_normal((1, 4)))
+    inner_out = Tensor(rng.standard_normal((1, 4)))
     mem_exact = np.array_equal(
         mem.memory_augmented_forward(x1, 1, inner_out,
                                      mem.token_id_fixed_lookup(3), table).data,

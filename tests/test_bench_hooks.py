@@ -1,0 +1,43 @@
+"""The benchmark's tracer hooks the program by name; every name must resolve.
+
+``altbench/tracing.py`` wraps public functions in each module that looks them
+up, the four lookup factories in ``memory`` and ``models``, and three
+``Model`` methods. A rename in the program would otherwise surface only when
+``altbench/run.py --trace 1`` runs.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from altup import memory, models
+
+TRACING = Path(__file__).resolve().parent.parent / "altbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("altbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_resolve_and_uninstall_restores_them():
+    tracing = _tracing()
+    hooked = [(owner, attr) for _, attr, owners in tracing.FUNCTIONS for owner in owners]
+    hooked += [(owner, attr) for attr in tracing.LOOKUP_FACTORIES for owner in (memory, models)]
+    hooked += [(models.Model, attr) for _, attr in tracing.METHODS]
+    hooked.append((models.Model, "zero_grad"))
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in hooked
+               if not hasattr(owner, attr)]
+    assert not missing, f"the tracer hooks names the program lacks: {missing}"
+    originals = [(owner, attr, getattr(owner, attr)) for owner, attr in hooked]
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(owner, attr) is not fn for owner, attr, fn in originals)
+    finally:
+        tracer.uninstall()
+    left = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, fn in originals
+            if getattr(owner, attr) is not fn]
+    assert not left, f"uninstall left these patched: {left}"

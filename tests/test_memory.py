@@ -15,8 +15,8 @@ def test_expert_forward_zero_weights():
     e = mem.PartialExpert(4, rank=2, rng=np.random.default_rng(0))
     e.u.data[...] = 0.0
     e.v.data[...] = 0.0
-    out = mem.expert_forward(Tensor(np.ones(4)), e)
-    assert np.array_equal(out.data, np.zeros(4))
+    out = mem.expert_forward(Tensor(np.ones((1, 4))), e)
+    assert np.array_equal(out.data, np.zeros((1, 4)))
 
 
 def test_expert_forward_rank_one_relu_gate():
@@ -24,18 +24,34 @@ def test_expert_forward_rank_one_relu_gate():
     e.u.data[...] = 0.0
     e.v.data[...] = 0.0
     e.u.data[0, 0] = 1.0  # U = e1
-    e.v.data[1, 0] = 1.0  # V = e2
-    out = mem.expert_forward(Tensor(np.array([3.0, 0.0, 0.0])), e)
-    assert np.allclose(out.data, [0.0, 3.0, 0.0])
-    out_neg = mem.expert_forward(Tensor(np.array([-3.0, 0.0, 0.0])), e)
-    assert np.array_equal(out_neg.data, np.zeros(3))
+    e.v.data[0, 1] = 1.0  # V = e2, stored as V^T
+    out = mem.expert_forward(Tensor(np.array([[3.0, 0.0, 0.0]])), e)
+    assert np.allclose(out.data, [[0.0, 3.0, 0.0]])
+    out_neg = mem.expert_forward(Tensor(np.array([[-3.0, 0.0, 0.0]])), e)
+    assert np.array_equal(out_neg.data, np.zeros((1, 3)))
+
+
+def test_expert_stores_v_transposed_and_applies_it_bitwise():
+    d, rank = 6, 3
+    e = mem.PartialExpert(d, rank=rank, rng=np.random.default_rng(8))
+    # the same draws as a (d, rank) V, stored transposed
+    rng = np.random.default_rng(8)
+    u = rng.normal(0, 1 / np.sqrt(d), (d, rank))
+    v = rng.normal(0, 1 / np.sqrt(rank), (d, rank))
+    assert e.u.data.shape == (d, rank) and e.v.data.shape == (rank, d)
+    assert np.array_equal(e.u.data, u) and np.array_equal(e.v.data, v.T)
+    x = np.random.default_rng(9).standard_normal((5, d))
+    out = mem.expert_forward(Tensor(x), e)
+    assert np.array_equal(out.data, np.maximum(x @ u, 0.0) @ v.T)
+    with pytest.raises(T.ShapeError):
+        mem.expert_forward(Tensor(np.ones(d)), e)
 
 
 def test_expert_param_count():
     e = mem.PartialExpert(8, rank=4, rng=np.random.default_rng(2))
-    assert e.param_count() == 2 * 4 * 8
+    assert sum(p.size for p in e.params()) == 2 * 4 * 8
     c = mem.PartialExpert(8, constant=True)
-    assert c.param_count() == 8
+    assert sum(p.size for p in c.params()) == 8
     assert np.array_equal(
         mem.expert_forward(Tensor(np.ones((2, 8))), c).data, np.zeros((2, 8)))
 
@@ -207,9 +223,9 @@ def _table(n=3, d=4, rank=2, seed=20, constant=False):
 
 def test_memory_forward_empty_selection_is_inner_output():
     table = _table()
-    inner = Tensor(np.random.default_rng(21).standard_normal(4))
+    inner = Tensor(np.random.default_rng(21).standard_normal((1, 4)))
     out = mem.memory_augmented_forward(
-        Tensor(np.ones(4)), 0, inner, lambda x, tid: [], table)
+        Tensor(np.ones((1, 4))), 0, inner, lambda x, tid: ([], None), table)
     assert np.array_equal(out.data, inner.data)
 
 
@@ -218,8 +234,8 @@ def test_memory_forward_zero_experts_is_inner_output():
     for e in table.experts:
         e.u.data[...] = 0.0
         e.v.data[...] = 0.0
-    x = Tensor(np.random.default_rng(22).standard_normal(4))
-    inner = Tensor(np.random.default_rng(23).standard_normal(4))
+    x = Tensor(np.random.default_rng(22).standard_normal((1, 4)))
+    inner = Tensor(np.random.default_rng(23).standard_normal((1, 4)))
     for lookup in (mem.token_id_fixed_lookup(3),
                    mem.lsh_lookup(mem.HyperplaneLshParams.create(4, 3, seed=1)),
                    mem.minhash_sequence_lookup([1, 2], perm_seed=3, n=3)):
@@ -230,8 +246,8 @@ def test_memory_forward_zero_experts_is_inner_output():
 def test_memory_forward_single_expert_forced_probability():
     table = _table(n=1)
     router = mem.RouterParams.create(n=1, d=4, rng=np.random.default_rng(24), k=1)
-    x = Tensor(np.random.default_rng(25).standard_normal(4))
-    inner = Tensor(np.zeros(4))
+    x = Tensor(np.random.default_rng(25).standard_normal((1, 4)))
+    inner = Tensor(np.zeros((1, 4)))
     out = mem.memory_augmented_forward(x, 0, inner, mem.softmax_lookup(router), table)
     expected = mem.expert_forward(x, table.experts[0]).data
     assert np.allclose(out.data, expected)
@@ -240,8 +256,8 @@ def test_memory_forward_single_expert_forced_probability():
 def test_memory_forward_index_out_of_range():
     table = _table(n=2)
     with pytest.raises(IndexError):
-        mem.memory_augmented_forward(Tensor(np.ones(4)), 0, Tensor(np.zeros(4)),
-                                     lambda x, tid: [5], table)
+        mem.memory_augmented_forward(Tensor(np.ones((1, 4))), 0, Tensor(np.zeros((1, 4))),
+                                     lambda x, tid: ([5], None), table)
 
 
 def test_gradient_flows_into_router_through_probabilities():
@@ -249,8 +265,8 @@ def test_gradient_flows_into_router_through_probabilities():
     table = _table(n=3, d=4, rank=2, seed=27)
     router = mem.RouterParams.create(n=3, d=4, rng=rng, k=2)
     router.w.data *= 25.0  # separate the top-k margins for finite differences
-    x = Tensor(rng.standard_normal(4))
-    inner = Tensor(rng.standard_normal(4))
+    x = Tensor(rng.standard_normal((1, 4)))
+    inner = Tensor(rng.standard_normal((1, 4)))
 
     def f(ps):
         out = mem.memory_augmented_forward(x, 0, inner,

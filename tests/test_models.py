@@ -77,13 +77,13 @@ SMOKE_NODES = [
 
 # Memory layers still visit positions one at a time, so their count grows
 # with B*T until the lookups are routed for all positions at once. At B=2 and
-# T=16, each of the 96 (layer, position) pairs records 12 nodes with softmax
-# routing (8 otherwise): two row gathers, the expert's matmul, relu,
-# transpose and matmul, its weighting and the residual add, plus jitter,
-# logits, softmax and the probability pick for softmax. Each layer adds 4
-# around the loop (one more for softmax: the router's shared transpose).
-MEMORY_SMOKE_NODES = [("softmax", 64, 1257), ("token_id", 258, 870),
-                      ("lsh", 64, 870), ("minhash", 64, 870)]
+# T=16, each of the 96 (layer, position) pairs records 11 nodes with softmax
+# routing (6 otherwise): two row gathers, the expert's matmul, relu and
+# matmul, and the residual add, plus jitter, logits, softmax, the probability
+# pick and the weighting for softmax. Each layer adds 4 around the loop (one
+# more for softmax: the router's shared transpose).
+MEMORY_SMOKE_NODES = [("softmax", 64, 1161), ("token_id", 258, 678),
+                      ("lsh", 64, 678), ("minhash", 64, 678)]
 
 SMOKE_CFG = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
                            vocab_size=258, max_seq_len=20)

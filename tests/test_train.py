@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import struct
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altup import checkpoint as ckpt
-from altup import cli, costs, models, schema, transformer as tr
+from altup import cli, collisions, costs, models, schema, transformer as tr
 from altup.data import TASKS, input_length, make_task
 from altup.train import (ConfigError, DivergenceError, build_model,
                          config_from_dict, train)
@@ -271,6 +273,21 @@ def test_checkpoint_version_and_magic_errors(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+def test_checkpoint_version_2_is_rejected(tmp_path):
+    # version 2 stored each expert's v as (d, rank); with d == rank it would
+    # otherwise load transposed without a shape error
+    cfg = tr.ModelConfig(4, 1, 1, 8, 11, 8)
+    model = models.Model(cfg, "dense", seed=4, memory={"n": 3, "rank": 4, "lookup": "lsh"})
+    path = tmp_path / "m.ckpt"
+    ckpt.save_model(model, path)
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack("<I", blob[4:8])[0] == ckpt.FORMAT_VERSION == 3
+    blob[4:8] = struct.pack("<I", 2)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ckpt.CheckpointVersionError):
+        ckpt.load_model(model, path)
+
+
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     cfg = tr.ModelConfig(8, 1, 2, 16, 11, 8)
     model = models.Model(cfg, "altup", altup_k=2, seed=4)
@@ -383,6 +400,9 @@ def test_cli_config_error_exit_code(tmp_path):
     ["task.alphabet=160"],
     ["model.d_model=1000000000000"],
     ['memory={"n":100000000,"rank":1,"lookup":"lsh"}'],
+    ['memory={"n":8,"rank":1,"lookup":"softmax","jitter_eps":Infinity}'],
+    ['memory={"n":8,"rank":1,"lookup":"softmax","jitter_eps":NaN}'],
+    ["optimizer.learning_rate=NaN"],
 ])
 def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, _raw())
@@ -444,7 +464,7 @@ def test_cost_and_census_count_the_model_built_from_section_defaults(
     assert f"closed-form total:        {built}\n" in out
 
 
-_JUNK = st.sampled_from([-1, 0, True, 1.5, "bogus", None, {}])
+_JUNK = st.sampled_from([-1, 0, True, 1.5, float("nan"), float("inf"), "bogus", None, {}])
 
 
 @st.composite
@@ -508,6 +528,45 @@ def test_cli_collide(tmp_path, capsys):
                    "--out", str(tmp_path / "c.csv")])
     assert rc == 0
     assert (tmp_path / "c.csv").read_text().startswith("scheme,")
+
+
+# What `altup collide --seed 3 --n 64 --l 16 --d 16 --ordering` prints for
+# these overlaps and arguments, recorded while the ordering check still
+# estimated every scheme a second time.
+COLLIDE_ORDERING_RUNS = [
+    ((0.1, 0.5), ["--trials", "300"], """\
+hyperplane  f=0.1    p=0.026667 ci99=[0.002708, 0.050626] width=2.0 [r1=1.342 r2=1.414 c=1.054 p1=2.67e-02 p2=3.67e-02 rho=1.096]
+spherical   f=0.1    p=0.030000 ci99=[0.004631, 0.055369]
+minhash     f=0.1    p=0.070000 ci99=[0.032056, 0.107944]
+hyperplane  f=0.5    p=0.110000 ci99=[0.063468, 0.156532] width=2.0 [r1=1.000 r2=1.414 c=1.414 p1=1.10e-01 p2=3.67e-02 rho=0.668]
+spherical   f=0.5    p=0.110000 ci99=[0.063468, 0.156532]
+minhash     f=0.5    p=0.443333 ci99=[0.369455, 0.517212]
+ordering at f=0.1: token_id >= spherical >= hyperplane FAIL
+ordering at f=0.5: token_id >= spherical >= hyperplane FAIL
+"""),
+    ((0.25,), ["--trials", "200", "--schemes", "spherical"], """\
+spherical   f=0.25   p=0.040000 ci99=[0.004308, 0.075692]
+ordering at f=0.25: token_id >= spherical >= hyperplane FAIL
+"""),
+]
+
+
+@pytest.mark.parametrize("overlaps,extra,printed", COLLIDE_ORDERING_RUNS,
+                         ids=["all_schemes", "spherical_only"])
+def test_cli_collide_ordering_estimates_each_scheme_once(monkeypatch, capsys, overlaps, extra,
+                                                         printed):
+    calls = Counter()
+    original = collisions.estimate_collision
+
+    def counting(scheme, n, l, f, d, trials, *args, **kwargs):
+        calls[scheme, f] += 1
+        return original(scheme, n, l, f, d, trials, *args, **kwargs)
+
+    monkeypatch.setattr(collisions, "estimate_collision", counting)
+    assert cli.main(["collide", "--seed", "3", "--n", "64", "--l", "16", "--d", "16",
+                     "--ordering", "--f", *map(str, overlaps), *extra]) == 0
+    assert capsys.readouterr().out == printed
+    assert calls == {(s, f): 1 for s in collisions.SCHEMES for f in overlaps}
 
 
 @pytest.mark.parametrize("scheme", ["hyperplane", "spherical", "minhash"])
