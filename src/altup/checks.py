@@ -25,6 +25,10 @@ def _cfg(d=8, L=2, heads=2, ffn=8):
                        vocab_size=11, max_seq_len=4)
 
 
+def _wrap_all(stride):
+    return {"stride": stride, "wrap": "all"}
+
+
 def suite_instances():
     """(name, model builder, batched) triples covering the variant matrix.
 
@@ -34,15 +38,11 @@ def suite_instances():
     instances = [(name, builder, False) for name, builder in [
         ("dense", lambda: Model(_cfg(), "dense", seed=11)),
         ("recycled_altup_k2", lambda: Model(_cfg(d=4, heads=1), "recycled_altup",
-                                            altup_k=2, seed=13)),
-        ("seq_altup_k1", lambda: Model(_cfg(L=1), "seq_altup", seq_stride=1,
-                                       seq_wrap="all", seed=14)),
-        ("seq_altup_k2", lambda: Model(_cfg(L=1), "seq_altup", seq_stride=2,
-                                       seq_wrap="all", seed=15)),
-        ("seq_altup_k4", lambda: Model(_cfg(L=1), "seq_altup", seq_stride=4,
-                                       seq_wrap="all", seed=16)),
-        ("stride_skip", lambda: Model(_cfg(L=1), "stride_skip", seq_stride=2,
-                                      seq_wrap="all", seed=17)),
+                                            altup={"k": 2}, seed=13)),
+        ("seq_altup_k1", lambda: Model(_cfg(L=1), "seq_altup", seq=_wrap_all(1), seed=14)),
+        ("seq_altup_k2", lambda: Model(_cfg(L=1), "seq_altup", seq=_wrap_all(2), seed=15)),
+        ("seq_altup_k4", lambda: Model(_cfg(L=1), "seq_altup", seq=_wrap_all(4), seed=16)),
+        ("stride_skip", lambda: Model(_cfg(L=1), "stride_skip", seq=_wrap_all(2), seed=17)),
         ("memory_softmax_top1", lambda: Model(
             _cfg(d=4, L=1, heads=1), "dense", seed=18,
             memory={"n": 3, "rank": 2, "lookup": "softmax", "k": 1})),
@@ -54,15 +54,15 @@ def suite_instances():
         for selection in ("same", "alternating"):
             name = f"altup_k{k}_{selection}"
             instances.append((name, lambda k=k, s=selection: Model(
-                _cfg(d=4, heads=1), "altup", altup_k=k, altup_selection=s,
+                _cfg(d=4, heads=1), "altup", altup={"k": k, "selection": s},
                 seed=20 + k), False))
     instances += [
         ("dense_b2", lambda: Model(_cfg(), "dense", seed=31), True),
-        ("altup_k2_b2", lambda: Model(_cfg(d=4, heads=1), "altup", altup_k=2, seed=32), True),
-        ("seq_altup_k2_b2", lambda: Model(_cfg(L=1), "seq_altup", seq_stride=2,
-                                          seq_wrap="all", seed=33), True),
-        ("stride_skip_b2", lambda: Model(_cfg(L=1), "stride_skip", seq_stride=2,
-                                         seq_wrap="all", seed=34), True),
+        ("altup_k2_b2", lambda: Model(_cfg(d=4, heads=1), "altup", altup={"k": 2}, seed=32), True),
+        ("seq_altup_k2_b2", lambda: Model(_cfg(L=1), "seq_altup", seq=_wrap_all(2), seed=33),
+         True),
+        ("stride_skip_b2", lambda: Model(_cfg(L=1), "stride_skip", seq=_wrap_all(2), seed=34),
+         True),
     ]
     return instances
 

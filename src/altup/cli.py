@@ -44,6 +44,8 @@ def _load_config(args) -> training.RunConfig:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
     for assignment in args.set or []:
         _apply_override(raw, assignment)
     if getattr(args, "seed", None) is not None:

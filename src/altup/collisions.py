@@ -37,6 +37,7 @@ on (a, b, |g|) alone.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,9 +361,12 @@ def _run_trials(scheme, n, l, d, trials, passes, m=None, workers=1) -> list:
     """Summed per-trial hit counts of each (f, seed) pass, over one process pool.
 
     Per-trial seeds are derived by counter and the summed counts are
-    integers, so the result is bitwise-identical for any worker count.
+    integers, so the result is bitwise-identical for any worker count, and
+    a pool larger than the machine's CPU count is cut down to it.
     """
-    workers = max(1, int(workers))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(int(workers), os.cpu_count() or 1)
     # a pool gets four chunks per worker to balance its load; a serial run one
     chunk = min(_MAX_CHUNK, -(-trials // (4 * workers)) if workers > 1 else trials)
     starts = range(0, trials, chunk)

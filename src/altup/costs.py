@@ -4,18 +4,16 @@ FLOPs are multiply-accumulates of matrix products only (softmax, layer norm
 and activations excluded), which is what the matmul counter in the tensor
 module instruments, so closed forms and counters can be compared exactly.
 Parameter counts must match the census of an actually constructed model,
-entry for entry.
+entry for entry: :func:`count_params` takes the same variant and sections as
+``models.Model`` and resolves them through ``schema.resolve``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .schema import DEFAULTS, complete
+from .schema import DEFAULTS, resolve
 from .transformer import ModelConfig
-
-VARIANTS = ("dense", "altup", "recycled_altup", "sum_baseline",
-            "seq_altup", "stride_skip", "avg_pool")
 
 
 @dataclass
@@ -93,18 +91,18 @@ def memory_params_per_layer(n: int, rank: int, d: int, lookup: str,
     return table + router
 
 
-def count_params(cfg: ModelConfig, variant: str, altup_k: int = DEFAULTS["altup"]["k"],
-                 memory: dict | None = None,
-                 seq_wrap: str = DEFAULTS["seq"]["wrap"]) -> CostReport:
+def count_params(cfg: ModelConfig, variant: str, altup: dict | None = None,
+                 seq: dict | None = None, memory: dict | None = None) -> CostReport:
     """Closed-form parameter split for a model variant.
 
+    The sections are those ``Model`` takes, resolved by ``schema.resolve``, so
+    a count exists exactly for the models that can be built.
     Embedding params count the vocabulary table(s) under the weight-tied
     convention used by the constructed models; the untied view adds a
     separate output table at the head's input width. Learned position
     embeddings (always d-wide; tiled, not widened) count as non-embedding.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    altup, seq, memory = resolve(variant, cfg.vocab_size, altup, seq, memory)
     d, v, L = cfg.d_model, cfg.vocab_size, cfg.n_layers
     assumptions = [
         "weight-tied input/output embedding; untied view adds one output table",
@@ -112,32 +110,27 @@ def count_params(cfg: ModelConfig, variant: str, altup_k: int = DEFAULTS["altup"
         "FLOPs are matrix-product multiply-accumulates only",
     ]
 
-    head_width = d
-    per_layer_extra = 0
-    emb = v * d
-    if variant == "altup":
-        emb = v * altup_k * d
-        head_width = altup_k * d
-        per_layer_extra = altup_k * altup_k + altup_k
-    elif variant == "recycled_altup":
-        per_layer_extra = altup_k * altup_k + altup_k
-    elif variant == "sum_baseline":
-        emb = 2 * v * d
+    k = altup["k"] if altup is not None else 1
+    head_width = k * d if variant == "altup" else d
+    emb = 2 * v * d if variant == "sum_baseline" else v * head_width
+    per_layer_extra = k * k + k if altup is not None else 0
 
     non_emb = cfg.max_seq_len * d + L * (_per_layer_params(d, cfg.ffn_hidden) + per_layer_extra)
     if variant == "seq_altup":
-        non_emb += 3 * wrapped_layer_count(L, seq_wrap)
+        non_emb += 3 * wrapped_layer_count(L, seq["wrap"])
     if memory is not None:
-        memory = complete("memory", memory)
         non_emb += L * memory_params_per_layer(
             memory["n"], memory["rank"], d, memory["lookup"], memory["constant"])
         assumptions.append("memory: one table (and router, for softmax lookup) per layer")
 
     attn, ffn = layer_flops(cfg.max_seq_len, d, cfg.ffn_hidden, cfg.n_heads)
     per_token = (attn + ffn) // cfg.max_seq_len
-    overhead = altup_overhead(d, altup_k) if variant in ("altup", "recycled_altup") else 0
+    overhead = altup_overhead(d, k) if altup is not None else 0
 
-    act_variant = "altup_k2" if (variant in ("altup", "recycled_altup") and altup_k == 2) else "dense"
+    act_variant = "altup_k2" if altup is not None and k == 2 else "dense"
+    if altup is not None and k != 2:
+        assumptions.append("activation memory: the widened-stream term is modelled for "
+                           f"K = 2 only; K = {k} reports the dense figure")
     entries = activation_memory(cfg.max_seq_len, 1, d, L, cfg.n_heads, act_variant)
 
     return CostReport(

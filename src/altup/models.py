@@ -3,8 +3,11 @@
 One class covers the variant matrix: dense baseline, block-wise alternating
 updates (plain and recycled), the summation baseline, sequence-axis
 alternating updates, stride-and-skip, and average pooling, optionally with a
-memory table attached to each layer. Parameter creation order is fixed by
-construction so checkpoints and the parameter census are deterministic.
+memory table attached to each layer. ``Model`` takes the ``altup``, ``seq``
+and ``memory`` sections as dicts and completes and checks them with
+``schema.resolve``, the resolver the config parser and the cost model use.
+Parameter creation order is fixed by construction so checkpoints and the
+parameter census are deterministic.
 ``forward`` and ``loss`` take token ids of shape (T,) or (B, T) through the
 same code; only the memory lookups visit positions one at a time, each
 lookup returning ``(indices, weights | None)``. Each position hands its (1, d)
@@ -18,12 +21,12 @@ import numpy as np
 from . import tensor as T
 from .alternating import (AltUpConfig, AltUpLayerParams, altup_layer_forward,
                           recycled_downproject, select_block, sum_consume)
-from .costs import VARIANTS, wrapped_layer_count
+from .costs import wrapped_layer_count
 from .memory import (HyperplaneLshParams, MemoryTable, RouterParams,
                      lsh_lookup, memory_augmented_forward,
                      minhash_sequence_lookup, softmax_lookup,
                      token_id_fixed_lookup)
-from .schema import DEFAULTS, complete
+from .schema import resolve
 from .sequence import (SeqAltUpParams, average_pool_seq, pooled_target_positions,
                        seq_altup_forward, stride_and_skip_forward)
 from .tensor import Tensor
@@ -33,29 +36,18 @@ from .transformer import LayerParams, ModelConfig, cross_entropy, embed, layer_f
 class Model:
     """A decoder-only LM in one of the variant configurations."""
 
-    def __init__(self, cfg: ModelConfig, variant: str = "dense",
-                 altup_k: int = DEFAULTS["altup"]["k"],
-                 altup_selection: str = DEFAULTS["altup"]["selection"],
-                 altup_j_fixed: int = DEFAULTS["altup"]["j_fixed"],
-                 seq_stride: int = DEFAULTS["seq"]["stride"],
-                 seq_wrap: str = DEFAULTS["seq"]["wrap"],
-                 memory: dict | None = None, seed: int = 0):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        if memory is not None and variant != "dense":
-            raise ValueError("memory tables attach to the dense variant only")
+    def __init__(self, cfg: ModelConfig, variant: str = "dense", altup: dict | None = None,
+                 seq: dict | None = None, memory: dict | None = None, seed: int = 0):
+        self.altup, self.seq, self.memory = resolve(variant, cfg.vocab_size, altup, seq, memory)
         self.cfg = cfg
         self.variant = variant
         self.seed = seed
         d, v = cfg.d_model, cfg.vocab_size
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
 
-        self.altup_cfg = None
-        if variant in ("altup", "recycled_altup"):
-            self.altup_cfg = AltUpConfig(k=altup_k, d=d, selection=altup_selection,
-                                         j_fixed=altup_j_fixed)
+        self.altup_cfg = None if self.altup is None else AltUpConfig(d=d, **self.altup)
 
-        emb_width = altup_k * d if variant == "altup" else d
+        emb_width = self.altup_cfg.k * d if variant == "altup" else d
         emb_std = 1.0 / np.sqrt(d)
         self.embed_table = Tensor(rng.normal(0, emb_std, (v, emb_width)),
                                   requires_grad=True, name="embed.table")
@@ -66,10 +58,9 @@ class Model:
         self.pos_table = Tensor(rng.normal(0, emb_std, (cfg.max_seq_len, d)),
                                 requires_grad=True, name="pos.table")
 
-        self.seq_stride = seq_stride
-        self.seq_wrap = seq_wrap
-        wrapped = wrapped_layer_count(cfg.n_layers, seq_wrap)
-        first_wrapped = 1 if seq_wrap == "interior" else 0
+        if self.seq is not None:
+            wrapped = wrapped_layer_count(cfg.n_layers, self.seq["wrap"])
+            first_wrapped = 1 if self.seq["wrap"] == "interior" else 0
 
         self.layers = []
         for i in range(cfg.n_layers):
@@ -85,19 +76,15 @@ class Model:
                     in_range = first_wrapped <= i < first_wrapped + wrapped
                     entry["wrapped"] = in_range
                     if variant == "seq_altup" and in_range:
-                        entry["seq"] = SeqAltUpParams(seq_stride, prefix=f"{prefix}.seq")
+                        entry["seq"] = SeqAltUpParams(self.seq["stride"], prefix=f"{prefix}.seq")
             self.layers.append(entry)
 
-        self.memory = None if memory is None else complete("memory", memory)
         self._mem = []
         if self.memory is not None:
             self._init_memory(self.memory, rng)
 
     def _init_memory(self, memory, rng):
-        d, v = self.cfg.d_model, self.cfg.vocab_size
-        n, lookup = memory["n"], memory["lookup"]
-        if lookup == "token_id" and n != v:
-            raise ValueError(f"token_id lookup requires table size {v} (= vocab), got {n}")
+        d, n, lookup = self.cfg.d_model, memory["n"], memory["lookup"]
         for i in range(self.cfg.n_layers):
             slot = {"kind": lookup}
             if lookup == "softmax":
@@ -216,8 +203,8 @@ class Model:
         x = self._input_stream(ids)
         out_positions = np.arange(t)
         if self.variant == "avg_pool":
-            x = average_pool_seq(x, self.seq_stride)
-            out_positions = pooled_target_positions(t, self.seq_stride)
+            x = average_pool_seq(x, self.seq["stride"])
+            out_positions = pooled_target_positions(t, self.seq["stride"])
 
         for i, entry in enumerate(self.layers):
             if "altup" in entry:
@@ -225,7 +212,8 @@ class Model:
             elif self.variant == "seq_altup" and entry.get("wrapped"):
                 x = seq_altup_forward(x, entry["inner"], entry["seq"], causal=True)
             elif self.variant == "stride_skip" and entry.get("wrapped"):
-                x = stride_and_skip_forward(x, entry["inner"], self.seq_stride, causal=True)
+                x = stride_and_skip_forward(x, entry["inner"], self.seq["stride"],
+                                            causal=True)
             else:
                 x_in = x
                 x = layer_forward(x, entry["inner"], causal=True)

@@ -2,10 +2,10 @@
 
 Each field is declared once in :data:`SECTIONS` with its type, its default
 (or none, for a required field), and the bound or choices a value must meet
-on its own. Config parsing, model construction and the cost model complete a
-section through :func:`complete`, and constructor keyword defaults read
-:data:`DEFAULTS`, so no two of them can disagree on a default. Checks that
-relate two values (``altup.j_fixed < altup.k``, say) stay with the parser.
+on its own. :data:`VARIANTS` names the section each model variant takes.
+Config parsing, model construction and the cost model all take their
+sections through :func:`resolve`, which owns every presence and cross-field
+rule, so no two of them can disagree on a default or on what is valid.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ SELECTION_MODES = ("same", "alternating")
 WRAP_MODES = ("interior", "all")
 LOOKUPS = ("softmax", "token_id", "lsh", "minhash")
 REQUIRED = object()  # the "default" of a field that has none
+
+# variant -> the section it takes (memory attaches to "dense" only)
+VARIANTS = {"dense": None, "altup": "altup", "recycled_altup": "altup",
+            "sum_baseline": None, "seq_altup": "seq", "stride_skip": "seq",
+            "avg_pool": "seq"}
 
 
 class ConfigError(ValueError):
@@ -90,3 +95,37 @@ def complete(section: str, raw: dict) -> dict:
         if f.choices is not None and out[key] not in f.choices:
             raise ConfigError(f"{section}.{key}: expected one of {f.choices}, got {out[key]!r}")
     return out
+
+
+def resolve(variant: str, vocab_size: int, altup: dict | None = None,
+            seq: dict | None = None, memory: dict | None = None):
+    """The complete ``(altup, seq, memory)`` sections of a model, each ``None``
+    where the model has none. A section is present exactly when ``variant``
+    takes it (``{}`` for all defaults), and ``memory`` attaches to ``dense``
+    only; any invalid content raises :class:`ConfigError`."""
+    if not isinstance(variant, str) or variant not in VARIANTS:
+        raise ConfigError(f"variant: unknown {variant!r}; expected one of {tuple(VARIANTS)}")
+    sections = {"altup": altup, "seq": seq}
+    for name, raw in sections.items():
+        if raw is None and name == VARIANTS[variant]:
+            raise ConfigError(f"variant {variant!r} requires a {name!r} section")
+        if raw is not None and name != VARIANTS[variant]:
+            takers = tuple(v for v, taken in VARIANTS.items() if taken == name)
+            raise ConfigError(f"{name!r} section is only valid for variants {takers}")
+        sections[name] = None if raw is None else complete(name, raw)
+    altup, seq = sections["altup"], sections["seq"]
+    if altup is not None and altup["j_fixed"] >= altup["k"]:
+        raise ConfigError("altup.j_fixed must lie in [0, altup.k)")
+    if memory is not None:
+        if variant != "dense":
+            raise ConfigError("'memory' section is only valid for the dense variant")
+        memory = complete("memory", memory)
+        n = memory["n"]
+        if memory["lookup"] == "token_id" and n != vocab_size:
+            raise ConfigError(f"memory.n: the token_id lookup needs n = model.vocab_size "
+                              f"({vocab_size}), got {n}")
+        if memory["k"] > n:
+            raise ConfigError(f"memory.k must lie in [1, memory.n = {n}]")
+        if not memory["constant"] and memory["rank"] < 1:
+            raise ConfigError("memory.rank must be >= 1 for matrix experts")
+    return altup, seq, memory

@@ -79,32 +79,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class _Node:
@@ -140,7 +117,7 @@ class Graph:
     """Tape of primitive applications, rebuilt per forward pass.
 
     Use as a context manager around a forward computation, then call
-    :func:`backward` (or ``graph.backward``) on the scalar loss.
+    :func:`backward` on the scalar loss.
     """
 
     def __init__(self):
@@ -153,9 +130,6 @@ class Graph:
     def __exit__(self, exc_type, exc, tb):
         _graph_stack().pop()
         return False
-
-    def backward(self, loss: Tensor):
-        backward(self, loss)
 
 
 def _record(op, inputs, out_data, backward_fn) -> Tensor:

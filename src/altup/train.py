@@ -20,7 +20,7 @@ from . import costs
 from .checkpoint import save_model
 from .data import TASKS, VOCAB_SIZE, input_length, make_task
 from .models import Model
-from .schema import ConfigError, complete, is_int, take_fields
+from .schema import ConfigError, is_int, resolve, take_fields
 from .tensor import Graph, backward
 from .transformer import ModelConfig, cross_entropy
 
@@ -31,8 +31,6 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite loss {value} at step {step}")
 
 
-VARIANTS_WITH_BLOCKS = ("altup", "recycled_altup")
-VARIANTS_WITH_STRIDE = ("seq_altup", "stride_skip", "avg_pool")
 # Echo tasks draw symbols from ids [97, 97 + alphabet), below the separator.
 MAX_ALPHABET = 256 - 97
 # float64 parameter bytes a config may build, by the closed form: a size past
@@ -95,40 +93,8 @@ def config_from_dict(raw: dict) -> RunConfig:
                           f"task vocabulary of {VOCAB_SIZE} ids")
 
     variant = raw.get("variant", "dense")
-    if variant not in costs.VARIANTS:
-        raise ConfigError(f"variant: unknown {variant!r}; expected one of {costs.VARIANTS}")
-
-    altup = raw.get("altup")
-    if variant in VARIANTS_WITH_BLOCKS:
-        if altup is None:
-            raise ConfigError(f"variant {variant!r} requires an 'altup' section")
-        altup = complete("altup", altup)
-        if altup["j_fixed"] >= altup["k"]:
-            raise ConfigError("altup.j_fixed must lie in [0, altup.k)")
-    elif altup is not None:
-        raise ConfigError(f"'altup' section is only valid for variants {VARIANTS_WITH_BLOCKS}")
-
-    seq = raw.get("seq")
-    if variant in VARIANTS_WITH_STRIDE:
-        if seq is None:
-            raise ConfigError(f"variant {variant!r} requires a 'seq' section")
-        seq = complete("seq", seq)
-    elif seq is not None:
-        raise ConfigError(f"'seq' section is only valid for variants {VARIANTS_WITH_STRIDE}")
-
-    memory = raw.get("memory")
-    if memory is not None:
-        if variant != "dense":
-            raise ConfigError("'memory' section is only valid for the dense variant")
-        memory = complete("memory", memory)
-        n = memory["n"]
-        if memory["lookup"] == "token_id" and n != model.vocab_size:
-            raise ConfigError(f"memory.n: the token_id lookup needs n = model.vocab_size "
-                              f"({model.vocab_size}), got {n}")
-        if memory["k"] > n:
-            raise ConfigError(f"memory.k must lie in [1, memory.n = {n}]")
-        if not memory["constant"] and memory["rank"] < 1:
-            raise ConfigError("memory.rank must be >= 1 for matrix experts")
+    altup, seq, memory = resolve(variant, model.vocab_size, raw.get("altup"),
+                                 raw.get("seq"), raw.get("memory"))
 
     task = TaskConfig(**take_fields("task", raw.get("task", {}), get_type_hints(TaskConfig)))
     if task.name not in TASKS:
@@ -148,6 +114,8 @@ def config_from_dict(raw: dict) -> RunConfig:
                                               get_type_hints(OptimizerConfig)))
     if optimizer.steps < 0 or optimizer.batch_size < 1:
         raise ConfigError("optimizer: steps must be >= 0 and batch_size >= 1")
+    if optimizer.learning_rate <= 0 or not 0 <= optimizer.momentum < 1:
+        raise ConfigError("optimizer: learning_rate must be > 0 and momentum in [0, 1)")
 
     seed = raw.get("seed", 0)
     if not is_int(seed):
@@ -169,19 +137,11 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def cost_report(cfg: RunConfig) -> costs.CostReport:
     """The closed form for the model ``build_model(cfg)`` constructs."""
-    sections = {}
-    if cfg.altup:
-        sections["altup_k"] = cfg.altup["k"]
-    if cfg.seq:
-        sections["seq_wrap"] = cfg.seq["wrap"]
-    return costs.count_params(cfg.model, cfg.variant, memory=cfg.memory, **sections)
+    return costs.count_params(cfg.model, cfg.variant, cfg.altup, cfg.seq, cfg.memory)
 
 
 def build_model(cfg: RunConfig) -> Model:
-    # Model's keywords are the altup and seq fields, prefixed: altup_k, seq_wrap, ...
-    kwargs = {f"{name}_{key}": value for name in ("altup", "seq")
-              for key, value in (getattr(cfg, name) or {}).items()}
-    return Model(cfg.model, cfg.variant, memory=cfg.memory, seed=cfg.seed, **kwargs)
+    return Model(cfg.model, cfg.variant, cfg.altup, cfg.seq, cfg.memory, seed=cfg.seed)
 
 
 def make_task_data(cfg: RunConfig):

@@ -98,7 +98,7 @@ def test_criterion_3_parameter_accounting():
     def extra_params(variant, k):
         """(per-layer, embedding) parameters a block variant adds over dense."""
         dense = costs.count_params(cfg, "dense")
-        wide = costs.count_params(cfg, variant, altup_k=k)
+        wide = costs.count_params(cfg, variant, altup={"k": k})
         return ((wide.non_embedding_params - dense.non_embedding_params) // cfg.n_layers,
                 wide.embedding_params - dense.embedding_params)
 
@@ -112,8 +112,8 @@ def test_criterion_3_parameter_accounting():
     checks_ok.append(extra_params("altup", 2)[0] == 6)
 
     dense = models.Model(cfg, "dense", seed=1)
-    wide = models.Model(cfg, "altup", altup_k=2, seed=1)
-    recycled = models.Model(cfg, "recycled_altup", altup_k=2, seed=1)
+    wide = models.Model(cfg, "altup", altup={"k": 2}, seed=1)
+    recycled = models.Model(cfg, "recycled_altup", altup={"k": 2}, seed=1)
     checks_ok.append(wide.embed_table.size / dense.embed_table.size == 2.0)
     checks_ok.append(wide.embed_table.size - dense.embed_table.size == 1 * 11 * 8)
     checks_ok.append(recycled.embed_table.size == dense.embed_table.size)
@@ -129,14 +129,13 @@ def test_criterion_3_parameter_accounting():
     checks_ok.append(sum(p.size for p in constant.params()) == formula)
 
     grid = 0
-    for variant, kwargs in [("dense", {}), ("altup", {"altup_k": 2}),
-                            ("altup", {"altup_k": 4}),
-                            ("recycled_altup", {"altup_k": 2}),
-                            ("sum_baseline", {}), ("avg_pool", {}),
+    for variant, kwargs in [("dense", {}), ("altup", {"altup": {"k": 2}}),
+                            ("altup", {"altup": {"k": 4}}),
+                            ("recycled_altup", {"altup": {"k": 2}}),
+                            ("sum_baseline", {}), ("avg_pool", {"seq": {}}),
                             ("dense", {"memory": {"n": 5, "rank": 2, "lookup": "lsh"}})]:
         model = models.Model(cfg, variant, seed=2, **kwargs)
-        rep = costs.count_params(cfg, variant, altup_k=kwargs.get("altup_k", 1),
-                                 memory=kwargs.get("memory"))
+        rep = costs.count_params(cfg, variant, **kwargs)
         checks_ok.append(model.census() == rep.embedding_params + rep.non_embedding_params)
         grid += 1
 
@@ -315,10 +314,10 @@ def test_criterion_7_smoke_training_matrix(tmp_path):
 def test_criterion_8_checkpoint_round_trip(tmp_path):
     cfg = tr.ModelConfig(d_model=8, n_layers=2, n_heads=2, ffn_hidden=16,
                          vocab_size=11, max_seq_len=8)
-    model = models.Model(cfg, "altup", altup_k=2, seed=21)
+    model = models.Model(cfg, "altup", altup={"k": 2}, seed=21)
     path = tmp_path / "m.ckpt"
     ckpt.save_model(model, path)
-    clone = models.Model(cfg, "altup", altup_k=2, seed=22)
+    clone = models.Model(cfg, "altup", altup={"k": 2}, seed=22)
     ckpt.load_model(clone, path)
     bitwise = all(np.array_equal(a.data, b.data)
                   for (_, a), (_, b) in zip(model.named_parameters(),
@@ -333,7 +332,7 @@ def test_criterion_8_checkpoint_round_trip(tmp_path):
     (tmp_path / "v.ckpt").write_bytes(bytes(corrupt))
     with pytest.raises(ckpt.CheckpointVersionError):
         ckpt.load_checkpoint(tmp_path / "v.ckpt")
-    other = models.Model(cfg, "altup", altup_k=4, seed=23)
+    other = models.Model(cfg, "altup", altup={"k": 4}, seed=23)
     with pytest.raises(ckpt.CheckpointShapeError) as ei:
         ckpt.load_model(other, path)
     named = "embed.table" in str(ei.value) or "layers." in str(ei.value)

@@ -131,7 +131,7 @@ def test_width_mismatch_raises():
 def _extra_params(model, variant, k):
     """(per-layer, embedding) parameters a block variant adds over dense."""
     dense = costs.count_params(model, "dense")
-    wide = costs.count_params(model, variant, altup_k=k)
+    wide = costs.count_params(model, variant, altup={"k": k})
     per_layer = (wide.non_embedding_params - dense.non_embedding_params) // model.n_layers
     return per_layer, wide.embedding_params - dense.embedding_params
 

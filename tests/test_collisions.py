@@ -118,6 +118,45 @@ def test_estimates_independent_of_worker_count(scheme):
 
 
 @pytest.mark.parametrize("scheme", col.SCHEMES)
+def test_pool_is_capped_at_cpu_count(scheme, monkeypatch):
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class InProcessPool:
+        """Records the requested size and maps in this process: no worker starts."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return list(map(fn, args))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = col.estimate_collision(scheme, 32, 8, 0.25, 8, trials=240, seed=12, workers=1)
+    huge = col.estimate_collision(scheme, 32, 8, 0.25, 8, trials=240, seed=12,
+                                  workers=1_000_000)
+    assert sizes == [3]
+    assert huge.probability == serial.probability
+    assert huge.selected_width == serial.selected_width
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
+    col.estimate_collision(scheme, 32, 8, 0.25, 8, trials=240, seed=12, workers=4)
+    assert sizes == [3]
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            col.estimate_collision(scheme, 32, 8, 0.25, 8, trials=240, seed=12,
+                                   workers=workers)
+
+
+@pytest.mark.parametrize("scheme", col.SCHEMES)
 def test_collision_probability_monotone_in_overlap(scheme):
     grid = (0.0, 0.25, 0.5, 1.0)
     trials = 1200

@@ -39,7 +39,7 @@ def _forward_macs_per_example(cfg, variant, k, t):
 @pytest.mark.parametrize("batch", [1, 3])
 def test_batched_forward_macs_are_batch_times_per_example(variant, k, batch):
     cfg = _cfg(L=3, n=6)
-    model = models.Model(cfg, variant, altup_k=k, seed=4)
+    model = models.Model(cfg, variant, altup={"k": k} if variant == "altup" else None, seed=4)
     ids = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(batch, 6))
     T.reset_mac_count()
     model.forward(ids)
@@ -95,15 +95,15 @@ def _cfg(d=8, L=2, heads=2, ffn=16, v=11, n=8):
 CENSUS_GRID = [
     ("dense", {}, {}),
     ("dense", {}, {"d": 16, "L": 1, "heads": 4, "ffn": 8}),
-    ("altup", {"altup_k": 2}, {}),
-    ("altup", {"altup_k": 4}, {"L": 4}),
-    ("recycled_altup", {"altup_k": 2}, {}),
-    ("recycled_altup", {"altup_k": 4}, {"d": 4, "heads": 1}),
+    ("altup", {"altup": {"k": 2}}, {}),
+    ("altup", {"altup": {"k": 4}}, {"L": 4}),
+    ("recycled_altup", {"altup": {"k": 2}}, {}),
+    ("recycled_altup", {"altup": {"k": 4}}, {"d": 4, "heads": 1}),
     ("sum_baseline", {}, {}),
-    ("seq_altup", {}, {"L": 4}),
-    ("seq_altup", {}, {"L": 2}),  # interior wrap covers no layers here
-    ("stride_skip", {}, {"L": 3}),
-    ("avg_pool", {}, {}),
+    ("seq_altup", {"seq": {}}, {"L": 4}),
+    ("seq_altup", {"seq": {}}, {"L": 2}),  # interior wrap covers no layers here
+    ("stride_skip", {"seq": {}}, {"L": 3}),
+    ("avg_pool", {"seq": {}}, {}),
     ("dense", {"memory": {"n": 6, "rank": 2, "lookup": "softmax"}}, {}),
     ("dense", {"memory": {"n": 11, "rank": 3, "lookup": "token_id"}}, {}),
     ("dense", {"memory": {"n": 5, "rank": 2, "lookup": "lsh"}}, {}),
@@ -116,9 +116,7 @@ CENSUS_GRID = [
 def test_closed_form_census_matches_constructed_model(variant, kwargs, cfg_over):
     cfg = _cfg(**cfg_over)
     model = models.Model(cfg, variant, seed=3, **kwargs)
-    report = costs.count_params(cfg, variant,
-                                altup_k=kwargs.get("altup_k", 1),
-                                memory=kwargs.get("memory"))
+    report = costs.count_params(cfg, variant, **kwargs)
     assert report.embedding_params + report.non_embedding_params == model.census(), (
         f"{variant} {cfg_over} {kwargs}")
 
@@ -126,8 +124,8 @@ def test_closed_form_census_matches_constructed_model(variant, kwargs, cfg_over)
 def test_embedding_accounting_ratios():
     cfg = _cfg(v=100)
     dense = costs.count_params(cfg, "dense")
-    wide = costs.count_params(cfg, "altup", altup_k=2)
-    recycled = costs.count_params(cfg, "recycled_altup", altup_k=2)
+    wide = costs.count_params(cfg, "altup", altup={"k": 2})
+    recycled = costs.count_params(cfg, "recycled_altup", altup={"k": 2})
     assert wide.embedding_params / dense.embedding_params == 2.0
     assert wide.embedding_params - dense.embedding_params == (2 - 1) * 100 * cfg.d_model
     assert recycled.embedding_params == dense.embedding_params
@@ -167,8 +165,25 @@ def test_seq_altup_inner_compute_is_subsampled_exactly(layer_calls):
 
 def test_count_params_flop_fields():
     cfg = _cfg(d=8, L=2, ffn=16, n=8)
-    rep = costs.count_params(cfg, "altup", altup_k=2)
+    rep = costs.count_params(cfg, "altup", altup={"k": 2})
     attn, ffn = costs.layer_flops(8, 8, 16, 2)
     assert rep.flops_per_token_per_layer == (attn + ffn) // 8
     assert rep.altup_overhead_flops_per_token == costs.altup_overhead(8, 2)
     assert costs.count_params(cfg, "dense").altup_overhead_flops_per_token == 0
+
+
+@pytest.mark.parametrize("variant", ["altup", "recycled_altup"])
+def test_activation_memory_assumption_names_the_k2_only_term(variant):
+    cfg = _cfg()
+
+    def noted(report):
+        return [a for a in report.assumptions if a.startswith("activation memory:")]
+
+    dense = costs.count_params(cfg, "dense")
+    k2 = costs.count_params(cfg, variant, altup={"k": 2})
+    k4 = costs.count_params(cfg, variant, altup={"k": 4})
+    assert noted(dense) == [] and noted(k2) == []
+    assert len(noted(k4)) == 1 and "dense figure" in noted(k4)[0]
+    # the figure the entry describes
+    assert k4.activation_memory_entries == dense.activation_memory_entries
+    assert k2.activation_memory_entries > dense.activation_memory_entries

@@ -14,14 +14,14 @@ def _cfg(d=8, L=2, heads=2, ffn=16, v=11, n=12):
 
 ALL_VARIANTS = [
     ("dense", {}),
-    ("altup", {"altup_k": 2}),
-    ("altup", {"altup_k": 4}),
-    ("altup", {"altup_k": 2, "altup_selection": "same", "altup_j_fixed": 1}),
-    ("recycled_altup", {"altup_k": 2}),
+    ("altup", {"altup": {"k": 2}}),
+    ("altup", {"altup": {"k": 4}}),
+    ("altup", {"altup": {"k": 2, "selection": "same", "j_fixed": 1}}),
+    ("recycled_altup", {"altup": {"k": 2}}),
     ("sum_baseline", {}),
-    ("seq_altup", {"seq_stride": 2}),
-    ("stride_skip", {"seq_stride": 2}),
-    ("avg_pool", {"seq_stride": 2}),
+    ("seq_altup", {"seq": {"stride": 2}}),
+    ("stride_skip", {"seq": {"stride": 2}}),
+    ("avg_pool", {"seq": {"stride": 2}}),
 ]
 
 
@@ -68,10 +68,10 @@ def test_batched_forward_matches_per_example(variant, kwargs):
 # any batch size; the AltUp block's nodes do not depend on K either.
 SMOKE_NODES = [
     ("dense", {}, 90),
-    ("altup", {"altup_k": 2}, 121),
-    ("altup", {"altup_k": 4}, 121),
-    ("recycled_altup", {"altup_k": 2}, 124),
-    ("seq_altup", {"seq_stride": 4}, 101),
+    ("altup", {"altup": {"k": 2}}, 121),
+    ("altup", {"altup": {"k": 4}}, 121),
+    ("recycled_altup", {"altup": {"k": 2}}, 124),
+    ("seq_altup", {"seq": {"stride": 4}}, 101),
 ]
 
 
@@ -113,12 +113,12 @@ def test_memory_tape_nodes_per_step(lookup, n, nodes):
 
 def test_same_seed_same_parameters():
     cfg = _cfg()
-    a = models.Model(cfg, "altup", altup_k=2, seed=7)
-    b = models.Model(cfg, "altup", altup_k=2, seed=7)
+    a = models.Model(cfg, "altup", altup={"k": 2}, seed=7)
+    b = models.Model(cfg, "altup", altup={"k": 2}, seed=7)
     for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
         assert na == nb
         assert np.array_equal(pa.data, pb.data)
-    c = models.Model(cfg, "altup", altup_k=2, seed=8)
+    c = models.Model(cfg, "altup", altup={"k": 2}, seed=8)
     assert not np.array_equal(a.embed_table.data, c.embed_table.data)
 
 
@@ -129,7 +129,7 @@ def test_unknown_variant_rejected():
 
 def test_altup_model_runs_inner_on_subblocks(layer_calls):
     cfg = _cfg(d=4, L=4)
-    model = models.Model(cfg, "altup", altup_k=2, seed=2)
+    model = models.Model(cfg, "altup", altup={"k": 2}, seed=2)
     model.forward([1, 2, 3])
     assert layer_calls == [3, 3, 3, 3]  # one d-wide inner call per layer
     stars = [e["j_star"] for e in model.layers]
@@ -138,7 +138,7 @@ def test_altup_model_runs_inner_on_subblocks(layer_calls):
 
 def test_seq_variants_wrap_interior_layers_only(layer_calls):
     cfg = _cfg(L=4)
-    model = models.Model(cfg, "seq_altup", seq_stride=2, seed=3)
+    model = models.Model(cfg, "seq_altup", seq={"stride": 2}, seed=3)
     wrapped = [e.get("wrapped", False) for e in model.layers]
     assert wrapped == [False, True, True, False]
     model.forward([1, 2, 3, 4, 5, 6])
@@ -147,7 +147,7 @@ def test_seq_variants_wrap_interior_layers_only(layer_calls):
 
 def test_avg_pool_shortens_logits_and_maps_targets():
     cfg = _cfg(L=2)
-    model = models.Model(cfg, "avg_pool", seq_stride=2, seed=4)
+    model = models.Model(cfg, "avg_pool", seq={"stride": 2}, seed=4)
     logits, out_pos = model.forward([1, 2, 3, 4, 5])
     assert logits.data.shape == (3, cfg.vocab_size)
     assert out_pos.tolist() == [1, 3, 4]
@@ -157,7 +157,7 @@ def test_avg_pool_shortens_logits_and_maps_targets():
 
 def test_recycled_head_uses_downprojection():
     cfg = _cfg(d=4)
-    model = models.Model(cfg, "recycled_altup", altup_k=3, seed=5)
+    model = models.Model(cfg, "recycled_altup", altup={"k": 3}, seed=5)
     assert model.embed_table.data.shape == (cfg.vocab_size, 4)
     logits, _ = model.forward([1, 2])
     assert logits.data.shape == (2, cfg.vocab_size)
@@ -215,7 +215,7 @@ def test_token_id_lookup_requires_vocab_sized_table():
         models.Model(_cfg(v=11), "dense", seed=1,
                      memory={"n": 7, "rank": 1, "lookup": "token_id"})
     with pytest.raises(ValueError):
-        models.Model(_cfg(), "altup", altup_k=2, seed=1,
+        models.Model(_cfg(), "altup", altup={"k": 2}, seed=1,
                      memory={"n": 11, "rank": 1, "lookup": "token_id"})
 
 

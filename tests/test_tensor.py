@@ -182,7 +182,8 @@ def test_structural_primitives_match_finite_differences():
             d = T.mul(xx, ss)
             e = T.concat_last([T.slice_last(xx, 1, 3), T.slice_last(xx, 0, 3)])
             r = T.reshape(e, (6, 5))
-            return T.sum_all(b) + T.sum_all(c) + T.mean_all(d) + T.sum_all(T.mul(r, r))
+            return T.add(T.add(T.add(T.sum_all(b), T.sum_all(c)), T.mean_all(d)),
+                         T.sum_all(T.mul(r, r)))
 
         worst = max(worst, grad_check(f, [x, s], eps=1e-5))
     assert worst < 1e-5
@@ -252,8 +253,8 @@ def test_batched_structural_primitives_match_finite_differences():
             b = T.scatter_rows(a, np.array([6, 0, 2, 3]), 7)  # (2, 7, 6)
             c = T.gather_cols(xx, cols)                      # (2, 5, 1)
             r = T.transpose(T.reshape(xx, (2, 5, 2, 3)), -3, -2)
-            return (T.sum_all(T.mul(b, b)) + T.sum_all(c)
-                    + T.sum_all(T.mul(r, T.transpose(T.transpose(r)))))
+            return T.add(T.add(T.sum_all(T.mul(b, b)), T.sum_all(c)),
+                         T.sum_all(T.mul(r, T.transpose(T.transpose(r)))))
 
         worst = max(worst, grad_check(f, [x], eps=1e-5))
     assert worst < 1e-5

@@ -229,16 +229,16 @@ def test_metrics_census_matches_cost_model(tmp_path):
                                 optimizer={"steps": 2, "batch_size": 2,
                                            "learning_rate": 0.05}))
     summary = train(cfg, tmp_path / "run")
-    rep = costs.count_params(cfg.model, cfg.variant, altup_k=cfg.altup["k"])
+    rep = costs.count_params(cfg.model, cfg.variant, altup=cfg.altup)
     assert summary["parameter_census"] == rep.embedding_params + rep.non_embedding_params
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     cfg = tr.ModelConfig(8, 2, 2, 16, 11, 8)
-    model = models.Model(cfg, "altup", altup_k=2, seed=4)
+    model = models.Model(cfg, "altup", altup={"k": 2}, seed=4)
     path = tmp_path / "m.ckpt"
     ckpt.save_model(model, path)
-    clone = models.Model(cfg, "altup", altup_k=2, seed=99)
+    clone = models.Model(cfg, "altup", altup={"k": 2}, seed=99)
     ckpt.load_model(clone, path)
     for (na, pa), (nb, pb) in zip(model.named_parameters(), clone.named_parameters()):
         assert na == nb and np.array_equal(pa.data, pb.data)
@@ -290,10 +290,10 @@ def test_checkpoint_version_2_is_rejected(tmp_path):
 
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     cfg = tr.ModelConfig(8, 1, 2, 16, 11, 8)
-    model = models.Model(cfg, "altup", altup_k=2, seed=4)
+    model = models.Model(cfg, "altup", altup={"k": 2}, seed=4)
     path = tmp_path / "m.ckpt"
     ckpt.save_model(model, path)
-    other = models.Model(cfg, "altup", altup_k=4, seed=4)  # mismatched widths
+    other = models.Model(cfg, "altup", altup={"k": 4}, seed=4)  # mismatched widths
     with pytest.raises(ckpt.CheckpointShapeError) as ei:
         ckpt.load_model(other, path)
     assert "embed.table" in str(ei.value) or "altup" in str(ei.value)
@@ -403,6 +403,10 @@ def test_cli_config_error_exit_code(tmp_path):
     ['memory={"n":8,"rank":1,"lookup":"softmax","jitter_eps":Infinity}'],
     ['memory={"n":8,"rank":1,"lookup":"softmax","jitter_eps":NaN}'],
     ["optimizer.learning_rate=NaN"],
+    ["optimizer.learning_rate=-1"],
+    ["optimizer.learning_rate=0"],
+    ["optimizer.momentum=-3"],
+    ["optimizer.momentum=1.5"],
 ])
 def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, _raw())
@@ -418,6 +422,22 @@ def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
                         + argv[1:]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("root", [[1, 2], "x", 3, None], ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("extra", [["--set", "model.d_model=4"], ["--seed", "3"]],
+                         ids=["set", "seed"])
+def test_cli_non_object_config_root_exits_1(tmp_path, capsys, root, extra):
+    cfg_path = _write_config(tmp_path, root)
+    assert cli.main(["cost", "--config", cfg_path] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    seed = [] if "--seed" in extra else ["--seed", "1"]
+    assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]
+                    + extra + seed) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_input_length_bound_matches_task_data(tmp_path):
@@ -479,7 +499,7 @@ def _configs(draw):
              "vocab_size": draw(st.sampled_from([258, 260])),
              "max_seq_len": draw(st.integers(8, 20))}
     with_memory = draw(st.booleans())
-    variant = "dense" if with_memory else draw(st.sampled_from(costs.VARIANTS))
+    variant = "dense" if with_memory else draw(st.sampled_from(list(schema.VARIANTS)))
     raw = {"model": model, "variant": variant,
            "task": {"name": draw(st.sampled_from(TASKS)), "corpus_path": "corpus.txt",
                     "seq_len": draw(st.integers(1, 8)), "alphabet": draw(st.integers(1, 8))},
