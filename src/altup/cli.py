@@ -121,7 +121,7 @@ def _cmd_collide(args) -> int:
             for f in args.f:
                 diag = collisions.exponent_diagnostic(
                     scheme, args.l, f, args.d, max(200, args.trials // 10),
-                    args.seed, n_grid=(64, 256, 1024))
+                    args.seed, n_grid=(64, 256, 1024), workers=args.workers)
                 pts = " ".join(f"(n={n}, p={p:.4g})" for n, p in diag["points"])
                 print(f"slope {scheme} f={f}: {diag['slope']:+.3f}  {pts}")
     if args.out:

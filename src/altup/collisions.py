@@ -32,12 +32,19 @@ mixes spanning the plane (e1, e2), g = a e1 + b e2 + g_perp with a, b
 standard normal and |g_perp|^2 chi-square with d-2 degrees of freedom, all
 independent. The row's angle to either mix, and so the top-1 routing, depends
 on (a, b, |g|) alone.
+
+Calls that share trials out over several workers use one process pool per
+process, built on first use and kept for later calls of the same size, so
+only the first pays for starting it. ``close_pool`` (also run at exit)
+terminates it.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,12 +364,69 @@ def _hits_chunk(args) -> np.ndarray:
 _MAX_CHUNK = 1000
 
 
-def _run_trials(scheme, n, l, d, trials, passes, m=None, workers=1) -> list:
-    """Summed per-trial hit counts of each (f, seed) pass, over one process pool.
+class _SharedPool:
+    """The one worker pool of this process, reused by every pooled call.
 
-    Per-trial seeds are derived by counter and the summed counts are
-    integers, so the result is bitwise-identical for any worker count, and
-    a pool larger than the machine's CPU count is cut down to it.
+    A call that needs another size replaces it. Only the process that built
+    the pool uses it: a forked child that inherits one builds its own. A pool
+    whose map raises is terminated, so the next call starts clean. Calls hold
+    a lock while they map, so threads take turns on the pool.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pool = None
+        self._pid = self._size = 0
+
+    def map(self, fn, args: list, size: int) -> list:
+        with self._lock:
+            if self._pool is not None and (self._pid, self._size) != (os.getpid(), size):
+                self._drop()
+            if self._pool is None:
+                import multiprocessing
+
+                self._pool = multiprocessing.Pool(size)
+                self._pid, self._size = os.getpid(), size
+            try:
+                return self._pool.map(fn, args)
+            except BaseException:
+                self._drop()
+                raise
+
+    def close(self):
+        with self._lock:
+            self._drop()
+
+    def _drop(self):
+        """Forget the pool; terminate and reap it first if this process built it."""
+        pool, self._pool = self._pool, None
+        if pool is not None and self._pid == os.getpid():
+            pool.terminate()
+            pool.join()
+
+
+_POOL = _SharedPool()
+
+
+def close_pool():
+    """Terminate this process's collision worker pool, if it has one.
+
+    Later pooled calls build a new pool. Runs at interpreter exit as well.
+    """
+    _POOL.close()
+
+
+atexit.register(close_pool)
+
+
+def _run_trials(scheme, n, l, d, trials, passes, m=None, workers=1) -> list:
+    """Summed per-trial hit counts of each (f, seed) pass.
+
+    More than one worker shares the chunks out over this process's reused
+    pool (see ``_SharedPool``), cut down to the machine's CPU count; one
+    worker runs them in this process. Per-trial seeds are derived by counter
+    and the summed counts are integers, so the result is bitwise-identical
+    for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -375,10 +439,7 @@ def _run_trials(scheme, n, l, d, trials, passes, m=None, workers=1) -> list:
     if workers == 1 or len(args) == 1:
         parts = [_hits_chunk(a) for a in args]
     else:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_hits_chunk, args)
+        parts = _POOL.map(_hits_chunk, args, workers)
     k = len(starts)
     return [np.sum(parts[i:i + k], axis=0) for i in range(0, len(parts), k)]
 
@@ -470,7 +531,7 @@ def verify_ordering(n: int, l: int, f: float, d: int, trials: int, seed: int,
 
 
 def exponent_diagnostic(scheme: str, l: int, f: float, d: int, trials: int,
-                        seed: int, n_grid=(64, 256, 1024)) -> dict:
+                        seed: int, n_grid=(64, 256, 1024), workers: int = 1) -> dict:
     """Informational log-log slope of collision probability vs bucket count.
 
     No pass/fail contract: constants in the collision exponents are hidden,
@@ -478,7 +539,7 @@ def exponent_diagnostic(scheme: str, l: int, f: float, d: int, trials: int,
     """
     points = []
     for n in n_grid:
-        est = estimate_collision(scheme, n, l, f, d, trials, seed)
+        est = estimate_collision(scheme, n, l, f, d, trials, seed, workers=workers)
         points.append((n, max(est.probability, 0.5 / trials)))
     logs_n = np.log([p[0] for p in points])
     logs_p = np.log([p[1] for p in points])

@@ -83,8 +83,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if "model" not in raw:
         raise ConfigError("config: missing required 'model' section")
 
+    model_fields = take_fields("model", raw["model"], get_type_hints(ModelConfig))
     try:
-        model = ModelConfig(**take_fields("model", raw["model"], get_type_hints(ModelConfig)))
+        model = ModelConfig(**model_fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model: {exc}") from exc
     if model.vocab_size < VOCAB_SIZE:
@@ -118,8 +119,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("optimizer: learning_rate must be > 0 and momentum in [0, 1)")
 
     seed = raw.get("seed", 0)
-    if not is_int(seed):
-        raise ConfigError("seed must be an integer")
+    if not is_int(seed) or seed < 0:
+        # numpy seeds only from non-negative integers
+        raise ConfigError("seed must be a non-negative integer")
     eval_interval = raw.get("eval_interval", 100)
     if not is_int(eval_interval) or eval_interval < 1:
         raise ConfigError("eval_interval must be a positive integer")

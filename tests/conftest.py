@@ -1,8 +1,20 @@
 """Shared fixtures."""
 
+import multiprocessing
+
 import pytest
 
-from altup import alternating, models, sequence, transformer
+from altup import alternating, collisions, models, sequence, transformer
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_outlives_the_session():
+    """Closes the collision worker pool when the session ends, and fails if
+    any worker process is still alive after that."""
+    yield
+    collisions.close_pool()
+    alive = multiprocessing.active_children()
+    assert not alive, f"worker processes still alive after the session: {alive}"
 
 
 @pytest.fixture

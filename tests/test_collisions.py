@@ -1,12 +1,16 @@
 """Sentence-pair model and collision estimators (reduced trial counts here;
 the acceptance suite runs the full-scale configuration)."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from altup import cli
 from altup import collisions as col
 from altup import memory as mem
 
@@ -117,29 +121,59 @@ def test_estimates_independent_of_worker_count(scheme):
     assert serial.selected_width == pooled.selected_width
 
 
-@pytest.mark.parametrize("scheme", col.SCHEMES)
-def test_pool_is_capped_at_cpu_count(scheme, monkeypatch):
-    import multiprocessing
-    import os
+class InProcessPool:
+    """Stands in for ``multiprocessing.Pool``: maps in this process, so no
+    worker starts, and records whether it was terminated and joined."""
 
+    def __init__(self, processes):
+        self.processes = processes
+        self.terminated = self.joined = False
+
+    def map(self, fn, args):
+        return list(map(fn, args))
+
+    def close(self):
+        pass
+
+    def terminate(self):
+        self.terminated = True
+
+    def join(self):
+        self.joined = True
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The stand-in pools built during the test, in order. The cached pool is
+    closed before and after, so no test reuses another's pool."""
+    built = []
+
+    def build(processes):
+        built.append(InProcessPool(processes))
+        return built[-1]
+
+    col.close_pool()
+    monkeypatch.setattr(multiprocessing, "Pool", build)
+    yield built
+    col.close_pool()
+
+
+def _pooled_minhash(workers):
+    return col.estimate_collision("minhash", 16, 8, 0.5, 4, trials=64, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize("scheme", col.SCHEMES)
+def test_pool_is_capped_at_cpu_count(scheme, pools, monkeypatch):
     sizes = []
 
-    class InProcessPool:
+    class SizeRecordingPool(InProcessPool):
         """Records the requested size and maps in this process: no worker starts."""
 
         def __init__(self, processes):
+            super().__init__(processes)
             sizes.append(processes)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return list(map(fn, args))
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SizeRecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = col.estimate_collision(scheme, 32, 8, 0.25, 8, trials=240, seed=12, workers=1)
     huge = col.estimate_collision(scheme, 32, 8, 0.25, 8, trials=240, seed=12,
@@ -154,6 +188,65 @@ def test_pool_is_capped_at_cpu_count(scheme, monkeypatch):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             col.estimate_collision(scheme, 32, 8, 0.25, 8, trials=240, seed=12,
                                    workers=workers)
+
+
+def test_collide_run_builds_one_pool(pools, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.main(["collide", "--seed", "3", "--n", "64", "--l", "16", "--d", "16",
+                     "--trials", "200", "--workers", "2", "--f", "0.1", "0.5",
+                     "--ordering"]) == 0
+    assert "ordering at f=0.5" in capsys.readouterr().out
+    assert [p.processes for p in pools] == [2]
+
+
+def test_pool_is_rebuilt_when_size_or_process_changes(pools, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _pooled_minhash(2)
+    _pooled_minhash(2)
+    assert [p.processes for p in pools] == [2]
+    _pooled_minhash(3)
+    assert [p.processes for p in pools] == [2, 3]
+    assert pools[0].terminated and pools[0].joined
+    _pooled_minhash(8)
+    _pooled_minhash(5)  # both cut down to 4
+    assert [p.processes for p in pools] == [2, 3, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _pooled_minhash(5)
+    assert [p.processes for p in pools] == [2, 3, 4, 3]
+    parent = os.getpid()
+    monkeypatch.setattr(os, "getpid", lambda: parent + 1)  # as a forked child sees it
+    _pooled_minhash(3)
+    assert [p.processes for p in pools] == [2, 3, 4, 3, 3]
+    assert not pools[3].terminated, "a child must not terminate its parent's pool"
+
+
+def test_pool_whose_map_raises_is_terminated_not_reused(pools, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = _pooled_minhash(1)
+    _pooled_minhash(2)
+
+    def lost_worker(fn, args):
+        raise RuntimeError("worker lost")
+
+    pools[0].map = lost_worker
+    with pytest.raises(RuntimeError, match="worker lost"):
+        _pooled_minhash(2)
+    assert pools[0].terminated and pools[0].joined
+    assert _pooled_minhash(2).probability == serial.probability
+    assert len(pools) == 2 and not pools[1].terminated
+
+
+def test_close_pool_leaves_no_worker_alive():
+    col.close_pool()
+    pooled = _pooled_minhash(2)
+    if (os.cpu_count() or 1) > 1:
+        assert multiprocessing.active_children()
+    col.close_pool()
+    assert multiprocessing.active_children() == []
+    assert _pooled_minhash(2).probability == pooled.probability  # a fresh pool
+    col.close_pool()
+    col.close_pool()  # closing without a pool is a no-op
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("scheme", col.SCHEMES)

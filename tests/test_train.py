@@ -440,6 +440,20 @@ def test_cli_non_object_config_root_exits_1(tmp_path, capsys, root, extra):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, _raw())
+    for argv in (["census", "--config", cfg_path, "--set", "seed=-1"],
+                 ["train", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path / "x")]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "config error: seed must be a non-negative integer\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_non_object_model_section_is_named_once(capsys):
+    assert cli.main(["cost", "--set", "model=[1]"]) == 1
+    assert capsys.readouterr().err == "config error: model: expected an object, got list\n"
+
+
 def test_config_input_length_bound_matches_task_data(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("abcdefgh" * 20)
@@ -587,6 +601,28 @@ def test_cli_collide_ordering_estimates_each_scheme_once(monkeypatch, capsys, ov
                      "--ordering", "--f", *map(str, overlaps), *extra]) == 0
     assert capsys.readouterr().out == printed
     assert calls == {(s, f): 1 for s in collisions.SCHEMES for f in overlaps}
+
+
+def test_cli_collide_slope_passes_workers_through(monkeypatch, capsys):
+    seen = []
+    original = collisions.estimate_collision
+
+    def recording(*args, workers=1, **kwargs):
+        seen.append(workers)
+        return original(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(collisions, "estimate_collision", recording)
+    printed = {}
+    for workers in ("1", "2"):
+        seen.clear()
+        assert cli.main(["collide", "--seed", "3", "--n", "64", "--l", "16", "--d", "16",
+                         "--f", "0.5", "--trials", "200", "--slope",
+                         "--workers", workers]) == 0
+        printed[workers] = capsys.readouterr().out
+        # one estimate per scheme, then one per scheme and slope grid point
+        assert seen == [int(workers)] * (len(collisions.SCHEMES) * 4)
+    assert printed["2"] == printed["1"]
+    assert printed["1"].count("slope ") == len(collisions.SCHEMES)
 
 
 @pytest.mark.parametrize("scheme", ["hyperplane", "spherical", "minhash"])
