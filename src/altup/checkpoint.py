@@ -11,6 +11,7 @@ than a float64 holds exactly) as header integers.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -69,9 +70,20 @@ def load_checkpoint(path):
     header_len = struct.unpack("<Q", raw[8:16])[0]
     if len(raw) < 16 + header_len:
         raise CheckpointTruncatedError(f"{path}: header truncated")
-    header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    tensors = header.get("tensors")
+    if not isinstance(tensors, list) or not all(map(_is_tensor_entry, tensors)):
+        raise CheckpointError(
+            f"{path}: header 'tensors' is not a list of {{name, shape}} entries")
+    if not isinstance(header.get("integers", {}), dict):
+        raise CheckpointError(f"{path}: header 'integers' is not an object")
     payload = raw[16 + header_len:]
-    expected = sum(int(np.prod(t["shape"])) for t in header["tensors"]) * 8
+    expected = sum(math.prod(t["shape"]) for t in tensors) * 8
     if len(payload) < expected:
         raise CheckpointTruncatedError(
             f"{path}: payload has {len(payload)} bytes, expected {expected}")
@@ -80,13 +92,19 @@ def load_checkpoint(path):
             f"{path}: {len(payload) - expected} unexpected trailing bytes")
     arrays = {}
     offset = 0
-    for t in header["tensors"]:
+    for t in tensors:
         shape = tuple(t["shape"])
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arrays[t["name"]] = np.frombuffer(
             payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         offset += count * 8
     return header, arrays
+
+
+def _is_tensor_entry(entry) -> bool:
+    return (isinstance(entry, dict) and set(entry) == {"name", "shape"}
+            and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"]))
 
 
 def save_model(model, path, extra_config: dict | None = None):

@@ -16,6 +16,10 @@ import numpy as np
 SEP_ID = 256
 BOS_ID = 257
 VOCAB_SIZE = 258
+# copy/reverse draw their symbols from ids [ECHO_BASE, ECHO_BASE + alphabet),
+# which must stay below the separator
+ECHO_BASE = 97
+MAX_ALPHABET = SEP_ID - ECHO_BASE
 
 TASKS = ("char_lm", "copy", "reverse")
 
@@ -76,7 +80,7 @@ def _echo_sequences(seq_len: int, count: int, rng, alphabet: int, reverse: bool)
     # sequence = src, SEP, src (or reversed src); inputs/targets are the
     # next-token shift of it
     m = _echo_source_len(seq_len)
-    symbols = rng.integers(97, 97 + alphabet, size=(count, m))
+    symbols = rng.integers(ECHO_BASE, ECHO_BASE + alphabet, size=(count, m))
     second = symbols[:, ::-1] if reverse else symbols
     sep = np.full((count, 1), SEP_ID, dtype=np.int64)
     full = np.concatenate([symbols, sep, second], axis=1)

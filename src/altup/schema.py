@@ -1,17 +1,20 @@
-"""The dict-valued run-config sections ``altup``, ``seq`` and ``memory``.
+"""The run-config sections except ``model``, and the top-level keys.
 
 Each field is declared once in :data:`SECTIONS` with its type, its default
-(or none, for a required field), and the bound or choices a value must meet
-on its own. :data:`VARIANTS` names the section each model variant takes.
-Config parsing, model construction and the cost model all take their
-sections through :func:`resolve`, which owns every presence and cross-field
-rule, so no two of them can disagree on a default or on what is valid.
+(or none, for a required field), and the bounds or choices a value must meet
+on its own; the ``config`` entry holds the top-level scalars. :data:`VARIANTS`
+names the section each model variant takes. Config parsing, model
+construction and the cost model all take the ``altup``, ``seq`` and ``memory``
+sections through :func:`resolve`, which owns their presence and cross-field
+rules, so no two of them can disagree on a default or on what is valid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .data import MAX_ALPHABET, TASKS
 
 SELECTION_MODES = ("same", "alternating")
 WRAP_MODES = ("interior", "all")
@@ -33,6 +36,7 @@ class Field:
     type: type
     default: object = REQUIRED
     minimum: float | None = None
+    maximum: float | None = None  # inclusive, like minimum
     choices: tuple | None = None
 
 
@@ -48,6 +52,21 @@ SECTIONS = {
                "k": Field(int, 1, minimum=1),
                "jitter_eps": Field(float, 0.01, minimum=0),
                "constant": Field(bool, False)},
+    "task": {"name": Field(str, "copy", choices=TASKS),
+             "corpus_path": Field(str | None, None),  # required by char_lm
+             "seq_len": Field(int, 16, minimum=1),
+             "n_train": Field(int, 256, minimum=1),
+             "n_eval": Field(int, 64, minimum=1),
+             "alphabet": Field(int, 8, minimum=1, maximum=MAX_ALPHABET)},
+    # the parser also requires learning_rate > 0 and momentum < 1
+    "optimizer": {"learning_rate": Field(float, 0.05),
+                  "steps": Field(int, 500, minimum=0),
+                  "batch_size": Field(int, 4, minimum=1),
+                  "momentum": Field(float, 0.0, minimum=0)},
+    # numpy seeds only from non-negative integers
+    "config": {"variant": Field(str, "dense", choices=tuple(VARIANTS)),
+               "seed": Field(int, 0, minimum=0),
+               "eval_interval": Field(int, 100, minimum=1)},
 }
 
 DEFAULTS = {name: {key: f.default for key, f in fields.items() if f.default is not REQUIRED}
@@ -92,6 +111,8 @@ def complete(section: str, raw: dict) -> dict:
             raise ConfigError(f"{section}.{key} is required")
         if f.minimum is not None and out[key] < f.minimum:
             raise ConfigError(f"{section}.{key} must be >= {f.minimum}")
+        if f.maximum is not None and out[key] > f.maximum:
+            raise ConfigError(f"{section}.{key} must be <= {f.maximum}")
         if f.choices is not None and out[key] not in f.choices:
             raise ConfigError(f"{section}.{key}: expected one of {f.choices}, got {out[key]!r}")
     return out

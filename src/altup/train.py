@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -18,9 +18,9 @@ import numpy as np
 
 from . import costs
 from .checkpoint import save_model
-from .data import TASKS, VOCAB_SIZE, input_length, make_task
+from .data import VOCAB_SIZE, input_length, make_task
 from .models import Model
-from .schema import ConfigError, is_int, resolve, take_fields
+from .schema import SECTIONS, ConfigError, complete, resolve, take_fields
 from .tensor import Graph, backward
 from .transformer import ModelConfig, cross_entropy
 
@@ -31,55 +31,43 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite loss {value} at step {step}")
 
 
-# Echo tasks draw symbols from ids [97, 97 + alphabet), below the separator.
-MAX_ALPHABET = 256 - 97
 # float64 parameter bytes a config may build, by the closed form: a size past
 # this is a config error at parse time, not a failure in numpy's allocator
 MAX_PARAM_BYTES = 1 << 30
-
-
-@dataclass
-class OptimizerConfig:
-    learning_rate: float = 0.05
-    steps: int = 500
-    batch_size: int = 4
-    momentum: float = 0.0
-
-
-@dataclass
-class TaskConfig:
-    name: str = "copy"
-    corpus_path: str | None = None
-    seq_len: int = 16
-    n_train: int = 256
-    n_eval: int = 64
-    alphabet: int = 8
+# cost-model activation bytes of the largest batch a run puts through one
+# forward pass: a training batch, or the whole eval set, which `evaluate` runs
+# at once
+MAX_ACTIVATION_BYTES = 1 << 30
 
 
 @dataclass
 class RunConfig:
     model: ModelConfig
-    variant: str = "dense"
-    altup: dict | None = None      # complete sections of schema.SECTIONS,
-    seq: dict | None = None        # or None where the config has none
-    memory: dict | None = None
-    task: TaskConfig = field(default_factory=TaskConfig)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    seed: int = 0
-    eval_interval: int = 100
+    variant: str
+    altup: dict | None      # complete sections of schema.SECTIONS,
+    seq: dict | None        # or None where the config has none
+    memory: dict | None
+    task: dict
+    optimizer: dict
+    seed: int
+    eval_interval: int
 
     def as_dict(self):
         return {key: value for key, value in asdict(self).items() if value is not None}
 
 
+SECTION_KEYS = {"model", *SECTIONS} - {"config"}
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """Strict parse: unknown keys anywhere are rejected, and variant-specific
-    sections must be present exactly when the variant needs them."""
+    sections must be present exactly when the variant needs them. Single-field
+    types, bounds and defaults come from ``schema.SECTIONS``; the rules here
+    involve more than one field."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(raw) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+    top = complete("config", {key: value for key, value in raw.items()
+                              if key not in SECTION_KEYS})
     if "model" not in raw:
         raise ConfigError("config: missing required 'model' section")
 
@@ -93,47 +81,32 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"model.vocab_size: {model.vocab_size} is below the "
                           f"task vocabulary of {VOCAB_SIZE} ids")
 
-    variant = raw.get("variant", "dense")
-    altup, seq, memory = resolve(variant, model.vocab_size, raw.get("altup"),
+    altup, seq, memory = resolve(top["variant"], model.vocab_size, raw.get("altup"),
                                  raw.get("seq"), raw.get("memory"))
 
-    task = TaskConfig(**take_fields("task", raw.get("task", {}), get_type_hints(TaskConfig)))
-    if task.name not in TASKS:
-        raise ConfigError(f"task.name: unknown {task.name!r}; expected one of {TASKS}")
-    if task.name == "char_lm" and task.corpus_path is None:
+    task = complete("task", raw.get("task", {}))
+    if task["name"] == "char_lm" and task["corpus_path"] is None:
         raise ConfigError("task.corpus_path is required for the char_lm task")
-    if min(task.seq_len, task.n_train, task.n_eval, task.alphabet) < 1:
-        raise ConfigError("task: seq_len, n_train, n_eval and alphabet must be >= 1")
-    if task.alphabet > MAX_ALPHABET:
-        raise ConfigError(f"task.alphabet must lie in [1, {MAX_ALPHABET}], got {task.alphabet}")
-    if input_length(task.name, task.seq_len) > model.max_seq_len:
-        raise ConfigError(f"task.seq_len: {task.name} inputs of length "
-                          f"{input_length(task.name, task.seq_len)} exceed "
-                          f"model.max_seq_len {model.max_seq_len}")
+    length = input_length(task["name"], task["seq_len"])
+    if length > model.max_seq_len:
+        raise ConfigError(f"task.seq_len: {task['name']} inputs of length {length} "
+                          f"exceed model.max_seq_len {model.max_seq_len}")
 
-    optimizer = OptimizerConfig(**take_fields("optimizer", raw.get("optimizer", {}),
-                                              get_type_hints(OptimizerConfig)))
-    if optimizer.steps < 0 or optimizer.batch_size < 1:
-        raise ConfigError("optimizer: steps must be >= 0 and batch_size >= 1")
-    if optimizer.learning_rate <= 0 or not 0 <= optimizer.momentum < 1:
-        raise ConfigError("optimizer: learning_rate must be > 0 and momentum in [0, 1)")
+    optimizer = complete("optimizer", raw.get("optimizer", {}))
+    if optimizer["learning_rate"] <= 0 or optimizer["momentum"] >= 1:
+        raise ConfigError("optimizer: learning_rate must be > 0 and momentum < 1")
 
-    seed = raw.get("seed", 0)
-    if not is_int(seed) or seed < 0:
-        # numpy seeds only from non-negative integers
-        raise ConfigError("seed must be a non-negative integer")
-    eval_interval = raw.get("eval_interval", 100)
-    if not is_int(eval_interval) or eval_interval < 1:
-        raise ConfigError("eval_interval must be a positive integer")
-
-    cfg = RunConfig(model=model, variant=variant, altup=altup, seq=seq,
-                    memory=memory, task=task, optimizer=optimizer,
-                    seed=seed, eval_interval=eval_interval)
+    cfg = RunConfig(model=model, altup=altup, seq=seq, memory=memory,
+                    task=task, optimizer=optimizer, **top)
     report = cost_report(cfg)
     param_bytes = 8 * (report.embedding_params + report.non_embedding_params)
     if param_bytes > MAX_PARAM_BYTES:
         raise ConfigError(f"model: {param_bytes} float64 parameter bytes exceed the "
                           f"cap of {MAX_PARAM_BYTES >> 30} GiB")
+    act_bytes = report.activation_memory_bytes * max(optimizer["batch_size"], task["n_eval"])
+    if act_bytes > MAX_ACTIVATION_BYTES:
+        raise ConfigError(f"optimizer.batch_size, task.n_eval: {act_bytes} activation bytes "
+                          f"exceed the cap of {MAX_ACTIVATION_BYTES >> 30} GiB")
     return cfg
 
 
@@ -147,9 +120,7 @@ def build_model(cfg: RunConfig) -> Model:
 
 
 def make_task_data(cfg: RunConfig):
-    return make_task(cfg.task.name, cfg.task.seq_len, cfg.task.n_train,
-                     cfg.task.n_eval, cfg.seed, corpus_path=cfg.task.corpus_path,
-                     alphabet=cfg.task.alphabet)
+    return make_task(seed=cfg.seed, **cfg.task)
 
 
 METRIC_COLUMNS = ("step", "train_loss", "eval_loss", "eval_token_accuracy",
@@ -168,17 +139,17 @@ def evaluate(model: Model, inputs, targets, batch_cap: int | None = None):
 
 def train(cfg: RunConfig, out_dir) -> dict:
     """Run the loop, writing metrics.csv, summary.json, and model.ckpt."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data = make_task_data(cfg)
     model = build_model(cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     params = model.parameters()
     census = model.census()
 
     opt = cfg.optimizer
     order_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
     jitter_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
-    velocity = {id(p): np.zeros_like(p.data) for p in params} if opt.momentum else None
+    velocity = {id(p): np.zeros_like(p.data) for p in params} if opt["momentum"] else None
 
     n_train = len(data.train_inputs)
     perm = order_rng.permutation(n_train)
@@ -187,7 +158,7 @@ def train(cfg: RunConfig, out_dir) -> dict:
     def next_batch():
         nonlocal perm, cursor
         idx = []
-        for _ in range(opt.batch_size):
+        for _ in range(opt["batch_size"]):
             if cursor == n_train:
                 perm = order_rng.permutation(n_train)
                 cursor = 0
@@ -203,15 +174,15 @@ def train(cfg: RunConfig, out_dir) -> dict:
         rows.append((step, train_loss, eval_loss, eval_acc, census))
 
     # init row: loss of the first batch, no update, batch stream untouched
-    first_inputs, first_targets = data.train_inputs[perm[:opt.batch_size]], \
-        data.train_targets[perm[:opt.batch_size]]
+    first_inputs, first_targets = data.train_inputs[perm[:opt["batch_size"]]], \
+        data.train_targets[perm[:opt["batch_size"]]]
     init_loss = model.loss(first_inputs, first_targets).item()
     emit(0, init_loss)
 
     started = time.perf_counter()
     tokens = 0
     window = []
-    for step in range(1, opt.steps + 1):
+    for step in range(1, opt["steps"] + 1):
         inputs, targets = next_batch()
         model.zero_grad()
         with Graph() as graph:
@@ -225,14 +196,14 @@ def train(cfg: RunConfig, out_dir) -> dict:
                 continue
             if velocity is not None:
                 v = velocity[id(p)]
-                v *= opt.momentum
+                v *= opt["momentum"]
                 v += p.grad
-                p.data -= opt.learning_rate * v
+                p.data -= opt["learning_rate"] * v
             else:
-                p.data -= opt.learning_rate * p.grad
+                p.data -= opt["learning_rate"] * p.grad
         window.append(value)
         tokens += inputs.shape[0] * inputs.shape[1]
-        if step % cfg.eval_interval == 0 or step == opt.steps:
+        if step % cfg.eval_interval == 0 or step == opt["steps"]:
             emit(step, float(np.mean(window)))
             window = []
     elapsed = time.perf_counter() - started
@@ -247,7 +218,7 @@ def train(cfg: RunConfig, out_dir) -> dict:
     save_model(model, ckpt_path, extra_config={"run": cfg.as_dict()})
 
     summary = {
-        "steps": opt.steps,
+        "steps": opt["steps"],
         "parameter_census": census,
         "init_train_loss": rows[0][1],
         "final_train_loss": rows[-1][1],

@@ -1,6 +1,11 @@
 """One section resolver: the parser, ``Model`` and the cost model agree on
 which ``altup``/``seq``/``memory`` sections a variant takes and what is valid."""
 
+import json
+import re
+from pathlib import Path
+from typing import get_type_hints
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,3 +109,21 @@ def test_a_variant_that_takes_a_section_needs_one(variant):
     assert getattr(model, section) == schema.DEFAULTS[section]
     report = costs.count_params(CFG, variant, **{section: {}})
     assert model.census() == report.embedding_params + report.non_embedding_params
+
+
+_TYPE_NAMES = {int: "int", float: "float", str: "str", bool: "bool", str | None: "str or null"}
+
+
+def test_readme_table_lists_every_field_with_its_schema_type_and_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w.]+)` \| ([^|]+?) \| ([^|]+?) \|", readme, re.M)
+    expected = {f"model.{name}": (_TYPE_NAMES[hint], "required")
+                for name, hint in get_type_hints(tr.ModelConfig).items()}
+    for section, fields in schema.SECTIONS.items():
+        for key, f in fields.items():
+            default = ("required" if f.default is schema.REQUIRED
+                       else f"`{json.dumps(f.default)}`")
+            expected[key if section == "config" else f"{section}.{key}"] = (
+                _TYPE_NAMES[f.type], default)
+    assert {name: (kind, default) for name, kind, default in rows} == expected
+    assert len(rows) == len(expected)

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import struct
+import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 from altup import checkpoint as ckpt
 from altup import cli, collisions, costs, models, schema, transformer as tr
-from altup.data import TASKS, input_length, make_task
+from altup import train as train_module
+from altup.data import TASKS, input_length, make_demo_corpus, make_task
 from altup.train import (ConfigError, DivergenceError, build_model,
                          config_from_dict, train)
 
@@ -92,8 +95,8 @@ def test_config_accepts_int_for_float_fields():
                                 optimizer={"learning_rate": 1, "steps": 2,
                                            "batch_size": 2, "momentum": 0}))
     assert cfg.memory["jitter_eps"] == 0.0 and isinstance(cfg.memory["jitter_eps"], float)
-    assert isinstance(cfg.optimizer.learning_rate, float)
-    assert isinstance(cfg.optimizer.momentum, float)
+    assert isinstance(cfg.optimizer["learning_rate"], float)
+    assert isinstance(cfg.optimizer["momentum"], float)
 
 
 def test_config_rejects_vocab_below_task_ids():
@@ -339,6 +342,27 @@ def test_checkpoint_failed_load_changes_nothing(tmp_path):
     assert all(np.array_equal(a, b) for a, (_, b) in zip(before, arrays(other)))
 
 
+@pytest.mark.parametrize("header", [
+    b"\xff{}", b"{", b"[1, 2]", b"{}", b'{"tensors": {}}', b'{"tensors": [5]}',
+    b'{"tensors": [{"shape": [1]}]}', b'{"tensors": [{"name": 1, "shape": [1]}]}',
+    b'{"tensors": [{"name": "a", "shape": 1}]}', b'{"tensors": [{"name": "a", "shape": [-1]}]}',
+    b'{"tensors": [{"name": "a", "shape": [1.0]}]}',
+    b'{"tensors": [{"name": "a", "shape": [true]}]}', b'{"tensors": [], "integers": [1]}',
+], ids=["not_utf8", "not_json", "list", "no_tensors", "tensors_object", "entry_number",
+        "no_name", "name_number", "shape_number", "shape_negative", "shape_float",
+        "shape_bool", "integers_list"])
+def test_checkpoint_rejects_malformed_header(tmp_path, capsys, header):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(ckpt.MAGIC + struct.pack("<IQ", ckpt.FORMAT_VERSION, len(header))
+                     + header + b"\x00" * 8)
+    with pytest.raises(ckpt.CheckpointError, match=r"header (is not|'tensors'|'integers')"):
+        ckpt.load_checkpoint(path)
+    cfg_path = _write_config(tmp_path, _raw())
+    assert cli.main(["eval", "--config", cfg_path, "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "Traceback" not in err
+
+
 def _write_config(tmp_path, raw):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
@@ -407,6 +431,8 @@ def test_cli_config_error_exit_code(tmp_path):
     ["optimizer.learning_rate=0"],
     ["optimizer.momentum=-3"],
     ["optimizer.momentum=1.5"],
+    ["task.n_eval=1000000"],
+    ["optimizer.batch_size=1000000"],
 ])
 def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, _raw())
@@ -445,7 +471,32 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
     for argv in (["census", "--config", cfg_path, "--set", "seed=-1"],
                  ["train", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path / "x")]):
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err == "config error: seed must be a non-negative integer\n"
+        assert capsys.readouterr().err == "config error: config.seed must be >= 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("batch_size,n_eval", [(2, 8), (8, 2)])
+def test_activation_cap_takes_the_larger_of_batch_and_eval_set(monkeypatch, batch_size, n_eval):
+    raw = _raw(task={"name": "copy", "seq_len": 9, "n_train": 32, "n_eval": n_eval},
+               optimizer={"learning_rate": 0.05, "steps": 2, "batch_size": batch_size})
+    at_cap = 8 * train_module.cost_report(config_from_dict(raw)).activation_memory_bytes
+    monkeypatch.setattr(train_module, "MAX_ACTIVATION_BYTES", at_cap)
+    config_from_dict(raw)
+    monkeypatch.setattr(train_module, "MAX_ACTIVATION_BYTES", at_cap - 1)
+    with pytest.raises(ConfigError, match="activation bytes"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("corpus", [None, b"abc"], ids=["missing", "too_short"])
+def test_cli_train_setup_failure_leaves_no_out(tmp_path, capsys, corpus):
+    path = tmp_path / "corpus.txt"
+    if corpus is not None:
+        path.write_bytes(corpus)
+    raw = _raw(task={"name": "char_lm", "seq_len": 8, "corpus_path": str(path)})
+    assert cli.main(["train", "--config", _write_config(tmp_path, raw), "--seed", "1",
+                     "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 
@@ -502,12 +553,14 @@ _JUNK = st.sampled_from([-1, 0, True, 1.5, float("nan"), float("inf"), "bogus", 
 
 
 @st.composite
-def _configs(draw):
+def _configs(draw, tiny=False, corpus="corpus.txt"):
     """A small valid config across every section; then, half the time, one
-    section or field set to a junk value."""
+    section or field set to a junk value. A tiny config trains in a few
+    milliseconds: d <= 8, at most 2 steps and at most 4 train and eval
+    sequences."""
     heads = draw(st.integers(1, 2))
     # 10**12 is in range but past the parameter-bytes cap
-    model = {"d_model": heads * draw(st.sampled_from([1, 2, 4, 10**12])),
+    model = {"d_model": heads * draw(st.sampled_from([1, 2, 4] if tiny else [1, 2, 4, 10**12])),
              "n_layers": draw(st.integers(1, 3)), "n_heads": heads,
              "ffn_hidden": draw(st.integers(1, 8)),
              "vocab_size": draw(st.sampled_from([258, 260])),
@@ -515,10 +568,13 @@ def _configs(draw):
     with_memory = draw(st.booleans())
     variant = "dense" if with_memory else draw(st.sampled_from(list(schema.VARIANTS)))
     raw = {"model": model, "variant": variant,
-           "task": {"name": draw(st.sampled_from(TASKS)), "corpus_path": "corpus.txt",
+           "task": {"name": draw(st.sampled_from(TASKS)), "corpus_path": corpus,
                     "seq_len": draw(st.integers(1, 8)), "alphabet": draw(st.integers(1, 8))},
-           "optimizer": {"steps": draw(st.integers(0, 3)), "batch_size": draw(st.integers(1, 3))},
+           "optimizer": {"steps": draw(st.integers(0, 2 if tiny else 3)),
+                         "batch_size": draw(st.integers(1, 3))},
            "seed": draw(st.integers(0, 9))}
+    if tiny:
+        raw["task"].update(n_train=draw(st.integers(1, 4)), n_eval=draw(st.integers(1, 4)))
     if variant in ("altup", "recycled_altup"):
         k = draw(st.integers(1, 4))
         raw["altup"] = draw(st.fixed_dictionaries({}, optional={
@@ -554,6 +610,32 @@ def test_cost_and_census_never_fail_at_runtime(raw):
         assert "Traceback" not in err.getvalue()
         if command == "census" and rc == 0:
             assert "MISMATCH" not in out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.txt"
+    path.write_text(make_demo_corpus(64))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_train_never_fails_with_a_traceback(corpus_file, data):
+    raw = data.draw(_configs(tiny=True, corpus=corpus_file))
+    argv = [f"--set={key}={json.dumps(value)}" for key, value in raw.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = cli.main(["train", "--seed", "1", "--out", str(out)] + argv)
+        assert rc in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc == 1:
+            assert not out.exists()
+        if rc == 0:
+            assert (out / "metrics.csv").exists()
 
 
 def test_cli_collide(tmp_path, capsys):
