@@ -109,14 +109,16 @@ def sum_consume(x: Tensor, extra: Tensor) -> Tensor:
     return T.add(x, extra)
 
 
-def recycled_embed(token_ids, table: Tensor, k: int) -> Tensor:
-    """d-wide lookup replicated k times into a (..., T, k*d) representation."""
+def widen(x: Tensor, k: int) -> Tensor:
+    """k copies of x side by side along the last axis; x itself when k = 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = embed(token_ids, table)
-    if k == 1:
-        return base
-    return T.concat_last([base] * k)
+    return x if k == 1 else T.concat_last([x] * k)
+
+
+def recycled_embed(token_ids, table: Tensor, k: int) -> Tensor:
+    """d-wide lookup replicated k times into a (..., T, k*d) representation."""
+    return widen(embed(token_ids, table), k)
 
 
 def recycled_downproject(x: Tensor, k: int) -> Tensor:

@@ -93,6 +93,8 @@ def load_checkpoint(path):
     arrays = {}
     offset = 0
     for t in tensors:
+        if t["name"] in arrays:
+            raise CheckpointError(f"{path}: header lists tensor {t['name']!r} twice")
         shape = tuple(t["shape"])
         count = math.prod(shape)
         arrays[t["name"]] = np.frombuffer(

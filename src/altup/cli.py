@@ -42,6 +42,10 @@ def _load_config(args) -> training.RunConfig:
             raw = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}")
+        except OSError as exc:
+            raise ConfigError(f"config file cannot be read: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(raw, dict):

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import _LSH_SEED_CONST, _splitmix64
+from .memory import _LSH_SEED_CONST, _splitmix64, lsh_projections
 # unused here; the benchmark tracer patches both names in this module
 from .memory import hyperplane_lsh_lookup, softmax_route  # noqa: F401
 
@@ -450,8 +450,7 @@ def _calibration_seed(seed: int) -> int:
 
 
 def estimate_collision(scheme: str, n: int, l: int, f: float, d: int,
-                       trials: int, seed: int, lsh_m: int | None = None,
-                       workers: int = 1) -> CollisionEstimate:
+                       trials: int, seed: int, workers: int = 1) -> CollisionEstimate:
     """Collision probability of the given scheme on f-overlapping pairs.
 
     hyperplane/spherical: fraction of trials in which the two mixed (and
@@ -475,10 +474,9 @@ def estimate_collision(scheme: str, n: int, l: int, f: float, d: int,
     _validate_pair_args(l, f, d)
 
     if scheme == "hyperplane":
-        m = lsh_m if lsh_m is not None else max(1, int(np.ceil(np.log2(n))))
         far, near = (hits / trials for hits in _run_trials(
             scheme, n, l, d, trials, [(0.0, _calibration_seed(seed)), (f, seed)],
-            m=m, workers=workers))
+            m=lsh_projections(n), workers=workers))
         se_far = np.sqrt(np.maximum(far * (1.0 - far), 1e-12) / trials)
         eligible = np.nonzero(far <= 1.0 / n + 3.0 * se_far)[0]
         if eligible.size == 0:
@@ -505,10 +503,6 @@ class OrderingReport:
     estimates: dict
     pass_flag: bool
     in_regime: bool
-
-    def rows(self):
-        order = ["minhash", "spherical", "hyperplane"]
-        return [self.estimates[s] for s in order]
 
 
 def verify_ordering(n: int, l: int, f: float, d: int, trials: int, seed: int,

@@ -75,12 +75,13 @@ def _per_layer_params(d: int, ffn_hidden: int) -> int:
     return 4 * d * d + 3 * d * ffn_hidden + 2 * d
 
 
-def wrapped_layer_count(n_layers: int, wrap: str) -> int:
-    """How many layers the sequence-stride variants actually wrap."""
+def wrapped_layers(n_layers: int, wrap: str) -> range:
+    """Indices of the layers the sequence-stride variants wrap: all of them,
+    or all but the first and the last."""
     if wrap == "all":
-        return n_layers
+        return range(n_layers)
     if wrap == "interior":
-        return max(0, n_layers - 2)
+        return range(1, n_layers - 1)
     raise ValueError(f"unknown wrap mode {wrap!r}")
 
 
@@ -117,7 +118,7 @@ def count_params(cfg: ModelConfig, variant: str, altup: dict | None = None,
 
     non_emb = cfg.max_seq_len * d + L * (_per_layer_params(d, cfg.ffn_hidden) + per_layer_extra)
     if variant == "seq_altup":
-        non_emb += 3 * wrapped_layer_count(L, seq["wrap"])
+        non_emb += 3 * len(wrapped_layers(L, seq["wrap"]))
     if memory is not None:
         non_emb += L * memory_params_per_layer(
             memory["n"], memory["rank"], d, memory["lookup"], memory["constant"])

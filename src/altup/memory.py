@@ -10,7 +10,7 @@ token-id, lsh and min-hash, and scalar probability Tensors for softmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,14 +116,18 @@ class HyperplaneLshParams:
             raise ValueError("need at least one projection")
 
     @classmethod
-    def create(cls, d: int, n: int, seed, m: int | None = None, width: float = 1.0):
-        # default projection count scales with the bucket budget
-        if m is None:
-            m = max(1, int(np.ceil(np.log2(n))))
+    def create(cls, d: int, n: int, seed):
+        """lsh_projections(n) directions and offsets of unit-width cells."""
+        m = lsh_projections(n)
         rng = np.random.default_rng(seed)
         directions = rng.standard_normal((m, d))
-        offsets = rng.uniform(0.0, width, m)
-        return cls(directions=directions, offsets=offsets, width=width, n=n)
+        offsets = rng.uniform(0.0, 1.0, m)
+        return cls(directions=directions, offsets=offsets, width=1.0, n=n)
+
+
+def lsh_projections(n: int) -> int:
+    """Projections of a hyperplane LSH hash onto n buckets: max(1, ceil(log2 n))."""
+    return max(1, int(np.ceil(np.log2(n))))
 
 
 def expert_forward(x: Tensor, e: PartialExpert) -> Tensor:
@@ -138,22 +142,11 @@ def expert_forward(x: Tensor, e: PartialExpert) -> Tensor:
 
 def softmax_route(x: Tensor, r: RouterParams, training: bool = False,
                   rng: np.random.Generator | None = None):
-    """Top-k routing by softmax(W x): returns (indices, probabilities).
-
-    In training mode the input is scaled elementwise by multiplicative jitter
-    drawn uniformly from [1-eps, 1+eps]^d. Ties break toward the lowest index.
-    """
-    xv = np.asarray(x.data, dtype=np.float64).reshape(-1)
-    if training and r.jitter_eps > 0:
-        if rng is None:
-            raise ValueError("softmax_route: training jitter requires an rng")
-        xv = xv * rng.uniform(1.0 - r.jitter_eps, 1.0 + r.jitter_eps, xv.shape)
-    h = r.w.data @ xv
-    h = h - h.max()
-    p = np.exp(h)
-    p /= p.sum()
-    order = np.argsort(-p, kind="stable")[: r.k]
-    return [int(i) for i in order], [float(p[i]) for i in order]
+    """Top-k routing of one input: ``softmax_lookup``'s closure run off the
+    tape on x as a (1, d) row. Returns (indices, probabilities as floats)."""
+    q = softmax_lookup(replace(r, w=Tensor(r.w.data)), training, rng)
+    indices, weights = q(Tensor(x.data.reshape(1, -1)), 0)
+    return indices, [w.item() for w in weights]
 
 
 def token_id_lookup(token_id: int, n: int) -> int:
@@ -221,6 +214,8 @@ def softmax_lookup(router: RouterParams, training: bool = False,
     reach W through the probability weighting; the top-k selection itself is
     discrete and carries no gradient. W is transposed once per closure, so
     every position's logits share one (d, n) tape node. Rows are (1, d), weights (1, 1).
+    In training mode a row is scaled elementwise by multiplicative jitter drawn
+    uniformly from [1-eps, 1+eps]; top-k ties break toward the lowest index.
     """
     w_t = T.transpose(router.w)
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import tensor as T
 from .alternating import (AltUpConfig, AltUpLayerParams, altup_layer_forward,
-                          recycled_downproject, select_block, sum_consume)
-from .costs import wrapped_layer_count
+                          recycled_downproject, select_block, sum_consume, widen)
+from .costs import wrapped_layers
 from .memory import (HyperplaneLshParams, MemoryTable, RouterParams,
                      lsh_lookup, memory_augmented_forward,
                      minhash_sequence_lookup, softmax_lookup,
@@ -58,14 +58,10 @@ class Model:
         self.pos_table = Tensor(rng.normal(0, emb_std, (cfg.max_seq_len, d)),
                                 requires_grad=True, name="pos.table")
 
-        if self.seq is not None:
-            wrapped = wrapped_layer_count(cfg.n_layers, self.seq["wrap"])
-            first_wrapped = 1 if self.seq["wrap"] == "interior" else 0
-
         self.layers = []
         for i in range(cfg.n_layers):
             prefix = f"layers.{i}"
-            entry = {"index": i}
+            entry = {}
             inner = LayerParams(d, cfg.ffn_hidden, cfg.n_heads, rng, prefix=prefix)
             if self.altup_cfg is not None:
                 entry["altup"] = AltUpLayerParams(self.altup_cfg, inner, prefix=f"{prefix}.altup")
@@ -73,9 +69,8 @@ class Model:
             else:
                 entry["inner"] = inner
                 if variant in ("seq_altup", "stride_skip"):
-                    in_range = first_wrapped <= i < first_wrapped + wrapped
-                    entry["wrapped"] = in_range
-                    if variant == "seq_altup" and in_range:
+                    entry["wrapped"] = i in wrapped_layers(cfg.n_layers, self.seq["wrap"])
+                    if variant == "seq_altup" and entry["wrapped"]:
                         entry["seq"] = SeqAltUpParams(self.seq["stride"], prefix=f"{prefix}.seq")
             self.layers.append(entry)
 
@@ -159,13 +154,9 @@ class Model:
             raise ValueError(f"sequence length {t} exceeds max_seq_len {self.cfg.max_seq_len}")
         pos = T.gather_rows(self.pos_table, np.arange(t))
         if self.variant == "altup":
-            k = self.altup_cfg.k
-            wide_pos = T.concat_last([pos] * k) if k > 1 else pos
-            return T.add(embed(ids, self.embed_table), wide_pos)
+            return T.add(embed(ids, self.embed_table), widen(pos, self.altup_cfg.k))
         if self.variant == "recycled_altup":
-            base = T.add(embed(ids, self.embed_table), pos)
-            k = self.altup_cfg.k
-            return T.concat_last([base] * k) if k > 1 else base
+            return widen(T.add(embed(ids, self.embed_table), pos), self.altup_cfg.k)
         if self.variant == "sum_baseline":
             mixed = sum_consume(embed(ids, self.embed_table),
                                 embed(ids, self.extra_table))

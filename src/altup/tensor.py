@@ -77,7 +77,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -358,6 +358,15 @@ def layer_norm(x: Tensor, scale: Tensor, eps: float = _LN_EPS) -> Tensor:
     return _record("layer_norm", [x, scale], out, bw)
 
 
+def _check_range(op, idx, n):
+    """Raise IndexError naming the first index outside [0, n) and its
+    row-major position; the min/max test is the fast path."""
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        flat = idx.reshape(-1)
+        bad = int(np.argmax((flat < 0) | (flat >= n)))
+        raise IndexError(f"{op}: index {int(flat[bad])} at position {bad} out of range [0, {n})")
+
+
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows (axis -2) of ``x`` by integer index; backward scatter-adds.
 
@@ -367,11 +376,7 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if x.data.ndim < 2 or (x.data.ndim > 2 and idx.ndim != 1):
         raise ShapeError("gather_rows", x.data.shape, idx.shape)
-    n_rows = x.data.shape[-2]
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        flat = idx.reshape(-1)
-        bad = int(np.argmax((flat < 0) | (flat >= n_rows)))
-        raise IndexError(f"gather_rows: index {int(flat[bad])} at position {bad} out of range [0, {n_rows})")
+    _check_range("gather_rows", idx, x.data.shape[-2])
     at = (Ellipsis, idx, slice(None))
     out = x.data[at]
     xshape = x.data.shape
@@ -390,8 +395,7 @@ def scatter_rows(x: Tensor, indices, n_rows: int) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if x.data.ndim < 2 or idx.shape != x.data.shape[-2:-1]:
         raise ShapeError("scatter_rows", x.data.shape, idx.shape)
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise IndexError(f"scatter_rows: index out of range [0, {n_rows})")
+    _check_range("scatter_rows", idx, n_rows)
     at = (Ellipsis, idx, slice(None))
     out = np.zeros(x.data.shape[:-2] + (n_rows,) + x.data.shape[-1:], dtype=np.float64)
     np.add.at(out, at, x.data)
@@ -408,9 +412,7 @@ def gather_cols(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if x.data.ndim < 2 or idx.shape != x.data.shape[:-1]:
         raise ShapeError("gather_cols", x.data.shape, idx.shape)
-    m = x.data.shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= m):
-        raise IndexError(f"gather_cols: index out of range [0, {m})")
+    _check_range("gather_cols", idx, x.data.shape[-1])
     # an arange per leading axis plus the column index, broadcast together;
     # the output takes the memory order of ``indices``, which fixes the
     # summation order of any reduction over it

@@ -173,17 +173,16 @@ def train(cfg: RunConfig, out_dir) -> dict:
         eval_loss, eval_acc = evaluate(model, data.eval_inputs, data.eval_targets)
         rows.append((step, train_loss, eval_loss, eval_acc, census))
 
-    # init row: loss of the first batch, no update, batch stream untouched
-    first_inputs, first_targets = data.train_inputs[perm[:opt["batch_size"]]], \
-        data.train_targets[perm[:opt["batch_size"]]]
-    init_loss = model.loss(first_inputs, first_targets).item()
-    emit(0, init_loss)
+    # init row: loss of the first batch, which step 1 then trains on
+    inputs, targets = next_batch()
+    emit(0, model.loss(inputs, targets).item())
 
     started = time.perf_counter()
     tokens = 0
     window = []
     for step in range(1, opt["steps"] + 1):
-        inputs, targets = next_batch()
+        if step > 1:
+            inputs, targets = next_batch()
         model.zero_grad()
         with Graph() as graph:
             loss = model.loss(inputs, targets, training=True, rng=jitter_rng)

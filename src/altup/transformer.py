@@ -74,15 +74,9 @@ class LayerParams:
 
 
 def embed(token_ids, table: Tensor) -> Tensor:
-    """Rows of ``table`` selected by token id; ids of shape (T,) or (B, T)."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    vocab = table.data.shape[0]
-    flat = ids.reshape(-1)  # positions count in row-major order
-    bad = np.nonzero((flat < 0) | (flat >= vocab))[0]
-    if bad.size:
-        pos = int(bad[0])
-        raise IndexError(f"embed: token id {int(flat[pos])} at position {pos} out of range [0, {vocab})")
-    return T.gather_rows(table, ids)
+    """Rows of ``table`` selected by token id; ids of shape (T,) or (B, T).
+    An id outside the table raises ``gather_rows``'s IndexError."""
+    return T.gather_rows(table, token_ids)
 
 
 def _causal_mask(n: int) -> Tensor:
@@ -131,13 +125,7 @@ def lm_head(x: Tensor, table: Tensor) -> Tensor:
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over all positions of -log softmax(logits)[target], max-shifted for
-    stability; logits (..., T, V) and targets (..., T)."""
-    tgt = np.asarray(targets, dtype=np.int64)
-    vocab = logits.data.shape[-1]
-    flat = tgt.reshape(-1)
-    bad = np.nonzero((flat < 0) | (flat >= vocab))[0]
-    if bad.size:
-        pos = int(bad[0])
-        raise IndexError(f"cross_entropy: target {int(flat[pos])} at position {pos} out of range [0, {vocab})")
-    picked = T.gather_cols(T.log_softmax(logits), tgt)
+    stability; logits (..., T, V) and targets (..., T). A target outside the
+    vocabulary raises ``gather_cols``'s IndexError."""
+    picked = T.gather_cols(T.log_softmax(logits), targets)
     return T.scalar_mul(T.mean_all(picked), -1.0)

@@ -383,6 +383,21 @@ def test_spherical_sampler_matches_full_draw(n, l, f, d):
     assert abs(got - want) <= 3 * se, (got, want)
 
 
+
+@pytest.mark.parametrize("l,f,d", [(16, 0.5, 8), (8, 0.25, 4)])
+def test_spherical_two_buckets_match_the_angle_reference(l, f, d):
+    # at n = 2, top-1 of two isotropic rows is the sign of the mix's dot with
+    # their difference, itself isotropic: the pair collides with probability
+    # 1 - theta/pi (Charikar 2002). theta comes from _pair_mixes on its own
+    # seed with 10x the trials, so only the bucketing is under test.
+    trials, draws = 5000, 50000
+    u = col._pair_mixes(l, f, d, 58, 0, draws)
+    ratio = np.arccos(np.clip((u[:, 0] * u[:, 1]).sum(axis=-1), -1.0, 1.0)) / np.pi
+    want = 1.0 - ratio.mean()
+    got = col.estimate_collision("spherical", 2, l, f, d, trials, seed=57).probability
+    se = np.sqrt(got * (1 - got) / trials + ratio.var() / draws)
+    assert abs(got - want) <= 3 * se, (got, want, se)
+
 def test_spherical_runs_at_two_dims():
     est = col.estimate_collision("spherical", 16, 8, 0.5, 2, trials=200, seed=43)
     assert 0.0 < est.probability < 1.0

@@ -443,3 +443,35 @@ def test_graphs_do_not_see_other_threads():
     assert seen == {"fresh": None, "waited": True, "own": ["relu"], "untracked": True}
     assert [node.op for node in main.nodes] == ["scalar_mul"]
     assert T.active_graph() is None
+
+
+
+@pytest.mark.parametrize("op,call", [
+    ("gather_rows", lambda idx: T.gather_rows(t(np.zeros((5, 4))), idx)),
+    ("scatter_rows", lambda idx: T.scatter_rows(t(np.zeros((6, 4))), np.reshape(idx, -1), 5)),
+    ("gather_cols", lambda idx: T.gather_cols(t(np.zeros((2, 3, 5))), idx)),
+], ids=["gather_rows", "scatter_rows", "gather_cols"])
+def test_index_errors_name_the_bad_value_and_its_position(op, call):
+    # the first index outside [0, 5) in row-major order, either side
+    for idx, bad, pos in (([[0, 1, 2], [2, 7, -1]], 7, 4), ([[0, -1, 2], [2, 9, 1]], -1, 1)):
+        with pytest.raises(IndexError) as ei:
+            call(np.array(idx))
+        assert str(ei.value) == f"{op}: index {bad} at position {pos} out of range [0, 5)"
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_size_one_losses_backward_item_and_grad_check(shape):
+    # backward accepts every size-1 loss shape, so item and grad_check must too
+    rng = np.random.default_rng(60)
+    a = t(rng.standard_normal((1, 3)), rg=True)
+    b = t(rng.standard_normal((3, 1)), rg=True)
+
+    def f(params):
+        return T.reshape(T.matmul(*params), shape)
+
+    with Graph() as g:
+        loss = f([a, b])
+    backward(g, loss)
+    assert loss.item() == (a.data @ b.data)[0, 0]
+    assert np.array_equal(a.grad, b.data.T) and np.array_equal(b.grad, a.data.T)
+    assert grad_check(f, [a, b]) < 1e-8

@@ -125,6 +125,24 @@ def test_zero_steps_emits_init_metrics_only(tmp_path):
         assert np.array_equal(p0.data, p1.data)
 
 
+
+def test_init_row_is_the_loss_of_the_first_trained_batch(tmp_path):
+    # a batch larger than the train set wraps into a second permutation, so
+    # the first batch is not perm[:batch_size]
+    cfg = config_from_dict(_raw(
+        task={"name": "copy", "seq_len": 9, "n_train": 3, "n_eval": 8},
+        optimizer={"learning_rate": 0.05, "steps": 1, "batch_size": 5}, eval_interval=1))
+    train(cfg, tmp_path / "run")
+    rows = [line.split(",") for line in
+            (tmp_path / "run" / "metrics.csv").read_text().strip().split("\n")[1:]]
+    order_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
+    first = np.concatenate([order_rng.permutation(3), order_rng.permutation(3)])[:5]
+    data = train_module.make_task_data(cfg)
+    want = build_model(cfg).loss(data.train_inputs[first], data.train_targets[first]).item()
+    assert rows[0][:2] == ["0", repr(want)]
+    # step 1's loss, taken before its update, is on the same batch
+    assert rows[1][:2] == ["1", repr(want)]
+
 def test_training_is_byte_deterministic(tmp_path):
     cfg = config_from_dict(_raw())
     train(cfg, tmp_path / "a")
@@ -342,6 +360,28 @@ def test_checkpoint_failed_load_changes_nothing(tmp_path):
     assert all(np.array_equal(a, b) for a, (_, b) in zip(before, arrays(other)))
 
 
+
+def test_checkpoint_rejects_a_tensor_named_twice(tmp_path, capsys):
+    path = tmp_path / "dup.ckpt"
+    ckpt.save_checkpoint(path, [("a", np.zeros(2)), ("a", np.ones(2))])
+    with pytest.raises(ckpt.CheckpointError, match="header lists tensor 'a' twice"):
+        ckpt.load_checkpoint(path)
+    # a zero copy of a real tensor ahead of the real one: the load fails and
+    # the model keeps its values
+    cfg = config_from_dict(_raw())
+    model = build_model(cfg)
+    entries = [(n, p.data) for n, p in model.named_parameters()]
+    name, first = entries[0]
+    ckpt.save_checkpoint(path, [(name, np.zeros_like(first))] + entries)
+    other = build_model(cfg)
+    before = [p.data.copy() for p in other.parameters()]
+    with pytest.raises(ckpt.CheckpointError, match=f"header lists tensor {name!r} twice"):
+        ckpt.load_model(other, path)
+    assert all(np.array_equal(a, p.data) for a, p in zip(before, other.parameters()))
+    cfg_path = _write_config(tmp_path, _raw())
+    assert cli.main(["eval", "--config", cfg_path, "--checkpoint", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error:")
+
 @pytest.mark.parametrize("header", [
     b"\xff{}", b"{", b"[1, 2]", b"{}", b'{"tensors": {}}', b'{"tensors": [5]}',
     b'{"tensors": [{"shape": [1]}]}', b'{"tensors": [{"name": 1, "shape": [1]}]}',
@@ -465,6 +505,20 @@ def test_cli_non_object_config_root_exits_1(tmp_path, capsys, root, extra):
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_cli_unreadable_config_exits_1(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    for argv in (["cost"], ["train", "--seed", "1", "--out", str(tmp_path / "x")]):
+        assert cli.main(argv + ["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, _raw())
