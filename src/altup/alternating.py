@@ -3,9 +3,10 @@
 The representation is widened from d to K*d, split into K contiguous d-wide
 sub-blocks. Each layer runs the real transformer layer on one selected block
 and reconstructs the rest with a predict-compute-correct scheme driven by
-K*K + K trainable scalars. Also provides the summation baseline and the
-embedding-recycling input/output path. The closed-form parameter counts of
-these variants live in :mod:`altup.costs`.
+K*K + K trainable scalars. Also provides ``widen``, which the model's input
+stream uses to tile d-wide embeddings, and the down-projection that ends the
+embedding-recycling path. The closed-form parameter counts of these variants
+live in :mod:`altup.costs`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .schema import DEFAULTS, SELECTION_MODES
 from .tensor import Tensor
-from .transformer import LayerParams, embed, layer_forward
+from .transformer import LayerParams, layer_forward
 
 
 @dataclass
@@ -69,7 +70,7 @@ def select_block(layer_index: int, cfg: AltUpConfig) -> int:
 
 
 def altup_layer_forward(x_old: Tensor, params: AltUpLayerParams, j_star: int,
-                        causal: bool = True, inner_fn=None) -> Tensor:
+                        inner_fn=None) -> Tensor:
     """Predict-compute-correct over the K sub-blocks of ``x_old`` (..., T, K*d).
 
     Predict  x_hat_i = sum_j p[i, j] * block_j,
@@ -90,7 +91,7 @@ def altup_layer_forward(x_old: Tensor, params: AltUpLayerParams, j_star: int,
 
     block = T.slice_last(x_old, j_star * d, d)
     x_hat = T.matmul(params.p, T.reshape(x_old, (*lead, k, d)))
-    y = layer_forward(block, params.inner, causal=causal) if inner_fn is None else inner_fn(block)
+    y = layer_forward(block, params.inner) if inner_fn is None else inner_fn(block)
     hat_star = T.gather_rows(x_hat, [j_star])
 
     # Evaluated as (x_hat_i - g_i*x_hat_star) + g_i*y: with g = 0 the output is
@@ -102,23 +103,11 @@ def altup_layer_forward(x_old: Tensor, params: AltUpLayerParams, j_star: int,
     return T.reshape(x_new, x_old.data.shape)
 
 
-def sum_consume(x: Tensor, extra: Tensor) -> Tensor:
-    """Summation baseline: fold an extra embedding block into the token vector."""
-    if x.data.shape != extra.data.shape:
-        raise T.ShapeError("sum_consume", x.data.shape, extra.data.shape)
-    return T.add(x, extra)
-
-
 def widen(x: Tensor, k: int) -> Tensor:
     """k copies of x side by side along the last axis; x itself when k = 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return x if k == 1 else T.concat_last([x] * k)
-
-
-def recycled_embed(token_ids, table: Tensor, k: int) -> Tensor:
-    """d-wide lookup replicated k times into a (..., T, k*d) representation."""
-    return widen(embed(token_ids, table), k)
 
 
 def recycled_downproject(x: Tensor, k: int) -> Tensor:

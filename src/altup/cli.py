@@ -2,7 +2,8 @@
 
 Configuration comes from a JSON file plus repeatable ``--set key=value``
 overrides (dotted paths, JSON-parsed values). Exit codes: 0 success,
-1 configuration error, 2 runtime/divergence error.
+1 configuration error, 2 runtime/divergence error (a failed allocation
+included).
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, ValueError, OSError) as exc:
+    except (CheckpointError, ValueError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

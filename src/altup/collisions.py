@@ -36,7 +36,8 @@ on (a, b, |g|) alone.
 Calls that share trials out over several workers use one process pool per
 process, built on first use and kept for later calls of the same size, so
 only the first pays for starting it. ``close_pool`` (also run at exit)
-terminates it.
+terminates it. A child made by ``os.fork`` neither uses nor terminates its
+parent's pool: it builds its own on its first pooled call.
 """
 
 from __future__ import annotations
@@ -367,26 +368,26 @@ _MAX_CHUNK = 1000
 class _SharedPool:
     """The one worker pool of this process, reused by every pooled call.
 
-    A call that needs another size replaces it. Only the process that built
-    the pool uses it: a forked child that inherits one builds its own. A pool
-    whose map raises is terminated, so the next call starts clean. Calls hold
-    a lock while they map, so threads take turns on the pool.
+    A call that needs another size replaces it. A pool whose map raises is
+    terminated, so the next call starts clean. Calls hold a lock while they
+    map, so threads take turns on the pool. A forked child forgets the pool
+    it inherits (see ``forget_in_child``) and builds its own.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._pool = None
-        self._pid = self._size = 0
+        self._size = 0
 
     def map(self, fn, args: list, size: int) -> list:
         with self._lock:
-            if self._pool is not None and (self._pid, self._size) != (os.getpid(), size):
+            if self._pool is not None and self._size != size:
                 self._drop()
             if self._pool is None:
                 import multiprocessing
 
                 self._pool = multiprocessing.Pool(size)
-                self._pid, self._size = os.getpid(), size
+                self._size = size
             try:
                 return self._pool.map(fn, args)
             except BaseException:
@@ -398,14 +399,31 @@ class _SharedPool:
             self._drop()
 
     def _drop(self):
-        """Forget the pool; terminate and reap it first if this process built it."""
+        """Terminate and reap the pool, and forget it."""
         pool, self._pool = self._pool, None
-        if pool is not None and self._pid == os.getpid():
+        if pool is not None:
             pool.terminate()
             pool.join()
 
+    def forget_in_child(self):
+        """Run in a forked child: forget the parent's pool without touching it.
+
+        The child's copy of ``multiprocessing.process._children`` lists the
+        parent's workers, and ``multiprocessing`` terminates every daemonic
+        process in that set when the child exits. Dropping them from it leaves
+        the parent's workers alive whatever the child does. The lock is new
+        too, since one that another thread held at the fork stays held here.
+        """
+        self._lock = threading.Lock()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            from multiprocessing import process
+
+            process._children.difference_update(pool._pool)
+
 
 _POOL = _SharedPool()
+os.register_at_fork(after_in_child=_POOL.forget_in_child)
 
 
 def close_pool():

@@ -7,7 +7,8 @@ memory table attached to each layer. ``Model`` takes the ``altup``, ``seq``
 and ``memory`` sections as dicts and completes and checks them with
 ``schema.resolve``, the resolver the config parser and the cost model use.
 Parameter creation order is fixed by construction so checkpoints and the
-parameter census are deterministic.
+parameter census are deterministic. Each layer is built once, as a pair of
+its parameters and its forward step, and ``forward`` runs the steps in order.
 ``forward`` and ``loss`` take token ids of shape (T,) or (B, T) through the
 same code; only the memory lookups visit positions one at a time, each
 lookup returning ``(indices, weights | None)``. Each position hands its (1, d)
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .alternating import (AltUpConfig, AltUpLayerParams, altup_layer_forward,
-                          recycled_downproject, select_block, sum_consume, widen)
+                          recycled_downproject, select_block, widen)
 from .costs import wrapped_layers
 from .memory import (HyperplaneLshParams, MemoryTable, RouterParams,
                      lsh_lookup, memory_augmented_forward,
@@ -31,6 +32,31 @@ from .sequence import (SeqAltUpParams, average_pool_seq, pooled_target_positions
                        seq_altup_forward, stride_and_skip_forward)
 from .tensor import Tensor
 from .transformer import LayerParams, ModelConfig, cross_entropy, embed, layer_forward, lm_head
+
+
+def _memory_augment(slot, x_in, inner_out, ids, training, rng):
+    """``inner_out`` plus the memory slot's expert outputs at every position."""
+    kind, table = slot["kind"], slot["table"]
+    t, d = ids.shape[-1], x_in.data.shape[-1]
+    if kind == "minhash":
+        # one bucket per sequence, from the set of its token ids
+        lookups = [minhash_sequence_lookup(s, slot["perm_seed"], table.n)
+                   for s in ids.reshape(-1, t)]
+    else:
+        if kind == "softmax":
+            lookup = softmax_lookup(slot["router"], training=training, rng=rng)
+        elif kind == "token_id":
+            lookup = token_id_fixed_lookup(table.n)
+        else:
+            lookup = lsh_lookup(slot["lsh"])
+        lookups = [lookup] * (ids.size // t)
+    x_rows = T.reshape(x_in, (ids.size, d))
+    inner_rows = T.reshape(inner_out, (ids.size, d))
+    rows = [memory_augmented_forward(T.gather_rows(x_rows, [pos]), int(token),
+                                     T.gather_rows(inner_rows, [pos]),
+                                     lookups[pos // t], table)
+            for pos, token in enumerate(ids.reshape(-1))]
+    return T.reshape(T.concat_last(rows), x_in.data.shape)
 
 
 class Model:
@@ -58,25 +84,14 @@ class Model:
         self.pos_table = Tensor(rng.normal(0, emb_std, (cfg.max_seq_len, d)),
                                 requires_grad=True, name="pos.table")
 
-        self.layers = []
-        for i in range(cfg.n_layers):
-            prefix = f"layers.{i}"
-            entry = {}
-            inner = LayerParams(d, cfg.ffn_hidden, cfg.n_heads, rng, prefix=prefix)
-            if self.altup_cfg is not None:
-                entry["altup"] = AltUpLayerParams(self.altup_cfg, inner, prefix=f"{prefix}.altup")
-                entry["j_star"] = select_block(i, self.altup_cfg)
-            else:
-                entry["inner"] = inner
-                if variant in ("seq_altup", "stride_skip"):
-                    entry["wrapped"] = i in wrapped_layers(cfg.n_layers, self.seq["wrap"])
-                    if variant == "seq_altup" and entry["wrapped"]:
-                        entry["seq"] = SeqAltUpParams(self.seq["stride"], prefix=f"{prefix}.seq")
-            self.layers.append(entry)
-
+        # every draw of the layer weights precedes every draw of the memory
+        # tables; the wrappers around each layer draw nothing
+        inners = [LayerParams(d, cfg.ffn_hidden, cfg.n_heads, rng, prefix=f"layers.{i}")
+                  for i in range(cfg.n_layers)]
         self._mem = []
         if self.memory is not None:
             self._init_memory(self.memory, rng)
+        self.layers = [self._build_layer(i, inner) for i, inner in enumerate(inners)]
 
     def _init_memory(self, memory, rng):
         d, n, lookup = self.cfg.d_model, memory["n"], memory["lookup"]
@@ -96,26 +111,42 @@ class Model:
                                         prefix=f"layers.{i}.table")
             self._mem.append(slot)
 
+    def _build_layer(self, i, inner):
+        """Layer i as (its parameters in checkpoint order, its forward step
+        ``(x, ids, training, rng) -> x``).
+
+        The steps look the layer functions up in this module when they run, so
+        a function patched here after construction is the one that runs.
+        """
+        if self.altup_cfg is not None:
+            block = AltUpLayerParams(self.altup_cfg, inner, prefix=f"layers.{i}.altup")
+            j_star = select_block(i, self.altup_cfg)
+            return block.params(), lambda x, *_: altup_layer_forward(x, block, j_star)
+        wrapped = self.seq is not None and i in wrapped_layers(self.cfg.n_layers,
+                                                                self.seq["wrap"])
+        if wrapped and self.variant == "seq_altup":
+            seq = SeqAltUpParams(self.seq["stride"], prefix=f"layers.{i}.seq")
+            return (seq.params() + inner.params(),
+                    lambda x, *_: seq_altup_forward(x, inner, seq))
+        if wrapped and self.variant == "stride_skip":
+            stride = self.seq["stride"]
+            return inner.params(), lambda x, *_: stride_and_skip_forward(x, inner, stride)
+        if not self._mem:
+            return inner.params(), lambda x, *_: layer_forward(x, inner)
+        slot = self._mem[i]
+        router = [slot["router"].w] if "router" in slot else []
+        # the step holds no reference to the model, so a dropped model is freed
+        # at once rather than by the cycle collector
+        return (inner.params() + router + slot["table"].params(),
+                lambda x, ids, training, rng: _memory_augment(
+                    slot, x, layer_forward(x, inner), ids, training, rng))
+
     # -- parameters ---------------------------------------------------------
 
     def parameters(self):
-        params = [self.embed_table]
-        if self.extra_table is not None:
-            params.append(self.extra_table)
-        params.append(self.pos_table)
-        for i, entry in enumerate(self.layers):
-            if "altup" in entry:
-                params.extend(entry["altup"].params())
-            else:
-                if "seq" in entry:
-                    params.extend(entry["seq"].params())
-                params.extend(entry["inner"].params())
-            if self._mem:
-                slot = self._mem[i]
-                if "router" in slot:
-                    params.append(slot["router"].w)
-                params.extend(slot["table"].params())
-        return params
+        tables = [self.embed_table, self.extra_table, self.pos_table]
+        return ([t for t in tables if t is not None]
+                + [p for params, _ in self.layers for p in params])
 
     def named_parameters(self):
         return [(p.name, p) for p in self.parameters()]
@@ -153,38 +184,11 @@ class Model:
         if t > self.cfg.max_seq_len:
             raise ValueError(f"sequence length {t} exceeds max_seq_len {self.cfg.max_seq_len}")
         pos = T.gather_rows(self.pos_table, np.arange(t))
-        if self.variant == "altup":
-            return T.add(embed(ids, self.embed_table), widen(pos, self.altup_cfg.k))
-        if self.variant == "recycled_altup":
-            return widen(T.add(embed(ids, self.embed_table), pos), self.altup_cfg.k)
-        if self.variant == "sum_baseline":
-            mixed = sum_consume(embed(ids, self.embed_table),
-                                embed(ids, self.extra_table))
-            return T.add(mixed, pos)
-        return T.add(embed(ids, self.embed_table), pos)
-
-    def _memory_augment(self, slot, x_in, inner_out, ids, training, rng):
-        kind, table = slot["kind"], slot["table"]
-        t, d = ids.shape[-1], x_in.data.shape[-1]
-        if kind == "minhash":
-            # one bucket per sequence, from the set of its token ids
-            lookups = [minhash_sequence_lookup(s, slot["perm_seed"], table.n)
-                       for s in ids.reshape(-1, t)]
-        else:
-            if kind == "softmax":
-                lookup = softmax_lookup(slot["router"], training=training, rng=rng)
-            elif kind == "token_id":
-                lookup = token_id_fixed_lookup(table.n)
-            else:
-                lookup = lsh_lookup(slot["lsh"])
-            lookups = [lookup] * (ids.size // t)
-        x_rows = T.reshape(x_in, (ids.size, d))
-        inner_rows = T.reshape(inner_out, (ids.size, d))
-        rows = [memory_augmented_forward(T.gather_rows(x_rows, [pos]), int(token),
-                                         T.gather_rows(inner_rows, [pos]),
-                                         lookups[pos // t], table)
-                for pos, token in enumerate(ids.reshape(-1))]
-        return T.reshape(T.concat_last(rows), x_in.data.shape)
+        x = embed(ids, self.embed_table)
+        if self.extra_table is not None:
+            x = T.add(x, embed(ids, self.extra_table))
+        x = T.add(x, widen(pos, x.data.shape[-1] // self.cfg.d_model))
+        return widen(x, self.altup_cfg.k) if self.variant == "recycled_altup" else x
 
     def forward(self, ids, training: bool = False, rng=None):
         """Token ids (T,) or (B, T) -> (logits (..., T', V), the target
@@ -197,19 +201,8 @@ class Model:
             x = average_pool_seq(x, self.seq["stride"])
             out_positions = pooled_target_positions(t, self.seq["stride"])
 
-        for i, entry in enumerate(self.layers):
-            if "altup" in entry:
-                x = altup_layer_forward(x, entry["altup"], entry["j_star"], causal=True)
-            elif self.variant == "seq_altup" and entry.get("wrapped"):
-                x = seq_altup_forward(x, entry["inner"], entry["seq"], causal=True)
-            elif self.variant == "stride_skip" and entry.get("wrapped"):
-                x = stride_and_skip_forward(x, entry["inner"], self.seq["stride"],
-                                            causal=True)
-            else:
-                x_in = x
-                x = layer_forward(x, entry["inner"], causal=True)
-                if self._mem:
-                    x = self._memory_augment(self._mem[i], x_in, x, ids, training, rng)
+        for _, step in self.layers:
+            x = step(x, ids, training, rng)
 
         if self.variant == "recycled_altup":
             x = recycled_downproject(x, self.altup_cfg.k)

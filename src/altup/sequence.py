@@ -36,8 +36,7 @@ def _sampled_positions(t: int, k: int) -> np.ndarray:
     return np.arange(0, t, k, dtype=np.int64)
 
 
-def seq_altup_forward(x: Tensor, inner: LayerParams, p: SeqAltUpParams,
-                      causal: bool = True) -> Tensor:
+def seq_altup_forward(x: Tensor, inner: LayerParams, p: SeqAltUpParams) -> Tensor:
     """Sequence-axis predict-compute-correct with stride ``p.stride``.
 
     Prediction: y_hat_i = a1*x_i + a2*x_anchor(i),  anchor(i) = floor(i/k)*k.
@@ -53,7 +52,7 @@ def seq_altup_forward(x: Tensor, inner: LayerParams, p: SeqAltUpParams,
     sampled = _sampled_positions(t, k)
 
     y_hat = T.add(T.mul(p.a1, x), T.mul(p.a2, T.gather_rows(x, anchors)))
-    y_sub = layer_forward(T.gather_rows(x, sampled), inner, causal=causal)
+    y_sub = layer_forward(T.gather_rows(x, sampled), inner)
     y_comp = T.gather_rows(y_sub, anchors // k)
     y_hat_anchor = T.gather_rows(y_hat, anchors)
 
@@ -63,8 +62,7 @@ def seq_altup_forward(x: Tensor, inner: LayerParams, p: SeqAltUpParams,
     return T.add(T.sub(y_hat, T.mul(p.b, y_hat_anchor)), T.mul(p.b, y_comp))
 
 
-def stride_and_skip_forward(x: Tensor, inner: LayerParams, k: int,
-                            causal: bool = True) -> Tensor:
+def stride_and_skip_forward(x: Tensor, inner: LayerParams, k: int) -> Tensor:
     """Run the layer on every k-th position; other positions pass through."""
     t = x.data.shape[-2]
     if t < 1:
@@ -72,7 +70,7 @@ def stride_and_skip_forward(x: Tensor, inner: LayerParams, k: int,
     if k < 1:
         raise ValueError("stride must be >= 1")
     sampled = _sampled_positions(t, k)
-    y_sub = layer_forward(T.gather_rows(x, sampled), inner, causal=causal)
+    y_sub = layer_forward(T.gather_rows(x, sampled), inner)
     placed = T.scatter_rows(y_sub, sampled, t)
     keep = np.ones(x.data.shape[-2:])
     keep[sampled] = 0.0

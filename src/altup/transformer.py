@@ -84,8 +84,10 @@ def _causal_mask(n: int) -> Tensor:
     return Tensor(mask)
 
 
-def layer_forward(x: Tensor, params: LayerParams, causal: bool = True) -> Tensor:
+def layer_forward(x: Tensor, params: LayerParams) -> Tensor:
     """One pre-LN residual layer on (..., T, d): x + Attn(LN(x)), then + FFN(LN(.)).
+
+    Attention is causal: position t attends to positions 0..t only.
 
     Heads are a reshape to (..., T, H, d/H) and a swap to (..., H, T, d/H), so
     scores and value mixing are one batched product each.
@@ -104,8 +106,7 @@ def layer_forward(x: Tensor, params: LayerParams, causal: bool = True) -> Tensor
     k = split(T.matmul(h, params.wk))
     v = split(T.matmul(h, params.wv))
     scores = T.scalar_mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
-    if causal:
-        scores = T.add(scores, _causal_mask(n))
+    scores = T.add(scores, _causal_mask(n))
     mixed = T.transpose(T.matmul(T.softmax(scores), v), -3, -2)
     attn = T.matmul(T.reshape(mixed, (*lead, n, d)), params.wo)
     x1 = T.add(x, attn)

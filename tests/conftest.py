@@ -27,9 +27,9 @@ def layer_calls(monkeypatch):
     calls = []
     original = transformer.layer_forward
 
-    def spy(x, params, causal=True):
+    def spy(x, params):
         calls.append(x.data.shape[-2])
-        return original(x, params, causal=causal)
+        return original(x, params)
 
     for module in (transformer, models, alternating, sequence):
         monkeypatch.setattr(module, "layer_forward", spy)

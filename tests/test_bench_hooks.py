@@ -9,7 +9,7 @@ up, the four lookup factories in ``memory`` and ``models``, and three
 import importlib.util
 from pathlib import Path
 
-from altup import memory, models
+from altup import memory, models, transformer as tr
 
 TRACING = Path(__file__).resolve().parent.parent / "altbench" / "tracing.py"
 
@@ -41,3 +41,20 @@ def test_tracer_hooks_resolve_and_uninstall_restores_them():
     left = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, fn in originals
             if getattr(owner, attr) is not fn]
     assert not left, f"uninstall left these patched: {left}"
+
+
+def test_hooks_installed_after_construction_see_every_call():
+    cfg = tr.ModelConfig(d_model=8, n_layers=3, n_heads=2, ffn_hidden=16, vocab_size=11,
+                         max_seq_len=8)
+    model = models.Model(cfg, "dense", seed=1,
+                         memory={"n": 11, "rank": 2, "lookup": "token_id"})
+    ids = [1, 4, 7, 2, 9]
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        model.forward(ids)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("transformer.layer_forward") == cfg.n_layers
+    assert names.count("memory.memory_augmented_forward") == cfg.n_layers * len(ids)

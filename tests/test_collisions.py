@@ -3,6 +3,9 @@ the acceptance suite runs the full-scale configuration)."""
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +131,7 @@ class InProcessPool:
     def __init__(self, processes):
         self.processes = processes
         self.terminated = self.joined = False
+        self._pool = []  # its worker processes: none
 
     def map(self, fn, args):
         return list(map(fn, args))
@@ -213,11 +217,46 @@ def test_pool_is_rebuilt_when_size_or_process_changes(pools, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     _pooled_minhash(5)
     assert [p.processes for p in pools] == [2, 3, 4, 3]
-    parent = os.getpid()
-    monkeypatch.setattr(os, "getpid", lambda: parent + 1)  # as a forked child sees it
+    col._POOL.forget_in_child()  # as the at-fork hook runs in a forked child
     _pooled_minhash(3)
     assert [p.processes for p in pools] == [2, 3, 4, 3, 3]
     assert not pools[3].terminated, "a child must not terminate its parent's pool"
+    col.close_pool()
+    assert not pools[3].terminated and pools[4].terminated
+
+
+_FORK_SCENARIO = """
+import os, sys
+from altup import collisions as col
+
+def estimate():
+    return col.estimate_collision("spherical", 64, 8, 0.5, 8, trials=400, seed=5,
+                                  workers=2).probability
+
+first = estimate()
+pid = os.fork()
+if pid == 0:
+    sys.exit(0 if estimate() == first else 3)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status), estimate() == first)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: estimates run without a pool")
+def test_forked_child_leaves_the_parents_pool_working():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(col.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-c", _FORK_SCENARIO], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the scenario and every worker it left
+        proc.communicate()
+        pytest.fail("the parent's pooled call hung after its forked child exited")
+    assert proc.returncode == 0, err
+    assert out.split() == ["0", "True"], err
 
 
 def test_pool_whose_map_raises_is_terminated_not_reused(pools, monkeypatch):
@@ -247,6 +286,28 @@ def test_close_pool_leaves_no_worker_alive():
     col.close_pool()
     col.close_pool()  # closing without a pool is a no-op
     assert multiprocessing.active_children() == []
+
+
+def _overcommits_always():
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            return fh.read().strip() == "1"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(_overcommits_always(),
+                    reason="the kernel grants any allocation, so terabytes would be touched")
+@pytest.mark.parametrize("args", [
+    ["--l", "1000000000000", "--f", "0.5", "--trials", "1", "--schemes", "hyperplane"],
+    ["--l", "1000000000000", "--f", "0.5", "--trials", "1", "--schemes", "spherical"],
+    ["--n", "1000000000000", "--schemes", "spherical"],
+], ids=["l-hyperplane", "l-spherical", "n-spherical"])
+def test_collide_allocation_failure_exits_2(args, capsys):
+    # each size asks numpy for terabytes, which fails at allocation time
+    assert cli.main(["collide", "--seed", "1", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "Unable to allocate" in err
 
 
 @pytest.mark.parametrize("scheme", col.SCHEMES)

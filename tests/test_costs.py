@@ -20,7 +20,7 @@ def test_layer_flops_match_instrumented_counter(n, d, ffn, heads):
     params = tr.LayerParams(d, ffn, heads, np.random.default_rng(0))
     x = T.Tensor(np.random.default_rng(1).standard_normal((n, d)))
     T.reset_mac_count()
-    tr.layer_forward(x, params, causal=True)
+    tr.layer_forward(x, params)
     attn, f = costs.layer_flops(n, d, ffn, heads)
     assert T.mac_count() == attn + f
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from altup import tensor as T
 from altup import transformer as tr
@@ -57,17 +58,26 @@ def _layer(d=8, ffn=16, heads=2, seed=0, prefix="l0"):
 def test_residual_identity_with_zeroed_sublayers():
     params = _layer().zero_all()
     x = Tensor(np.random.default_rng(1).standard_normal((4, 8)))
-    out = tr.layer_forward(x, params, causal=True)
+    out = tr.layer_forward(x, params)
     assert np.array_equal(out.data, x.data)
+
+
+def _layer_norm(x, scale):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    return xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-6) * scale
 
 
 def test_single_position_causal():
     params = _layer(seed=3)
-    x = Tensor(np.random.default_rng(2).standard_normal((1, 8)))
-    out = tr.layer_forward(x, params, causal=True)
-    ref = tr.layer_forward(x, params, causal=False)
-    # attention over a single position is forced to weight 1 either way
-    assert np.allclose(out.data, ref.data)
+    x = np.random.default_rng(2).standard_normal((1, 8))
+    out = tr.layer_forward(Tensor(x), params)
+    # one position attends only to itself, with weight 1: Attn(h) = h Wv Wo
+    x1 = x + _layer_norm(x, params.ln_attn.data) @ params.wv.data @ params.wo.data
+    h2 = _layer_norm(x1, params.ln_ffn.data)
+    up = h2 @ params.w_gate.data
+    gated = 0.5 * up * (1.0 + erf(up / np.sqrt(2.0))) * (h2 @ params.w_up.data)
+    ref = x1 + gated @ params.w_down.data
+    assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
     assert out.data.shape == (1, 8)
 
 
@@ -75,11 +85,11 @@ def test_causal_masking_blocks_future():
     params = _layer(seed=5)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((5, 8))
-    base = tr.layer_forward(Tensor(x), params, causal=True).data
+    base = tr.layer_forward(Tensor(x), params).data
     for t in range(4):
         perturbed = x.copy()
         perturbed[t + 1:] += rng.standard_normal(perturbed[t + 1:].shape)
-        out = tr.layer_forward(Tensor(perturbed), params, causal=True).data
+        out = tr.layer_forward(Tensor(perturbed), params).data
         assert np.array_equal(out[: t + 1], base[: t + 1]), f"future leak at position {t}"
 
 
@@ -94,7 +104,7 @@ def test_layer_gradients_match_finite_differences():
     x = Tensor(np.random.default_rng(12).standard_normal((4, 8)))
 
     def f(ps):
-        out = tr.layer_forward(x, params, causal=True)
+        out = tr.layer_forward(x, params)
         return T.mean_all(T.mul(out, out))
 
     err = grad_check(f, params.params(), eps=1e-5)
@@ -163,7 +173,7 @@ def test_end_to_end_two_layer_gradcheck():
     def f(ps):
         x = tr.embed(ids, table)
         for lp in layers:
-            x = tr.layer_forward(x, lp, causal=True)
+            x = tr.layer_forward(x, lp)
         return tr.cross_entropy(tr.lm_head(x, table), targets)
 
     params = [table] + [p for lp in layers for p in lp.params()]
