@@ -82,7 +82,8 @@ def load_checkpoint(path):
             f"{path}: header 'tensors' is not a list of {{name, shape}} entries")
     if not isinstance(header.get("integers", {}), dict):
         raise CheckpointError(f"{path}: header 'integers' is not an object")
-    payload = raw[16 + header_len:]
+    # a view, not a slice: a bytes slice would hold the payload a second time
+    payload = memoryview(raw)[16 + header_len:]
     expected = sum(math.prod(t["shape"]) for t in tensors) * 8
     if len(payload) < expected:
         raise CheckpointTruncatedError(

@@ -2,10 +2,15 @@
 
 Operations record onto the active :class:`Graph` (a tape) when any input
 requires gradients and a graph is active; otherwise they evaluate eagerly
-with no tracking. Broadcasting is deliberately restricted: operand shapes
-must match exactly, or the smaller shape must be a trailing suffix of the
-larger (leading-batch expansion), or one operand must be scalar-shaped.
-Anything else raises :class:`ShapeError` rather than silently expanding.
+with no tracking. :func:`backward` consumes the graph it is given: each node
+is dropped once it has propagated, with the arrays its closure holds and its
+output's gradient, so a graph runs backward once. Only leaves (tensors no
+node of the graph produced, such as parameters and inputs) keep ``.grad``,
+and leaf gradients accumulate across graphs. Broadcasting is deliberately
+restricted: operand shapes must match exactly, or the smaller shape must be
+a trailing suffix of the larger (leading-batch expansion), or one operand
+must be scalar-shaped. Anything else raises :class:`ShapeError` rather than
+silently expanding.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Raised on invalid backward calls (non-scalar loss, foreign loss)."""
+    """Raised on invalid backward calls (non-scalar loss, a loss that is not
+    on the tape, including a second backward on a consumed graph)."""
 
 
 class NonFiniteError(FloatingPointError):
@@ -117,7 +123,7 @@ class Graph:
     """Tape of primitive applications, rebuilt per forward pass.
 
     Use as a context manager around a forward computation, then call
-    :func:`backward` on the scalar loss.
+    :func:`backward` on the scalar loss once: backward empties ``nodes``.
     """
 
     def __init__(self):
@@ -144,22 +150,29 @@ def _record(op, inputs, out_data, backward_fn) -> Tensor:
 
 
 def backward(graph: Graph, loss: Tensor):
-    """Accumulate d(loss)/d(tensor) into ``.grad`` of every tensor on the tape.
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every leaf on the tape.
 
-    Gradients accumulate additively across fan-out and across repeated calls;
-    callers reset parameter grads between steps. Accumulation order is the
-    fixed reverse tape order, so results are bitwise deterministic.
+    Consumes the graph: nodes are popped in reverse tape order, and once a
+    node has propagated it is dropped, with the arrays its closure holds,
+    and its output's ``.grad`` is reset to None. The peak is then what the
+    tape still needs, not the whole tape plus every intermediate gradient.
+    Leaves (tensors no node of this graph produced) keep their gradients,
+    which accumulate additively across fan-out and across graphs; callers
+    reset parameter grads between steps. Accumulation order is the fixed
+    reverse tape order, so results are bitwise deterministic.
     """
     if loss.data.shape not in ((), (1,), (1, 1)):
         raise GraphError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    produced = any(node.output is loss for node in graph.nodes)
-    if not produced:
-        raise GraphError("backward: loss was not produced by this graph")
+    nodes = graph.nodes
+    if not any(node.output is loss for node in nodes):
+        raise GraphError("backward: loss was not produced by this graph "
+                         "(backward consumes the graph, so it runs once per graph)")
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.data)
     loss.grad = loss.grad + np.ones_like(loss.data)
-    for node in reversed(graph.nodes):
-        gout = node.output.grad
+    while nodes:
+        node = nodes.pop()
+        gout, node.output.grad = node.output.grad, None
         if gout is None:
             continue
         grads = node.backward_fn(gout)
@@ -303,9 +316,9 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out = x * cdf
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
 
     def bw(g):
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
         return (g * (cdf + x * pdf),)
 
     return _record("gelu", [a], out, bw)

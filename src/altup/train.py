@@ -2,13 +2,14 @@
 
 Everything downstream of (config, seed) is pinned: initialization, batch
 order, SGD updates, metric rows. The metrics CSV contains only deterministic
-columns so identical runs produce identical bytes; wall-clock throughput goes
-to the JSON summary instead.
+columns so identical runs produce identical bytes; wall-clock throughput and
+the process's peak resident memory go to the JSON summary instead.
 """
 
 from __future__ import annotations
 
 import json
+import resource
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -225,6 +226,8 @@ def train(cfg: RunConfig, out_dir) -> dict:
         "final_eval_token_accuracy": rows[-1][3],
         "loss_reduction": (1.0 - rows[-1][1] / rows[0][1]) if rows[0][1] else 0.0,
         "tokens_per_second": tokens / elapsed if elapsed > 0 else 0.0,
+        # the whole process's peak so far, in MiB (ru_maxrss is KiB on Linux)
+        "process_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "metrics_csv": str(csv_path),
         "checkpoint": str(ckpt_path),
         "config": cfg.as_dict(),

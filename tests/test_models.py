@@ -1,5 +1,7 @@
 """Variant model assembly: forwards, determinism, memory attachment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,44 @@ def test_memory_tape_nodes_per_step(lookup, n, nodes):
     model = models.Model(SMOKE_CFG, "dense", seed=1,
                          memory={"n": n, "rank": 4, "lookup": lookup})
     assert _step_nodes(model, 2, np.random.default_rng(2)) == nodes
+
+
+# One training step of the smoke model at B=8, T=16. Backward frees each node
+# once it has propagated, so its peak stays near what the forward left on the
+# tape (1.1-1.3x here; about 2x when the whole tape lived through backward),
+# and afterwards only the parameters' gradients are left.
+STEP_PEAK_MODELS = [
+    ("dense", {}),
+    ("altup", {"altup": {"k": 4}}),
+    ("dense", {"memory": {"n": 64, "rank": 4, "lookup": "softmax"}}),
+]
+
+
+@pytest.mark.parametrize("variant,kwargs", STEP_PEAK_MODELS,
+                         ids=["dense", "altup_k4", "softmax_memory"])
+def test_backward_peak_stays_near_what_the_tape_holds(variant, kwargs):
+    model = models.Model(SMOKE_CFG, variant, seed=1, **kwargs)
+    rng = np.random.default_rng(2)
+    ids, targets = rng.integers(0, 258, size=(2, 8, 16))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Graph() as g:
+            loss = model.loss(ids, targets, training=True, rng=rng)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(g, loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        # array buffers only: the interpreter's free lists of small objects
+        # (tuples, closures' cell tuples) are not the tape
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        left = sum(trace.size for trace in arrays.traces)
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in model.parameters() if p.grad is not None)
+    assert peak <= 1.5 * held, f"peak {peak} vs held {held}"
+    assert left <= grads + 64 * 1024, f"left {left} vs grads {grads}"
 
 
 def test_same_seed_same_parameters():

@@ -2,15 +2,17 @@
 
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 from altup import tensor as T
-from altup.tensor import Graph, Tensor, backward, grad_check
+from altup.tensor import _INV_SQRT2, _INV_SQRT2PI, Graph, Tensor, backward, grad_check
 
 
 def t(data, rg=False, name=None):
@@ -82,6 +84,61 @@ def test_gradient_accumulation_across_fanout():
         loss = T.sum_all(T.add(T.mul(x, x), x))
     backward(g, loss)
     assert np.allclose(x.grad, 2.0 * x.data + 1.0)
+
+
+def _gelu_square_graph():
+    rng = np.random.default_rng(13)
+    x = t(rng.standard_normal((4, 6)), rg=True, name="x")
+    w = t(rng.standard_normal((6, 3)), rg=True, name="w")
+    with Graph() as g:
+        z = T.matmul(x, w)
+        h = T.gelu(z)
+        loss = T.sum_all(T.mul(h, h))
+    return g, loss, x, w, z, h
+
+
+def test_backward_consumes_the_graph():
+    g, loss, x, w, z, h = _gelu_square_graph()
+    activation = weakref.ref(h.data)
+    del h
+    backward(g, loss)
+    assert g.nodes == []
+    # nothing but the dropped caller reference held the gelu output
+    assert activation() is None
+    # intermediate tensors the caller still holds keep no gradient
+    assert z.grad is None and loss.grad is None
+
+
+def test_consumed_backward_leaves_leaf_grads_bitwise():
+    g, loss, x, w, z, h = _gelu_square_graph()
+    backward(g, loss)
+    # the same arithmetic in the same order as the reverse tape walk
+    zd = x.data @ w.data
+    cdf = 0.5 * (1.0 + erf(zd * _INV_SQRT2))
+    hd = zd * cdf
+    ones = np.full(hd.shape, 1.0)
+    gh = np.array(ones * hd, copy=True) + ones * hd
+    gz = gh * (cdf + zd * (_INV_SQRT2PI * np.exp(-0.5 * zd * zd)))
+    assert np.array_equal(x.grad, gz @ w.data.swapaxes(-1, -2))
+    assert np.array_equal(w.grad, x.data.swapaxes(-1, -2) @ gz)
+
+
+def test_leaf_grads_accumulate_across_graphs():
+    x = t([1.5, -2.0, 0.5], rg=True)
+    for _ in range(2):
+        with Graph() as g:
+            loss = T.sum_all(T.mul(x, x))
+        backward(g, loss)
+    assert np.array_equal(x.grad, 4.0 * x.data)
+
+
+def test_second_backward_on_a_graph_raises():
+    g, loss, x, w, z, h = _gelu_square_graph()
+    backward(g, loss)
+    first = x.grad.copy()
+    with pytest.raises(T.GraphError, match="backward consumes the graph"):
+        backward(g, loss)
+    assert np.array_equal(x.grad, first)
 
 
 def test_shape_errors_name_primitive():

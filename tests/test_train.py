@@ -1,10 +1,12 @@
 """Config validation, deterministic training, checkpoints, CLI plumbing."""
 
+import gc
 import hashlib
 import io
 import json
 import struct
 import tempfile
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -194,6 +196,53 @@ def test_metrics_bytes_are_pinned(name, tmp_path):
     assert repr(summary["final_train_loss"]) == final_loss
 
 
+def test_summary_reports_the_process_peak_rss(tmp_path):
+    summary = train(config_from_dict(_raw(optimizer={"learning_rate": 0.05, "steps": 2,
+                                                     "batch_size": 2})), tmp_path)
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["process_peak_rss_mb"] > 0
+    assert written["process_peak_rss_mb"] == summary["process_peak_rss_mb"]
+    assert "process_peak_rss_mb" not in (tmp_path / "metrics.csv").read_text()
+
+
+def test_long_runs_do_not_grow_memory(tmp_path, monkeypatch):
+    cfg = config_from_dict(_raw(
+        "altup", altup={"k": 2},
+        model={"d_model": 8, "n_layers": 1, "n_heads": 2, "ffn_hidden": 16,
+               "vocab_size": 258, "max_seq_len": 8},
+        task={"name": "copy", "seq_len": 3, "n_train": 16, "n_eval": 4},
+        optimizer={"learning_rate": 0.01, "momentum": 0.9, "steps": 500, "batch_size": 2},
+        eval_interval=50))
+    # a step runs from one zero_grad call to the next, so peaks[k] is the
+    # traced peak of step k (peaks[0] covers set-up and the step-0 eval);
+    # the array is allocated up front so the bookkeeping does not grow
+    peaks = np.zeros(500, dtype=np.int64)
+    steps = iter(range(1, 501))
+    zero_grad = models.Model.zero_grad
+
+    def marked(model):
+        step = next(steps)  # the step this call starts
+        peaks[step - 1] = tracemalloc.get_traced_memory()[1]
+        if 50 <= step <= 100 or step >= 450:
+            # a full collection empties the interpreter's free lists of small
+            # objects, which tracemalloc counts as live and which fill slowly
+            gc.collect()
+        tracemalloc.reset_peak()
+        return zero_grad(model)
+
+    monkeypatch.setattr(models.Model, "zero_grad", marked)
+    gc.freeze()  # each collection then scans only what the run allocates
+    tracemalloc.start()
+    try:
+        train(cfg, tmp_path)
+    finally:
+        tracemalloc.stop()
+        gc.unfreeze()
+    assert next(steps, None) is None
+    early, late = peaks[50:101].max(), peaks[450:500].max()
+    assert late <= early + 64 * 1024, f"steps 450-499 peak {late}, steps 50-100 {early}"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_aborts_with_step(tmp_path):
     cfg = config_from_dict(_raw(optimizer={"learning_rate": 50.0, "steps": 50,
@@ -359,6 +408,22 @@ def test_checkpoint_failed_load_changes_nothing(tmp_path):
     assert name in str(ei.value)
     assert all(np.array_equal(a, b) for a, (_, b) in zip(before, arrays(other)))
 
+
+
+def test_checkpoint_load_holds_the_file_once(tmp_path):
+    # the bytes read plus the arrays built from them: a second copy of the
+    # payload would take the peak to 3x
+    path = tmp_path / "big.ckpt"
+    ckpt.save_checkpoint(path, [("w", np.arange(1 << 20, dtype=np.float64))])
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, arrays = ckpt.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(arrays["w"], np.arange(1 << 20, dtype=np.float64))
+    assert peak <= 2.1 * size, f"peak {peak} for a {size}-byte file"
 
 
 def test_checkpoint_rejects_a_tensor_named_twice(tmp_path, capsys):
