@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import _LSH_SEED_CONST, _splitmix64, lsh_projections
+from .memory import lsh_cell_hash, lsh_projections
 # unused here; the benchmark tracer patches both names in this module
 from .memory import hyperplane_lsh_lookup, softmax_route  # noqa: F401
 
@@ -261,17 +261,13 @@ def _lsh_buckets(u: np.ndarray, directions: np.ndarray, unit_offsets: np.ndarray
     """Hyperplane LSH buckets (T, 2, widths) of mixes u (T, 2, k), trial t
     hashed with ``directions[t]`` (m, k) and offsets ``unit_offsets[t] * w``.
 
-    Same cells and splitmix chain as ``memory.hyperplane_lsh_lookup``, on
-    uint64 arrays.
+    Same cells and ``memory.lsh_cell_hash`` chain as
+    ``memory.hyperplane_lsh_lookup``.
     """
     proj = (u[:, :, None, :] * directions[:, None, :, :]).sum(axis=-1)  # (T, 2, m)
     w = np.array(LSH_WIDTH_SWEEP)[:, None]
     cells = np.floor((proj[:, :, None, :] + unit_offsets[:, None, None, :] * w) / w)
-    cells = cells.astype(np.int64).view(np.uint64)
-    h = np.full(cells.shape[:-1], _LSH_SEED_CONST, dtype=np.uint64)
-    for j in range(cells.shape[-1]):
-        h = _splitmix64(h ^ cells[..., j])
-    return h % n
+    return lsh_cell_hash(cells) % n
 
 
 def _hyperplane_hits(u: np.ndarray, n: int, m: int, seed: int, start: int) -> np.ndarray:

@@ -3,9 +3,11 @@
 A table of n small experts sits beside a layer; a lookup function maps the
 layer input (and/or its token id) to table indices, and the selected experts'
 outputs are added to the layer output. Lookups: learned softmax top-k routing,
-token-id indexing, hyperplane LSH bucketing, and min-hash over token-id sets.
-Lookups return ``(indices, weights)``: weights is None (unit weights) for
-token-id, lsh and min-hash, and scalar probability Tensors for softmax.
+token-id indexing, hyperplane LSH bucketing, and min-hash over the token-id
+set of each position's prefix. A lookup routes all rows of a layer input at
+once and returns ``(indices, weights)``: weights is None (unit weights) for
+token-id, lsh and min-hash, and probability Tensors for softmax.
+``memory_augmented_forward`` then adds the selected experts to one row.
 """
 
 from __future__ import annotations
@@ -131,22 +133,23 @@ def lsh_projections(n: int) -> int:
 
 
 def expert_forward(x: Tensor, e: PartialExpert) -> Tensor:
-    """V relu(U^T x) for each row of an (N, d) input."""
+    """V relu(U^T x) for each row of an (N, d) input; one tape node for a
+    matrix expert."""
     if x.data.ndim != 2 or x.data.shape[1] != e.d:
         raise T.ShapeError("expert_forward", x.data.shape, (-1, e.d))
     if e.constant:
         # constant output b, broadcast over rows; no gradient reaches x
         return T.add(T.scalar_mul(x, 0.0), e.b)
-    return T.matmul(T.relu(T.matmul(x, e.u)), e.v)
+    return T.matmul_relu_matmul(x, e.u, e.v)
 
 
 def softmax_route(x: Tensor, r: RouterParams, training: bool = False,
                   rng: np.random.Generator | None = None):
-    """Top-k routing of one input: ``softmax_lookup``'s closure run off the
-    tape on x as a (1, d) row. Returns (indices, probabilities as floats)."""
+    """Top-k routing of one input: ``softmax_lookup``'s rule run off the tape
+    on x as a (1, d) row. Returns (indices, probabilities as floats)."""
     q = softmax_lookup(replace(r, w=Tensor(r.w.data)), training, rng)
-    indices, weights = q(Tensor(x.data.reshape(1, -1)), 0)
-    return indices, [w.item() for w in weights]
+    indices, weights = q(Tensor(x.data.reshape(1, -1)), [0])
+    return [int(i) for i in indices[0]], [w.item() for w in weights]
 
 
 def token_id_lookup(token_id: int, n: int) -> int:
@@ -156,45 +159,79 @@ def token_id_lookup(token_id: int, n: int) -> int:
     return int(token_id)
 
 
-def hyperplane_lsh_lookup(x, p: HyperplaneLshParams) -> int:
+def lsh_cell_hash(cells: np.ndarray) -> np.ndarray:
+    """Fixed 64-bit mix of integer cell coordinates along the last axis: the
+    splitmix chain h <- splitmix(h ^ c_j) from a seed constant, on uint64
+    arrays (a negative coordinate enters as its two's complement bits)."""
+    cells = np.asarray(cells, dtype=np.int64)
+    # 2-D, so the chain runs on arrays (scalar uint64 arithmetic warns on wrap)
+    flat = cells.reshape(-1, cells.shape[-1]).view(np.uint64)
+    h = np.full(flat.shape[0], _LSH_SEED_CONST, dtype=np.uint64)
+    for j in range(flat.shape[1]):
+        h = _splitmix64(h ^ flat[:, j])
+    return h.reshape(cells.shape[:-1])
+
+
+def hyperplane_lsh_lookup(x, p: HyperplaneLshParams):
     """Bucket of the grid cell containing x: floor((g_j . x + o_j) / w) per
-    projection, then a fixed 64-bit mix of the cell coordinates, mod n."""
-    xv = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64).reshape(-1)
-    cells = np.floor((p.directions @ xv + p.offsets) / p.width).astype(np.int64)
-    h = _LSH_SEED_CONST
-    for c in cells:
-        h = _splitmix64(h ^ (int(c) & _M64))
-    return int(h % p.n)
+    projection, then ``lsh_cell_hash`` of the cell coordinates, mod n.
+
+    One vector (d,) gives an int; rows (..., d) give an int64 array (...).
+    Each row is projected by its own matrix-vector product, so its bucket
+    does not depend on the rows hashed with it.
+    """
+    xv = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    proj = (p.directions @ xv[..., None])[..., 0]
+    cells = np.floor((proj + p.offsets) / p.width)
+    buckets = (lsh_cell_hash(cells) % np.uint64(p.n)).astype(np.int64)
+    return int(buckets) if xv.ndim == 1 else buckets
+
+
+def _minhash_priorities(ids: np.ndarray, perm_seed: int) -> np.ndarray:
+    """Seeded pseudo-random uint64 priority of each int64 id: splitmix of the
+    id xor a seeded base, a bijection of the id's 64 bits."""
+    base = np.uint64(_splitmix64(int(perm_seed) & _M64))
+    return _splitmix64(base ^ ids.view(np.uint64))
 
 
 def minhash_lookup(token_ids, perm_seed: int) -> int:
     """Member of the set of int64 ids with the smallest seeded pseudo-random
-    priority.
-
-    The priority, splitmix of the id xor a seeded base, is a bijection of the
-    id's 64 bits, so distinct ids never tie.
+    priority. Distinct ids never tie.
     """
     ids = (np.asarray(token_ids, dtype=np.int64) if isinstance(token_ids, np.ndarray)
            else np.fromiter(token_ids, dtype=np.int64))
     if ids.size == 0:
         raise ValueError("minhash_lookup: empty set")
-    base = np.uint64(_splitmix64(int(perm_seed) & _M64))
-    return int(ids[np.argmin(_splitmix64(base ^ ids.view(np.uint64)))])
+    return int(ids[np.argmin(_minhash_priorities(ids, perm_seed))])
+
+
+def minhash_prefix_members(ids, perm_seed: int) -> np.ndarray:
+    """``minhash_lookup`` of every prefix along the last axis: entry t is the
+    member of ids[..., :t+1] with the smallest priority, for all rows at once."""
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    priority = _minhash_priorities(ids, perm_seed)
+    # a prefix's member sits at the last position up to t whose priority
+    # equals the running minimum
+    held = priority == np.minimum.accumulate(priority, axis=-1)
+    at = np.maximum.accumulate(np.where(held, np.arange(ids.shape[-1]), 0), axis=-1)
+    return np.take_along_axis(ids, at, axis=-1)
 
 
 def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,
                              lookup, table: MemoryTable, weights=None) -> Tensor:
-    """inner_out + sum_i w_i * expert_i(x) for the looked-up indices.
+    """inner_out + sum_i w_i * expert_i(x) for the looked-up indices of one row.
 
-    ``lookup(x, token_id)`` returns ``(indices, weights)``, with weights None
-    for unit weights (token-id, lsh and min-hash lookups) or a list of scalar
-    Tensors (differentiable softmax probabilities); explicit ``weights``
-    override them. A unit-weight expert output is added as is. With no
-    selected index the inner output passes through untouched.
+    ``lookup(x, token_id)`` returns ``(indices, weights)`` for the (1, d) row
+    x: k indices (a list, or a lookup's (1, k) array), and weights None for
+    unit weights (token-id, lsh and min-hash lookups) or k (1, 1) Tensors
+    (differentiable softmax probabilities); explicit ``weights`` override
+    them. A unit-weight expert output is added as is. With no selected index
+    the inner output passes through untouched.
     """
     indices, w = lookup(x, token_id)
     if weights is not None:
         w = weights
+    indices = np.ravel(indices).tolist()
     if w is not None and len(w) != len(indices):
         raise ValueError("memory_augmented_forward: weights/indices length mismatch")
     out = inner_out
@@ -206,56 +243,70 @@ def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,
     return out
 
 
+# Lookup factories. A factory returns a lookup ``q(x, token_ids)`` that routes
+# the N rows of an (N, d) input at once and returns ``(indices, weights)``:
+# an (N, k) int array, and None (unit weights) or k (N, 1) Tensors.
+
+
 def softmax_lookup(router: RouterParams, training: bool = False,
                    rng: np.random.Generator | None = None):
-    """Lookup closure for memory_augmented_forward with differentiable weights.
+    """Lookup routing by learned softmax top-k, with differentiable weights.
 
     Builds the routing probabilities inside the active graph so gradients
     reach W through the probability weighting; the top-k selection itself is
-    discrete and carries no gradient. W is transposed once per closure, so
-    every position's logits share one (d, n) tape node. Rows are (1, d), weights (1, 1).
-    In training mode a row is scaled elementwise by multiplicative jitter drawn
-    uniformly from [1-eps, 1+eps]; top-k ties break toward the lowest index.
+    discrete and carries no gradient. W is transposed once per lookup; the
+    logits of all rows are one product and their softmax one node. In
+    training mode each row is scaled elementwise by multiplicative jitter
+    drawn uniformly from [1-eps, 1+eps], one (N, d) draw, row after row; top-k
+    ties break toward the lowest index.
     """
     w_t = T.transpose(router.w)
 
-    def q(x: Tensor, token_id: int):
+    def q(x: Tensor, token_ids):
         if training and router.jitter_eps > 0:
             if rng is None:
                 raise ValueError("softmax_lookup: training jitter requires an rng")
             x = T.mul(x, Tensor(rng.uniform(1.0 - router.jitter_eps, 1.0 + router.jitter_eps,
                                             x.data.shape)))
         probs = T.softmax(T.matmul(x, w_t))
-        order = np.argsort(-probs.data[0], kind="stable")[: router.k]
-        weights = [T.gather_cols(probs, [int(i)]) for i in order]
-        return [int(i) for i in order], weights
+        order = np.argsort(-probs.data, axis=-1, kind="stable")[:, :router.k]
+        return order, [T.gather_cols(probs, order[:, j]) for j in range(order.shape[1])]
 
     return q
 
 
 def token_id_fixed_lookup(n: int):
-    """Lookup closure: index = token id, unit weight."""
+    """Lookup: index = token id, unit weight."""
 
-    def q(x: Tensor, token_id: int):
-        return [token_id_lookup(token_id, n)], None
+    def q(x: Tensor, token_ids):
+        return np.array([[token_id_lookup(t, n)] for t in np.ravel(token_ids).tolist()],
+                        dtype=np.int64).reshape(-1, 1), None
 
     return q
 
 
 def lsh_lookup(params: HyperplaneLshParams):
-    """Lookup closure: hyperplane LSH bucket of the layer input, unit weight."""
+    """Lookup: hyperplane LSH bucket of each row of the layer input, unit weight."""
 
-    def q(x: Tensor, token_id: int):
-        return [hyperplane_lsh_lookup(x, params)], None
+    def q(x: Tensor, token_ids):
+        return hyperplane_lsh_lookup(x, params)[:, None], None
 
     return q
 
 
 def minhash_sequence_lookup(sequence_ids, perm_seed: int, n: int):
-    """Lookup closure hashing the whole sequence's token-id set to one bucket."""
-    bucket = minhash_lookup(sequence_ids, perm_seed) % n
+    """Lookup routing each position to the min-hash bucket of its prefix.
 
-    def q(x: Tensor, token_id: int):
-        return [bucket], None
+    ``sequence_ids`` is (T,) or (B, T). Position t of a sequence takes the
+    member of its ids at positions 0..t with the smallest priority, mod n, so
+    no position reads a later id. The lookup routes the B*T rows in row-major
+    order.
+    """
+    buckets = (minhash_prefix_members(sequence_ids, perm_seed) % n).reshape(-1, 1)
+
+    def q(x: Tensor, token_ids):
+        if x.data.shape[0] != buckets.shape[0]:
+            raise T.ShapeError("minhash_sequence_lookup", x.data.shape, buckets.shape)
+        return buckets, None
 
     return q

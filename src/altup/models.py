@@ -10,9 +10,13 @@ Parameter creation order is fixed by construction so checkpoints and the
 parameter census are deterministic. Each layer is built once, as a pair of
 its parameters and its forward step, and ``forward`` runs the steps in order.
 ``forward`` and ``loss`` take token ids of shape (T,) or (B, T) through the
-same code; only the memory lookups visit positions one at a time, each
-lookup returning ``(indices, weights | None)``. Each position hands its (1, d)
-row to the lookup and the experts unchanged: 6 tape nodes (11 with softmax).
+same code. A memory layer routes all B*T rows at once (one lookup call,
+returning ``(indices, weights | None)``), splits its input and inner output
+into rows with one node each, and then still makes one
+``memory_augmented_forward`` call per position, since each position applies
+its own experts from per-expert tensors. A position records 2 tape nodes,
+the fused expert and the residual add (3 with softmax top-1, which weights
+the expert output); the layer adds 6 around them (12 with softmax routing).
 """
 
 from __future__ import annotations
@@ -34,29 +38,41 @@ from .tensor import Tensor
 from .transformer import LayerParams, ModelConfig, cross_entropy, embed, layer_forward, lm_head
 
 
+def _lookup(slot, ids, training, rng):
+    """The memory slot's lookup for this batch of token ids."""
+    kind = slot["kind"]
+    if kind == "softmax":
+        return softmax_lookup(slot["router"], training=training, rng=rng)
+    if kind == "token_id":
+        return token_id_fixed_lookup(slot["table"].n)
+    if kind == "lsh":
+        return lsh_lookup(slot["lsh"])
+    return minhash_sequence_lookup(ids, slot["perm_seed"], slot["table"].n)
+
+
 def _memory_augment(slot, x_in, inner_out, ids, training, rng):
-    """``inner_out`` plus the memory slot's expert outputs at every position."""
-    kind, table = slot["kind"], slot["table"]
-    t, d = ids.shape[-1], x_in.data.shape[-1]
-    if kind == "minhash":
-        # one bucket per sequence, from the set of its token ids
-        lookups = [minhash_sequence_lookup(s, slot["perm_seed"], table.n)
-                   for s in ids.reshape(-1, t)]
-    else:
-        if kind == "softmax":
-            lookup = softmax_lookup(slot["router"], training=training, rng=rng)
-        elif kind == "token_id":
-            lookup = token_id_fixed_lookup(table.n)
-        else:
-            lookup = lsh_lookup(slot["lsh"])
-        lookups = [lookup] * (ids.size // t)
-    x_rows = T.reshape(x_in, (ids.size, d))
-    inner_rows = T.reshape(inner_out, (ids.size, d))
-    rows = [memory_augmented_forward(T.gather_rows(x_rows, [pos]), int(token),
-                                     T.gather_rows(inner_rows, [pos]),
-                                     lookups[pos // t], table)
-            for pos, token in enumerate(ids.reshape(-1))]
+    """``inner_out`` plus the memory slot's expert outputs at every position.
+
+    All B*T rows are routed at once; then each position's
+    ``memory_augmented_forward`` call takes its own row and looks up its
+    precomputed route.
+    """
+    table = slot["table"]
+    x_rows = T.reshape(x_in, (ids.size, x_in.data.shape[-1]))
+    inner_rows = T.reshape(inner_out, x_rows.data.shape)
+    tokens = ids.reshape(-1).tolist()
+    indices, weights = _lookup(slot, ids, training, rng)(x_rows, tokens)
+    weights = ([None] * ids.size if weights is None
+               else list(zip(*(T.split_rows(w) for w in weights))))
+    rows = [memory_augmented_forward(x, token, inner, _route(i, w), table)
+            for x, token, inner, i, w in zip(T.split_rows(x_rows), tokens,
+                                             T.split_rows(inner_rows), indices.tolist(), weights)]
     return T.reshape(T.concat_last(rows), x_in.data.shape)
+
+
+def _route(indices, weights):
+    """The lookup of one position whose route is already known."""
+    return lambda x, token_id: (indices, weights)
 
 
 class Model:

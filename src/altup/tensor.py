@@ -6,7 +6,9 @@ with no tracking. :func:`backward` consumes the graph it is given: each node
 is dropped once it has propagated, with the arrays its closure holds and its
 output's gradient, so a graph runs backward once. Only leaves (tensors no
 node of the graph produced, such as parameters and inputs) keep ``.grad``,
-and leaf gradients accumulate across graphs. Broadcasting is deliberately
+and leaf gradients accumulate across graphs. A node's output is one tensor,
+or for :func:`split_rows` a list of row tensors whose gradients backward
+assembles into one. Broadcasting is deliberately
 restricted: operand shapes must match exactly, or the smaller shape must be
 a trailing suffix of the larger (leading-batch expansion), or one operand
 must be scalar-shaped. Anything else raises :class:`ShapeError` rather than
@@ -48,9 +50,10 @@ class NonFiniteError(FloatingPointError):
         super().__init__(f"non-finite value encountered at {where}")
 
 
-# Multiply-accumulate counter for matrix products. Only the matmul primitive
-# counts; elementwise ops, normalizations and activations are excluded so the
-# counter matches the closed-form layer cost model exactly.
+# Multiply-accumulate counter for matrix products. Only the matrix-product
+# primitives (matmul and matmul_relu_matmul) count; elementwise ops,
+# normalizations and activations are excluded so the counter matches the
+# closed-form layer cost model exactly.
 _mac_count = 0
 
 
@@ -172,7 +175,11 @@ def backward(graph: Graph, loss: Tensor):
     loss.grad = loss.grad + np.ones_like(loss.data)
     while nodes:
         node = nodes.pop()
-        gout, node.output.grad = node.output.grad, None
+        out = node.output
+        if type(out) is list:
+            gout = _take_row_grads(out)
+        else:
+            gout, out.grad = out.grad, None
         if gout is None:
             continue
         grads = node.backward_fn(gout)
@@ -183,6 +190,19 @@ def backward(graph: Graph, loss: Tensor):
                 t.grad = np.array(g, dtype=np.float64, copy=True)
             else:
                 t.grad = t.grad + g
+
+
+def _take_row_grads(rows):
+    """The (N, d) gradient of a ``split_rows`` node from its rows' gradients
+    (zeros for rows nothing used), which are cleared; None if no row has one."""
+    if all(r.grad is None for r in rows):
+        return None
+    g = np.zeros((len(rows), rows[0].data.shape[-1]), dtype=np.float64)
+    for i, r in enumerate(rows):
+        if r.grad is not None:
+            g[i] = r.grad[0]
+            r.grad = None
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +307,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ bd.T, np.tensordot(ad, g, axes=(lead + rows, lead + rows)))
 
     return _record("matmul", [a, b], out, bw)
+
+
+def matmul_relu_matmul(x: Tensor, u: Tensor, v: Tensor) -> Tensor:
+    """relu(x @ u) @ v for 2-D operands, (N, d) @ (d, r) then (N, r) @ (r, e),
+    as one tape node.
+
+    Forward and backward compute the products of ``matmul``, ``relu``,
+    ``matmul`` in the same order, so values and gradients are bitwise equal
+    to that composition. Counts the composition's N*r*d + N*e*r
+    multiply-accumulates.
+    """
+    xd, ud, vd = x.data, u.data, v.data
+    if (xd.ndim != 2 or ud.ndim != 2 or vd.ndim != 2
+            or xd.shape[1] != ud.shape[0] or ud.shape[1] != vd.shape[0]):
+        raise ShapeError("matmul_relu_matmul", xd.shape, ud.shape, vd.shape)
+    global _mac_count
+    h = xd @ ud
+    a = np.maximum(h, 0.0)
+    out = a @ vd
+    _mac_count += h.size * xd.shape[1] + out.size * ud.shape[1]
+
+    def bw(g):
+        gh = (g @ vd.swapaxes(-1, -2)) * (h > 0.0)
+        return (gh @ ud.swapaxes(-1, -2), xd.swapaxes(-1, -2) @ gh,
+                a.swapaxes(-1, -2) @ g)
+
+    return _record("matmul_relu_matmul", [x, u, v], out, bw)
 
 
 def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
@@ -400,6 +447,28 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         return (gx,)
 
     return _record("gather_rows", [x], out, bw)
+
+
+def _identity_bw(g):
+    return (g,)
+
+
+def split_rows(x: Tensor) -> list:
+    """The N rows of an (N, d) tensor as N (1, d) tensors (views of its data),
+    recorded as one node.
+
+    Backward assembles the node's (N, d) gradient from its rows' gradients,
+    with zeros for rows nothing used.
+    """
+    xd = x.data
+    if xd.ndim != 2:
+        raise ShapeError("split_rows", xd.shape)
+    stack = _state.stack
+    taped = bool(stack) and x.requires_grad
+    rows = [Tensor(xd[i:i + 1], requires_grad=taped) for i in range(xd.shape[0])]
+    if taped:
+        stack[-1].nodes.append(_Node("split_rows", [x], rows, _identity_bw))
+    return rows
 
 
 def scatter_rows(x: Tensor, indices, n_rows: int) -> Tensor:

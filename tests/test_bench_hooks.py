@@ -3,11 +3,15 @@
 ``altbench/tracing.py`` wraps public functions in each module that looks them
 up, the four lookup factories in ``memory`` and ``models``, and three
 ``Model`` methods. A rename in the program would otherwise surface only when
-``altbench/run.py --trace 1`` runs.
+``altbench/run.py --trace 1`` runs. The benchmark's token-id routing check
+patches ``models.memory_augmented_forward`` and expects one call per (layer,
+position); a change that drops that call fails here too.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 from altup import memory, models, transformer as tr
 
@@ -58,3 +62,26 @@ def test_hooks_installed_after_construction_see_every_call():
     names = [span[0] for span in tracer.spans]
     assert names.count("transformer.layer_forward") == cfg.n_layers
     assert names.count("memory.memory_augmented_forward") == cfg.n_layers * len(ids)
+
+
+def test_token_id_routing_check_sees_each_position_select_its_own_id(monkeypatch):
+    # what altbench/checks.check_token_id_routing does: one patched
+    # memory_augmented_forward call per (layer, position), whose lookup
+    # selects that position's own token id
+    cfg = tr.ModelConfig(d_model=8, n_layers=3, n_heads=2, ffn_hidden=16, vocab_size=11,
+                         max_seq_len=8)
+    model = models.Model(cfg, "dense", seed=2,
+                         memory={"n": 11, "rank": 2, "lookup": "token_id"})
+    ids = np.array([1, 4, 7, 2, 9, 4])
+    selected = []
+    original = models.memory_augmented_forward
+
+    def recording(x, token_id, inner_out, lookup, table, weights=None):
+        indices, _ = lookup(x, token_id)
+        selected.append((token_id, list(indices)))
+        return original(x, token_id, inner_out, lookup, table, weights)
+
+    monkeypatch.setattr(models, "memory_augmented_forward", recording)
+    model.forward(ids)
+    assert [indices for _, indices in selected] == [[int(i)] for i in ids] * cfg.n_layers
+    assert [token for token, _ in selected] == [int(i) for i in ids] * cfg.n_layers

@@ -581,6 +581,9 @@ def test_array_splitmix_matches_scalar_chain(cells):
         h = mem._splitmix64(h ^ a)
         want = mem._splitmix64(want ^ (c & mem._M64))
     assert all(int(v) == want for v in h)
+    # the shared helper runs the same chain over the last axis
+    assert int(mem.lsh_cell_hash(np.array(cells))) == want
+    assert mem.lsh_cell_hash(np.array([cells] * 3)).tolist() == [want] * 3
 
 
 @pytest.mark.parametrize("l,d", [(1, 2), (8, 3), (64, 64)])

@@ -121,6 +121,24 @@ def test_softmax_route_deterministic_without_jitter():
         mem.softmax_route(x, r, training=True)
 
 
+def test_softmax_lookup_routes_rows_as_if_one_at_a_time():
+    rng = np.random.default_rng(16)
+    router = mem.RouterParams.create(n=6, d=5, rng=rng, k=2, jitter_eps=0.1)
+    router.w.data *= 20.0
+    xs = rng.standard_normal((7, 5))
+    order, weights = mem.softmax_lookup(router, training=True, rng=np.random.default_rng(3))(
+        Tensor(xs), range(7))
+    assert order.shape == (7, 2) and [w.data.shape for w in weights] == [(7, 1)] * 2
+    # one (N, d) jitter draw is the N row draws in order
+    q = mem.softmax_lookup(router, training=True, rng=np.random.default_rng(3))
+    for i, x in enumerate(xs):
+        one_order, one_weights = q(Tensor(x[None]), [i])
+        assert one_order.tolist() == order[i:i + 1].tolist()
+        assert all(abs(w.data[i, 0] - w1.item()) <= 1e-15 for w, w1 in zip(weights, one_weights))
+    assert mem.softmax_route(Tensor(xs[2]), router)[0] == \
+        mem.softmax_lookup(router)(Tensor(xs), range(7))[0][2].tolist()
+
+
 def test_token_id_lookup():
     assert mem.token_id_lookup(0, 10) == 0
     assert mem.token_id_lookup(7, 10) == 7
@@ -150,6 +168,28 @@ def test_hyperplane_lsh_deterministic_and_stable():
     # same seed, fresh params object: same bucket
     p2 = mem.HyperplaneLshParams.create(d=8, n=32, seed=11)
     assert mem.hyperplane_lsh_lookup(x, p2) == first
+
+
+def _lsh_reference(x, p):
+    """The bucket of one vector, hashed on Python ints one cell at a time."""
+    cells = np.floor((p.directions @ x + p.offsets) / p.width).astype(np.int64)
+    h = mem._LSH_SEED_CONST
+    for c in cells:
+        h = mem._splitmix64(h ^ (int(c) & mem._M64))
+    return int(h % p.n)
+
+
+def test_hyperplane_lsh_rows_match_python_int_reference():
+    p = mem.HyperplaneLshParams.create(d=8, n=37, seed=3)
+    xs = 3.0 * np.random.default_rng(15).standard_normal((60, 8))
+    got = mem.hyperplane_lsh_lookup(xs, p)
+    assert got.shape == (60,) and got.dtype == np.int64
+    assert got.tolist() == [_lsh_reference(x, p) for x in xs]
+    assert [mem.hyperplane_lsh_lookup(x, p) for x in xs] == got.tolist()
+    assert np.array_equal(mem.hyperplane_lsh_lookup(Tensor(xs.reshape(6, 10, 8)), p),
+                          got.reshape(6, 10))
+    indices, weights = mem.lsh_lookup(p)(Tensor(xs), range(60))
+    assert weights is None and np.array_equal(indices, got[:, None])
 
 
 def test_hyperplane_collision_monotone_in_angle():
@@ -205,6 +245,22 @@ def test_minhash_matches_python_int_reference(ids, perm_seed):
     assert mem.minhash_lookup(row, perm_seed) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**62), st.data())
+def test_minhash_prefix_members_match_minhash_of_each_prefix(b, t, perm_seed, data):
+    ids = np.array(data.draw(st.lists(st.integers(0, 20), min_size=b * t, max_size=b * t)),
+                   dtype=np.int64).reshape(b, t)
+    got = mem.minhash_prefix_members(ids, perm_seed)
+    assert got.tolist() == [[mem.minhash_lookup(row[:i + 1], perm_seed) for i in range(t)]
+                            for row in ids]
+    # the lookup routes the B*T rows in row-major order, each to its prefix bucket
+    q = mem.minhash_sequence_lookup(ids, perm_seed, n=7)
+    indices, weights = q(Tensor(np.zeros((b * t, 2))), ids.reshape(-1))
+    assert weights is None and indices.tolist() == [[m % 7] for m in got.reshape(-1)]
+    with pytest.raises(T.ShapeError):
+        q(Tensor(np.zeros((b * t + 1, 2))), None)
+
+
 def test_minhash_collision_matches_jaccard():
     a = set(range(0, 30))
     b = set(range(15, 45))
@@ -238,7 +294,7 @@ def test_memory_forward_zero_experts_is_inner_output():
     inner = Tensor(np.random.default_rng(23).standard_normal((1, 4)))
     for lookup in (mem.token_id_fixed_lookup(3),
                    mem.lsh_lookup(mem.HyperplaneLshParams.create(4, 3, seed=1)),
-                   mem.minhash_sequence_lookup([1, 2], perm_seed=3, n=3)):
+                   mem.minhash_sequence_lookup([2], perm_seed=3, n=3)):
         out = mem.memory_augmented_forward(x, 1, inner, lookup, table)
         assert np.array_equal(out.data, inner.data)
 

@@ -69,8 +69,8 @@ def test_batched_forward_matches_per_example(variant, kwargs):
 
 
 # The decoder-only contract at model level: a logit row never reads an input
-# position after the one whose target it predicts. The memory lookups join
-# this list once min-hash routes by prefix (min-hash leaks the future today).
+# position after the one whose target it predicts. Min-hash memory holds it
+# because each position hashes only the ids of its prefix.
 CAUSAL_MODELS = [
     ("dense", {}),
     ("altup", {"altup": {"k": 2}}),
@@ -79,7 +79,8 @@ CAUSAL_MODELS = [
     ("seq_altup", {"seq": {"stride": 2}}),
     ("stride_skip", {"seq": {"stride": 3}}),
     ("avg_pool", {"seq": {"stride": 3}}),
-]
+] + [("dense", {"memory": {"n": n, "rank": 2, "lookup": lookup}})
+     for lookup, n in MEMORY_LOOKUPS]
 
 
 @pytest.mark.parametrize("variant,kwargs", CAUSAL_MODELS)
@@ -102,6 +103,21 @@ def test_logits_never_read_later_inputs(variant, kwargs, data):
     assert np.array_equal(logits.data[..., kept, :], logits2.data[..., kept, :])
 
 
+@pytest.mark.parametrize("variant,kwargs", CAUSAL_MODELS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_sequence_in_a_batch_gets_its_logits_alone(variant, kwargs, data):
+    model = models.Model(_cfg(L=3), variant, seed=15, **kwargs)
+    b = data.draw(st.integers(2, 3), label="batch")
+    t_len = data.draw(st.integers(1, 12), label="T")
+    ids = np.array(data.draw(st.lists(st.integers(0, 10), min_size=b * t_len,
+                                      max_size=b * t_len), label="ids")).reshape(b, t_len)
+    logits, _ = model.forward(ids)
+    for i in range(b):
+        alone, _ = model.forward(ids[i])
+        assert _max_rel(logits.data[i], alone.data) <= 1e-12
+
+
 # One training step of the smoke model at seq 16 records the same tape for
 # any batch size; the AltUp block's nodes do not depend on K either.
 SMOKE_NODES = [
@@ -113,15 +129,17 @@ SMOKE_NODES = [
 ]
 
 
-# Memory layers still visit positions one at a time, so their count grows
-# with B*T until the lookups are routed for all positions at once. At B=2 and
-# T=16, each of the 96 (layer, position) pairs records 11 nodes with softmax
-# routing (6 otherwise): two row gathers, the expert's matmul, relu and
-# matmul, and the residual add, plus jitter, logits, softmax, the probability
-# pick and the weighting for softmax. Each layer adds 4 around the loop (one
-# more for softmax: the router's shared transpose).
-MEMORY_SMOKE_NODES = [("softmax", 64, 1161), ("token_id", 258, 678),
-                      ("lsh", 64, 678), ("minhash", 64, 678)]
+# Memory layers route all B*T rows of a layer at once, but keep one
+# memory_augmented_forward call per (layer, position), so their count still
+# grows with B*T. At B=2 and T=16, each of the 96 (layer, position) pairs
+# records 2 nodes (the fused expert and the residual add), 3 with softmax
+# top-1 routing (plus the probability weighting). Each layer adds 6 around
+# them: two reshapes and two row splits in, the concatenation and a reshape
+# out. Softmax routing adds 6 more per layer: the router's transpose, the
+# jitter, the logits product, the softmax, the probability pick and its row
+# split.
+MEMORY_SMOKE_NODES = [("softmax", 64, 414), ("token_id", 258, 300),
+                      ("lsh", 64, 300), ("minhash", 64, 300)]
 
 SMOKE_CFG = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
                            vocab_size=258, max_seq_len=20)

@@ -532,3 +532,88 @@ def test_size_one_losses_backward_item_and_grad_check(shape):
     assert loss.item() == (a.data @ b.data)[0, 0]
     assert np.array_equal(a.grad, b.data.T) and np.array_equal(b.grad, a.data.T)
     assert grad_check(f, [a, b]) < 1e-8
+
+
+# -- row split and fused expert ------------------------------------------------
+
+def _expert_instance(n=5, d=4, r=3, seed=40):
+    rng = np.random.default_rng(seed)
+    return (t(rng.standard_normal((n, d)), rg=True, name="x"),
+            t(rng.standard_normal((d, r)), rg=True, name="u"),
+            t(rng.standard_normal((r, d)), rg=True, name="v"),
+            rng.standard_normal((n, d)))
+
+
+def test_split_rows_and_fused_expert_match_finite_differences():
+    x, u, v, c = _expert_instance()
+
+    def f(params):
+        rows = T.split_rows(params[0])
+        # row 1 is used twice, row 3 not at all
+        picked = T.concat_last([rows[0], rows[1], rows[1], rows[4]])
+        out = T.matmul_relu_matmul(T.reshape(picked, (4, 4)), params[1], params[2])
+        return T.sum_all(T.mul(out, T.reshape(picked, (4, 4))))
+
+    assert grad_check(f, [x, u, v], eps=1e-6) < 1e-6
+    assert np.array_equal(x.grad[3], np.zeros(4))
+
+
+def test_fused_expert_is_bitwise_the_composed_path():
+    grads = []
+    for fused in (True, False):
+        x, u, v, c = _expert_instance()
+        with Graph() as g:
+            if fused:
+                out = T.matmul_relu_matmul(x, u, v)
+            else:
+                out = T.matmul(T.relu(T.matmul(x, u)), v)
+            loss = T.sum_all(T.mul(out, t(c)))
+        backward(g, loss)
+        grads.append((out.data, x.grad, u.grad, v.grad))
+    for fused, composed in zip(*grads):
+        assert np.array_equal(fused, composed)
+    with pytest.raises(T.ShapeError):
+        T.matmul_relu_matmul(x, v, u)
+
+
+def test_fused_expert_counts_the_macs_of_its_two_products():
+    n, d, r = 7, 6, 3
+    x, u, v, _ = _expert_instance(n, d, r)
+    T.reset_mac_count()
+    T.matmul_relu_matmul(x, u, v)
+    assert T.mac_count() == 2 * n * d * r
+
+
+def test_split_rows_gives_row_views_and_zero_gradient_for_unused_rows():
+    x, _, _, c = _expert_instance()
+    assert [r.data.shape for r in T.split_rows(x)] == [(1, 4)] * 5
+    # off the tape the rows are plain views
+    assert not any(r.requires_grad for r in T.split_rows(x))
+    with Graph() as g:
+        rows = T.split_rows(x)
+        loss = T.add(T.sum_all(T.mul(rows[2], rows[2])), T.sum_all(rows[0]))
+    assert all(np.shares_memory(r.data, x.data) for r in rows)
+    backward(g, loss)
+    want = np.zeros((5, 4))
+    want[0] = 1.0
+    want[2] = 2.0 * x.data[2]
+    assert np.array_equal(x.grad, want)
+    with pytest.raises(T.ShapeError):
+        T.split_rows(t(np.ones(3)))
+
+
+def test_backward_consumes_a_split_rows_node():
+    x, u, v, _ = _expert_instance()
+    with Graph() as g:
+        rows = T.split_rows(x)
+        loss = T.sum_all(T.concat_last([T.matmul_relu_matmul(r, u, v) for r in rows]))
+    row_data = weakref.ref(rows[1].data)
+    held = rows
+    del rows
+    backward(g, loss)
+    assert g.nodes == []
+    # only leaves keep a gradient; the rows the caller holds keep none
+    assert all(r.grad is None for r in held)
+    assert x.grad is not None and u.grad is not None and v.grad is not None
+    del held
+    assert row_data() is None
