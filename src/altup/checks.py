@@ -34,6 +34,8 @@ def suite_instances():
 
     Batched instances (names ending ``_b2``) take a (2, T) batch, so the
     backward of every batched product and row gather/scatter is checked too.
+    Memory instances cover each of the four lookups, constant experts, and
+    a batch whose rows share experts.
     """
     instances = [(name, builder, False) for name, builder in [
         ("dense", lambda: Model(_cfg(), "dense", seed=11)),
@@ -49,6 +51,18 @@ def suite_instances():
         ("memory_softmax_top2", lambda: Model(
             _cfg(d=4, L=1, heads=1), "dense", seed=19,
             memory={"n": 3, "rank": 2, "lookup": "softmax", "k": 2})),
+        ("memory_token_id", lambda: Model(
+            _cfg(d=4, L=1, heads=1), "dense", seed=41,
+            memory={"n": 11, "rank": 2, "lookup": "token_id"})),
+        ("memory_lsh", lambda: Model(
+            _cfg(d=4, L=1, heads=1), "dense", seed=42,
+            memory={"n": 3, "rank": 2, "lookup": "lsh"})),
+        ("memory_minhash", lambda: Model(
+            _cfg(d=4, L=1, heads=1), "dense", seed=43,
+            memory={"n": 3, "rank": 2, "lookup": "minhash"})),
+        ("memory_minhash_constant", lambda: Model(
+            _cfg(d=4, L=1, heads=1), "dense", seed=44,
+            memory={"n": 3, "rank": 2, "lookup": "minhash", "constant": True})),
     ]]
     for k in (1, 2, 4):
         for selection in ("same", "alternating"):
@@ -63,6 +77,9 @@ def suite_instances():
          True),
         ("stride_skip_b2", lambda: Model(_cfg(L=1), "stride_skip", seq=_wrap_all(2), seed=34),
          True),
+        ("memory_softmax_top2_b2", lambda: Model(
+            _cfg(d=4, L=1, heads=1), "dense", seed=45,
+            memory={"n": 3, "rank": 2, "lookup": "softmax", "k": 2}), True),
     ]
     return instances
 

@@ -7,7 +7,9 @@ token-id indexing, hyperplane LSH bucketing, and min-hash over the token-id
 set of each position's prefix. A lookup routes all rows of a layer input at
 once and returns ``(indices, weights)``: weights is None (unit weights) for
 token-id, lsh and min-hash, and probability Tensors for softmax.
-``memory_augmented_forward`` then adds the selected experts to one row.
+``memory_augmented_forward`` then adds the selected experts to one row. A
+model runs it off the tape once per position and records a layer's rows as
+one ``expert_rows`` node, whose backward handles all rows at once.
 """
 
 from __future__ import annotations
@@ -231,7 +233,8 @@ def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,
     indices, w = lookup(x, token_id)
     if weights is not None:
         w = weights
-    indices = np.ravel(indices).tolist()
+    if type(indices) is not list:
+        indices = np.ravel(indices).tolist()
     if w is not None and len(w) != len(indices):
         raise ValueError("memory_augmented_forward: weights/indices length mismatch")
     out = inner_out
@@ -241,6 +244,84 @@ def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,
         e_out = expert_forward(x, table.experts[i])
         out = T.add(out, e_out if w is None else T.mul(w[j], e_out))
     return out
+
+
+def expert_rows(x_rows: Tensor, inner_rows: Tensor, indices, weights, table: MemoryTable,
+                rows) -> Tensor:
+    """The (N, d) output of a memory layer whose row i is ``rows[i]``, recorded
+    as one tape node.
+
+    ``rows[i]`` is the ``memory_augmented_forward`` result, computed off the
+    tape, for row i of ``x_rows`` and ``inner_rows`` with the route
+    ``indices[i]`` (an (N, k) array) and the weights ``weights``: None (unit
+    weights) or k (N, 1) Tensors. The node's inputs are ``x_rows``,
+    ``inner_rows``, the weight columns and the parameters of the experts the
+    route selected, so an expert no row selected gets no gradient.
+
+    Backward recomputes the selected experts' products for all rows at once
+    as stacked matmuls whose 2-D slices have the shapes and memory layouts of
+    the per-row products, and adds each expert's gradients in the per-row
+    tape's reverse (position, slot) order, so every gradient is bitwise that
+    of the per-row composition.
+    """
+    xd = x_rows.data
+    out = np.concatenate([r.data for r in rows])
+    if out.shape != xd.shape:
+        raise T.ShapeError("expert_rows", out.shape, xd.shape)
+    idx = np.asarray(indices, dtype=np.int64)
+    used, slots = np.unique(idx, return_inverse=True)
+    slots = slots.reshape(idx.shape)
+    experts = [table.experts[i] for i in used.tolist()]
+    cols = list(weights) if weights is not None else []
+    constant = table.experts[0].constant
+
+    def bw(g):
+        n_rows, d = xd.shape
+        x3 = xd.reshape(n_rows, 1, d)
+        if constant:
+            b = np.stack([e.b.data for e in experts])
+        else:
+            u = np.stack([e.u.data for e in experts])
+            v = np.stack([e.v.data for e in experts])
+        gx, gw, gps = None, [None] * len(cols), []
+        # slots in reverse order: the per-row tape sums a row's expert
+        # gradients into x from its last slot to its first
+        for j in reversed(range(idx.shape[1])):
+            s = slots[:, j]
+            if constant:
+                e_out = b[s]
+            else:
+                uj, vj = u[s], v[s]
+                h = x3 @ uj
+                a = np.maximum(h, 0.0)
+                e_out = (a @ vj).reshape(n_rows, d)
+            ge = g
+            if cols:
+                gw[j] = (g * e_out).sum(axis=(1,), keepdims=True)
+                ge = g * cols[j].data
+            if constant:
+                # expert_forward adds b to x * 0.0
+                gx_j, gp = ge * 0.0, (ge,)
+            else:
+                ge3 = ge.reshape(n_rows, 1, d)
+                gh = (ge3 @ vj.swapaxes(-1, -2)) * (h > 0.0)
+                gx_j = (gh @ uj.swapaxes(-1, -2)).reshape(n_rows, d)
+                gp = (x3.swapaxes(-1, -2) @ gh, a.swapaxes(-1, -2) @ ge3)
+            gx = gx_j if gx is None else gx + gx_j
+            gps.append(gp)
+        # gps runs over slots last to first; np.add.at adds in index order,
+        # so order the contributions by position, then slot, both reversed
+        at = slots[::-1, ::-1].reshape(-1)
+        expert_grads = []
+        for part in zip(*gps):
+            contrib = np.stack(part, axis=1)[::-1].reshape((-1,) + part[0].shape[1:])
+            acc = np.zeros((len(experts),) + part[0].shape[1:])
+            np.add.at(acc, at, contrib)
+            expert_grads.append(acc)
+        return (gx, g, *gw, *(acc[m] for m in range(len(experts)) for acc in expert_grads))
+
+    params = [p for e in experts for p in e.params()]
+    return T.record("expert_rows", [x_rows, inner_rows, *cols, *params], out, bw)
 
 
 # Lookup factories. A factory returns a lookup ``q(x, token_ids)`` that routes

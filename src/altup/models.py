@@ -11,12 +11,14 @@ parameter census are deterministic. Each layer is built once, as a pair of
 its parameters and its forward step, and ``forward`` runs the steps in order.
 ``forward`` and ``loss`` take token ids of shape (T,) or (B, T) through the
 same code. A memory layer routes all B*T rows at once (one lookup call,
-returning ``(indices, weights | None)``), splits its input and inner output
-into rows with one node each, and then still makes one
-``memory_augmented_forward`` call per position, since each position applies
-its own experts from per-expert tensors. A position records 2 tape nodes,
-the fused expert and the residual add (3 with softmax top-1, which weights
-the expert output); the layer adds 6 around them (12 with softmax routing).
+returning ``(indices, weights | None)``), then makes one
+``memory_augmented_forward`` call per position, off the tape, since each
+position applies its own experts from per-expert tensors, and records the
+rows those calls return as one ``memory.expert_rows`` node. So a memory
+layer records 4 tape nodes at any batch size (two reshapes in, the rows
+node and a reshape out), and softmax routing adds 4 plus one per top-k
+slot (the router's transpose, the training jitter, the logits product, the
+softmax and each probability pick).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import tensor as T
 from .alternating import (AltUpConfig, AltUpLayerParams, altup_layer_forward,
                           recycled_downproject, select_block, widen)
 from .costs import wrapped_layers
-from .memory import (HyperplaneLshParams, MemoryTable, RouterParams,
+from .memory import (HyperplaneLshParams, MemoryTable, RouterParams, expert_rows,
                      lsh_lookup, memory_augmented_forward,
                      minhash_sequence_lookup, softmax_lookup,
                      token_id_fixed_lookup)
@@ -53,21 +55,30 @@ def _lookup(slot, ids, training, rng):
 def _memory_augment(slot, x_in, inner_out, ids, training, rng):
     """``inner_out`` plus the memory slot's expert outputs at every position.
 
-    All B*T rows are routed at once; then each position's
-    ``memory_augmented_forward`` call takes its own row and looks up its
-    precomputed route.
+    All B*T rows are routed at once. Then each position's
+    ``memory_augmented_forward`` call, run off the tape, takes its own row
+    and looks up its precomputed route; the rows it returns are the layer's
+    output, recorded as one ``expert_rows`` node.
     """
     table = slot["table"]
     x_rows = T.reshape(x_in, (ids.size, x_in.data.shape[-1]))
     inner_rows = T.reshape(inner_out, x_rows.data.shape)
     tokens = ids.reshape(-1).tolist()
     indices, weights = _lookup(slot, ids, training, rng)(x_rows, tokens)
-    weights = ([None] * ids.size if weights is None
-               else list(zip(*(T.split_rows(w) for w in weights))))
-    rows = [memory_augmented_forward(x, token, inner, _route(i, w), table)
-            for x, token, inner, i, w in zip(T.split_rows(x_rows), tokens,
-                                             T.split_rows(inner_rows), indices.tolist(), weights)]
-    return T.reshape(T.concat_last(rows), x_in.data.shape)
+    position_weights = ([None] * ids.size if weights is None
+                        else list(zip(*(_rows(w.data) for w in weights))))
+    with T.recording_paused():
+        rows = [memory_augmented_forward(x, token, inner, _route(i, w), table)
+                for x, token, inner, i, w in zip(_rows(x_rows.data), tokens,
+                                                 _rows(inner_rows.data), indices.tolist(),
+                                                 position_weights)]
+    return T.reshape(expert_rows(x_rows, inner_rows, indices, weights, table, rows),
+                     x_in.data.shape)
+
+
+def _rows(a):
+    """The rows of an (N, d) array as N (1, d) Tensors viewing it."""
+    return [Tensor(a[i:i + 1]) for i in range(a.shape[0])]
 
 
 def _route(indices, weights):

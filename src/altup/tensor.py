@@ -6,9 +6,10 @@ with no tracking. :func:`backward` consumes the graph it is given: each node
 is dropped once it has propagated, with the arrays its closure holds and its
 output's gradient, so a graph runs backward once. Only leaves (tensors no
 node of the graph produced, such as parameters and inputs) keep ``.grad``,
-and leaf gradients accumulate across graphs. A node's output is one tensor,
-or for :func:`split_rows` a list of row tensors whose gradients backward
-assembles into one. Broadcasting is deliberately
+and leaf gradients accumulate across graphs. A node's output is one tensor.
+:func:`record` adds a node; modules outside this one use it for fused nodes
+whose backward they own. :func:`recording_paused` runs a block with no graph
+open on this thread, so nothing in it is recorded. Broadcasting is deliberately
 restricted: operand shapes must match exactly, or the smaller shape must be
 a trailing suffix of the larger (leading-batch expansion), or one operand
 must be scalar-shaped. Anything else raises :class:`ShapeError` rather than
@@ -17,6 +18,7 @@ silently expanding.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 
@@ -141,7 +143,25 @@ class Graph:
         return False
 
 
-def _record(op, inputs, out_data, backward_fn) -> Tensor:
+@contextlib.contextmanager
+def recording_paused():
+    """Run the body with no graph open on this thread, so nothing in it is
+    recorded; the open graphs are restored on exit, also when the body raises."""
+    saved = _state.stack
+    _state.stack = []
+    try:
+        yield
+    finally:
+        _state.stack = saved
+
+
+def record(op, inputs, out_data, backward_fn) -> Tensor:
+    """``out_data`` as a Tensor, recorded as a node of the innermost open
+    graph when any input requires gradients.
+
+    ``backward_fn(g)`` maps the output's gradient to one gradient (or None)
+    per input, in the order of ``inputs``.
+    """
     stack = _state.stack
     if stack:
         for t in inputs:
@@ -176,10 +196,7 @@ def backward(graph: Graph, loss: Tensor):
     while nodes:
         node = nodes.pop()
         out = node.output
-        if type(out) is list:
-            gout = _take_row_grads(out)
-        else:
-            gout, out.grad = out.grad, None
+        gout, out.grad = out.grad, None
         if gout is None:
             continue
         grads = node.backward_fn(gout)
@@ -190,19 +207,6 @@ def backward(graph: Graph, loss: Tensor):
                 t.grad = np.array(g, dtype=np.float64, copy=True)
             else:
                 t.grad = t.grad + g
-
-
-def _take_row_grads(rows):
-    """The (N, d) gradient of a ``split_rows`` node from its rows' gradients
-    (zeros for rows nothing used), which are cleared; None if no row has one."""
-    if all(r.grad is None for r in rows):
-        return None
-    g = np.zeros((len(rows), rows[0].data.shape[-1]), dtype=np.float64)
-    for i, r in enumerate(rows):
-        if r.grad is not None:
-            g[i] = r.grad[0]
-            r.grad = None
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +251,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
 
-    return _record("add", [a, b], out, bw)
+    return record("add", [a, b], out, bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -257,7 +261,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
 
-    return _record("sub", [a, b], out, bw)
+    return record("sub", [a, b], out, bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -268,7 +272,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
 
-    return _record("mul", [a, b], out, bw)
+    return record("mul", [a, b], out, bw)
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
@@ -277,7 +281,7 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     def bw(g):
         return (g * c,)
 
-    return _record("scalar_mul", [a], out, bw)
+    return record("scalar_mul", [a], out, bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -306,7 +310,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return (np.tensordot(g, bd, axes=(lead + cols, lead + cols)), ad.T @ g)
         return (g @ bd.T, np.tensordot(ad, g, axes=(lead + rows, lead + rows)))
 
-    return _record("matmul", [a, b], out, bw)
+    return record("matmul", [a, b], out, bw)
 
 
 def matmul_relu_matmul(x: Tensor, u: Tensor, v: Tensor) -> Tensor:
@@ -333,7 +337,7 @@ def matmul_relu_matmul(x: Tensor, u: Tensor, v: Tensor) -> Tensor:
         return (gh @ ud.swapaxes(-1, -2), xd.swapaxes(-1, -2) @ gh,
                 a.swapaxes(-1, -2) @ g)
 
-    return _record("matmul_relu_matmul", [x, u, v], out, bw)
+    return record("matmul_relu_matmul", [x, u, v], out, bw)
 
 
 def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
@@ -345,7 +349,7 @@ def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
     def bw(g):
         return (g.swapaxes(axis1, axis2),)
 
-    return _record("transpose", [a], out, bw)
+    return record("transpose", [a], out, bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -355,7 +359,7 @@ def relu(a: Tensor) -> Tensor:
     def bw(g):
         return (g * mask,)
 
-    return _record("relu", [a], out, bw)
+    return record("relu", [a], out, bw)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -368,7 +372,7 @@ def gelu(a: Tensor) -> Tensor:
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
         return (g * (cdf + x * pdf),)
 
-    return _record("gelu", [a], out, bw)
+    return record("gelu", [a], out, bw)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -381,7 +385,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
-    return _record("softmax", [a], y, bw)
+    return record("softmax", [a], y, bw)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -392,7 +396,7 @@ def log_softmax(a: Tensor) -> Tensor:
     def bw(g):
         return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
-    return _record("log_softmax", [a], out, bw)
+    return record("log_softmax", [a], out, bw)
 
 
 def layer_norm(x: Tensor, scale: Tensor, eps: float = _LN_EPS) -> Tensor:
@@ -415,7 +419,7 @@ def layer_norm(x: Tensor, scale: Tensor, eps: float = _LN_EPS) -> Tensor:
         gscale = _unbroadcast(g * xhat, sdata.shape)
         return (gx, gscale)
 
-    return _record("layer_norm", [x, scale], out, bw)
+    return record("layer_norm", [x, scale], out, bw)
 
 
 def _check_range(op, idx, n):
@@ -446,29 +450,7 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         np.add.at(gx, at, g)
         return (gx,)
 
-    return _record("gather_rows", [x], out, bw)
-
-
-def _identity_bw(g):
-    return (g,)
-
-
-def split_rows(x: Tensor) -> list:
-    """The N rows of an (N, d) tensor as N (1, d) tensors (views of its data),
-    recorded as one node.
-
-    Backward assembles the node's (N, d) gradient from its rows' gradients,
-    with zeros for rows nothing used.
-    """
-    xd = x.data
-    if xd.ndim != 2:
-        raise ShapeError("split_rows", xd.shape)
-    stack = _state.stack
-    taped = bool(stack) and x.requires_grad
-    rows = [Tensor(xd[i:i + 1], requires_grad=taped) for i in range(xd.shape[0])]
-    if taped:
-        stack[-1].nodes.append(_Node("split_rows", [x], rows, _identity_bw))
-    return rows
+    return record("gather_rows", [x], out, bw)
 
 
 def scatter_rows(x: Tensor, indices, n_rows: int) -> Tensor:
@@ -485,7 +467,7 @@ def scatter_rows(x: Tensor, indices, n_rows: int) -> Tensor:
     def bw(g):
         return (g[at],)
 
-    return _record("scatter_rows", [x], out, bw)
+    return record("scatter_rows", [x], out, bw)
 
 
 def gather_cols(x: Tensor, indices) -> Tensor:
@@ -509,7 +491,7 @@ def gather_cols(x: Tensor, indices) -> Tensor:
         gx[at] = g
         return (gx,)
 
-    return _record("gather_cols", [x], out, bw)
+    return record("gather_cols", [x], out, bw)
 
 
 def concat_last(tensors) -> Tensor:
@@ -525,7 +507,7 @@ def concat_last(tensors) -> Tensor:
     def bw(g):
         return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
 
-    return _record("concat_last", tensors, out, bw)
+    return record("concat_last", tensors, out, bw)
 
 
 def slice_last(x: Tensor, start: int, size: int) -> Tensor:
@@ -539,7 +521,7 @@ def slice_last(x: Tensor, start: int, size: int) -> Tensor:
         gx[..., start:start + size] = g
         return (gx,)
 
-    return _record("slice_last", [x], out, bw)
+    return record("slice_last", [x], out, bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -552,7 +534,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def bw(g):
         return (g.reshape(xshape),)
 
-    return _record("reshape", [x], out, bw)
+    return record("reshape", [x], out, bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -562,7 +544,7 @@ def sum_all(x: Tensor) -> Tensor:
     def bw(g):
         return (np.full(xshape, float(g)),)
 
-    return _record("sum_all", [x], out, bw)
+    return record("sum_all", [x], out, bw)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -573,7 +555,7 @@ def mean_all(x: Tensor) -> Tensor:
     def bw(g):
         return (np.full(xshape, float(g) * inv),)
 
-    return _record("mean_all", [x], out, bw)
+    return record("mean_all", [x], out, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ up, the four lookup factories in ``memory`` and ``models``, and three
 ``Model`` methods. A rename in the program would otherwise surface only when
 ``altbench/run.py --trace 1`` runs. The benchmark's token-id routing check
 patches ``models.memory_augmented_forward`` and expects one call per (layer,
-position); a change that drops that call fails here too.
+position) whose row the model uses; a change that drops that call, or makes
+its rows unused, fails here too.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from altup import memory, models, transformer as tr
+from altup import memory, models, tensor as T, transformer as tr
 
 TRACING = Path(__file__).resolve().parent.parent / "altbench" / "tracing.py"
 
@@ -85,3 +86,38 @@ def test_token_id_routing_check_sees_each_position_select_its_own_id(monkeypatch
     model.forward(ids)
     assert [indices for _, indices in selected] == [[int(i)] for i in ids] * cfg.n_layers
     assert [token for token, _ in selected] == [int(i) for i in ids] * cfg.n_layers
+
+
+def test_taped_step_uses_the_rows_of_each_per_position_call(monkeypatch):
+    # a training step records its memory layers on the tape, and still makes
+    # one memory_augmented_forward call per (layer, position) whose returned
+    # row is the row the model goes on with
+    cfg = tr.ModelConfig(d_model=8, n_layers=3, n_heads=2, ffn_hidden=16, vocab_size=11,
+                         max_seq_len=8)
+    model = models.Model(cfg, "dense", seed=3,
+                         memory={"n": 11, "rank": 2, "lookup": "token_id"})
+    ids = np.array([[1, 4, 7, 2, 9], [3, 0, 9, 5, 5]])
+    calls = []
+    original = models.memory_augmented_forward
+
+    def counting(x, token_id, inner_out, lookup, table, weights=None):
+        calls.append(token_id)
+        return original(x, token_id, inner_out, lookup, table, weights)
+
+    monkeypatch.setattr(models, "memory_augmented_forward", counting)
+    with T.Graph() as g:
+        loss = model.loss(ids, ids, training=True, rng=np.random.default_rng(0))
+    T.backward(g, loss)
+    assert calls == ids.reshape(-1).tolist() * cfg.n_layers
+    logits, _ = model.forward(ids)
+
+    def offset(x, token_id, inner_out, lookup, table, weights=None):
+        row = original(x, token_id, inner_out, lookup, table, weights)
+        return T.Tensor(row.data + 1.0)
+
+    monkeypatch.setattr(models, "memory_augmented_forward", offset)
+    shifted, _ = model.forward(ids)
+    assert not np.allclose(shifted.data, logits.data)
+    with T.Graph():
+        taped, _ = model.forward(ids)
+    assert np.array_equal(taped.data, shifted.data)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from altup import costs
 from altup import memory as mem
+from altup import models
 from altup import tensor as T
 from altup.tensor import Graph, Tensor, backward, grad_check
+from altup.transformer import ModelConfig
 
 
 def test_expert_forward_zero_weights():
@@ -345,3 +347,57 @@ def test_lsh_lookup_ignores_call_order():
     forward = [mem.hyperplane_lsh_lookup(x, p) for x in xs]
     backward_order = [mem.hyperplane_lsh_lookup(x, p) for x in reversed(xs)]
     assert forward == backward_order[::-1]
+
+
+# -- one node per memory layer against the per-row tape ------------------------
+
+def _per_row_memory_augment(slot, x_in, inner_out, ids, training, rng):
+    """The memory layer as a per-row tape: each position's
+    ``memory_augmented_forward`` runs under the graph on its own gathered
+    rows and probability weights."""
+    x_rows = T.reshape(x_in, (ids.size, x_in.data.shape[-1]))
+    inner_rows = T.reshape(inner_out, x_rows.data.shape)
+    tokens = ids.reshape(-1).tolist()
+    indices, weights = models._lookup(slot, ids, training, rng)(x_rows, tokens)
+    rows = []
+    for i, token in enumerate(tokens):
+        w = None if weights is None else [T.gather_rows(c, [i]) for c in weights]
+        rows.append(mem.memory_augmented_forward(
+            T.gather_rows(x_rows, [i]), token, T.gather_rows(inner_rows, [i]),
+            lambda x, tid, route=indices[i].tolist(), w=w: (route, w), slot["table"]))
+    return T.reshape(T.concat_last(rows), x_in.data.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lookup=st.sampled_from(["softmax", "token_id", "lsh", "minhash"]),
+       k=st.sampled_from([1, 2]), constant=st.booleans(), batch=st.sampled_from([1, 2, 3]),
+       t_len=st.sampled_from([1, 5]), training=st.booleans(), seed=st.integers(0, 2**16))
+def test_memory_layer_node_is_bitwise_the_per_row_tape(lookup, k, constant, batch, t_len,
+                                                       training, seed):
+    d, vocab = 6, 11
+    cfg = ModelConfig(d_model=d, n_layers=1, n_heads=1, ffn_hidden=8, vocab_size=vocab,
+                      max_seq_len=8)
+    memory = {"n": vocab if lookup == "token_id" else 4, "rank": 3, "lookup": lookup,
+              "constant": constant, "k": k if lookup == "softmax" else 1}
+    slot = models.Model(cfg, "dense", seed=seed, memory=memory)._mem[0]
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, vocab, (batch, t_len))
+    cotangent = rng.standard_normal((batch, t_len, d))
+    runs = []
+    for layer in (models._memory_augment, _per_row_memory_augment):
+        params = [slot["router"].w] if "router" in slot else []
+        params += slot["table"].params()
+        for p in params:
+            p.grad = None
+        x_in = Tensor(np.random.default_rng(seed + 1).standard_normal((batch, t_len, d)),
+                      requires_grad=True)
+        inner = Tensor(np.random.default_rng(seed + 2).standard_normal((batch, t_len, d)),
+                       requires_grad=True)
+        with Graph() as g:
+            out = layer(slot, x_in, inner, ids, training, np.random.default_rng(seed + 3))
+            loss = T.sum_all(T.mul(out, Tensor(cotangent)))
+        backward(g, loss)
+        runs.append([out.data, x_in.grad, inner.grad] + [p.grad for p in params])
+    for got, want in zip(*runs):
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)

@@ -129,17 +129,12 @@ SMOKE_NODES = [
 ]
 
 
-# Memory layers route all B*T rows of a layer at once, but keep one
-# memory_augmented_forward call per (layer, position), so their count still
-# grows with B*T. At B=2 and T=16, each of the 96 (layer, position) pairs
-# records 2 nodes (the fused expert and the residual add), 3 with softmax
-# top-1 routing (plus the probability weighting). Each layer adds 6 around
-# them: two reshapes and two row splits in, the concatenation and a reshape
-# out. Softmax routing adds 6 more per layer: the router's transpose, the
-# jitter, the logits product, the softmax, the probability pick and its row
-# split.
-MEMORY_SMOKE_NODES = [("softmax", 64, 414), ("token_id", 258, 300),
-                      ("lsh", 64, 300), ("minhash", 64, 300)]
+# A memory layer records the same tape for any batch size too: two reshapes
+# in, one node for all its rows (expert_rows) and a reshape out. Softmax
+# routing adds 5 more per layer: the router's transpose, the jitter, the
+# logits product, the softmax and the top-1 probability pick.
+MEMORY_SMOKE_NODES = [("softmax", 64, 117), ("token_id", 258, 102),
+                      ("lsh", 64, 102), ("minhash", 64, 102)]
 
 SMOKE_CFG = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
                            vocab_size=258, max_seq_len=20)
@@ -164,7 +159,9 @@ def test_tape_nodes_per_step_do_not_grow_with_batch(variant, kwargs, nodes):
 def test_memory_tape_nodes_per_step(lookup, n, nodes):
     model = models.Model(SMOKE_CFG, "dense", seed=1,
                          memory={"n": n, "rank": 4, "lookup": lookup})
-    assert _step_nodes(model, 2, np.random.default_rng(2)) == nodes
+    rng = np.random.default_rng(2)
+    for batch in (1, 8):
+        assert _step_nodes(model, batch, rng) == nodes, f"batch {batch}"
 
 
 # One training step of the smoke model at B=8, T=16. Backward frees each node

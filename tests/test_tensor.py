@@ -379,6 +379,20 @@ def test_no_recording_outside_graph():
     assert not y.requires_grad  # eval mode: nothing to backprop through
 
 
+def test_recording_pause_restores_the_open_graphs_after_an_exception():
+    x = t([1.0, 2.0], rg=True)
+    with Graph() as outer, Graph() as inner:
+        with pytest.raises(ValueError):
+            with T.recording_paused():
+                assert T.active_graph() is None
+                assert not T.mul(x, x).requires_grad
+                raise ValueError("inside the pause")
+        assert T.active_graph() is inner
+        y = T.mul(x, x)
+    assert T.active_graph() is None
+    assert outer.nodes == [] and [n.output for n in inner.nodes] == [y]
+
+
 def test_mac_counter_counts_matmul_only():
     T.reset_mac_count()
     a = t(np.ones((3, 4)))
@@ -534,7 +548,7 @@ def test_size_one_losses_backward_item_and_grad_check(shape):
     assert grad_check(f, [a, b]) < 1e-8
 
 
-# -- row split and fused expert ------------------------------------------------
+# -- fused expert --------------------------------------------------------------
 
 def _expert_instance(n=5, d=4, r=3, seed=40):
     rng = np.random.default_rng(seed)
@@ -544,15 +558,14 @@ def _expert_instance(n=5, d=4, r=3, seed=40):
             rng.standard_normal((n, d)))
 
 
-def test_split_rows_and_fused_expert_match_finite_differences():
+def test_fused_expert_matches_finite_differences():
     x, u, v, c = _expert_instance()
 
     def f(params):
-        rows = T.split_rows(params[0])
         # row 1 is used twice, row 3 not at all
-        picked = T.concat_last([rows[0], rows[1], rows[1], rows[4]])
-        out = T.matmul_relu_matmul(T.reshape(picked, (4, 4)), params[1], params[2])
-        return T.sum_all(T.mul(out, T.reshape(picked, (4, 4))))
+        picked = T.gather_rows(params[0], [0, 1, 1, 4])
+        out = T.matmul_relu_matmul(picked, params[1], params[2])
+        return T.sum_all(T.mul(out, picked))
 
     assert grad_check(f, [x, u, v], eps=1e-6) < 1e-6
     assert np.array_equal(x.grad[3], np.zeros(4))
@@ -582,38 +595,3 @@ def test_fused_expert_counts_the_macs_of_its_two_products():
     T.reset_mac_count()
     T.matmul_relu_matmul(x, u, v)
     assert T.mac_count() == 2 * n * d * r
-
-
-def test_split_rows_gives_row_views_and_zero_gradient_for_unused_rows():
-    x, _, _, c = _expert_instance()
-    assert [r.data.shape for r in T.split_rows(x)] == [(1, 4)] * 5
-    # off the tape the rows are plain views
-    assert not any(r.requires_grad for r in T.split_rows(x))
-    with Graph() as g:
-        rows = T.split_rows(x)
-        loss = T.add(T.sum_all(T.mul(rows[2], rows[2])), T.sum_all(rows[0]))
-    assert all(np.shares_memory(r.data, x.data) for r in rows)
-    backward(g, loss)
-    want = np.zeros((5, 4))
-    want[0] = 1.0
-    want[2] = 2.0 * x.data[2]
-    assert np.array_equal(x.grad, want)
-    with pytest.raises(T.ShapeError):
-        T.split_rows(t(np.ones(3)))
-
-
-def test_backward_consumes_a_split_rows_node():
-    x, u, v, _ = _expert_instance()
-    with Graph() as g:
-        rows = T.split_rows(x)
-        loss = T.sum_all(T.concat_last([T.matmul_relu_matmul(r, u, v) for r in rows]))
-    row_data = weakref.ref(rows[1].data)
-    held = rows
-    del rows
-    backward(g, loss)
-    assert g.nodes == []
-    # only leaves keep a gradient; the rows the caller holds keep none
-    assert all(r.grad is None for r in held)
-    assert x.grad is not None and u.grad is not None and v.grad is not None
-    del held
-    assert row_data() is None
