@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 MAGIC = b"ALTC"
-FORMAT_VERSION = 3  # 3 stores expert v as V^T (rank, d), where 2 stored (d, rank)
+FORMAT_VERSION = 4  # 4 stacks each memory table; 3 stored one tensor per expert
 
 
 class CheckpointError(Exception):

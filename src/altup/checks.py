@@ -35,7 +35,7 @@ def suite_instances():
     Batched instances (names ending ``_b2``) take a (2, T) batch, so the
     backward of every batched product and row gather/scatter is checked too.
     Memory instances cover each of the four lookups, constant experts, and
-    a batch whose rows share experts.
+    batches whose rows share experts.
     """
     instances = [(name, builder, False) for name, builder in [
         ("dense", lambda: Model(_cfg(), "dense", seed=11)),
@@ -63,6 +63,9 @@ def suite_instances():
         ("memory_minhash_constant", lambda: Model(
             _cfg(d=4, L=1, heads=1), "dense", seed=44,
             memory={"n": 3, "rank": 2, "lookup": "minhash", "constant": True})),
+        ("avg_pool_s2", lambda: Model(_cfg(L=1), "avg_pool", seq={"stride": 2}, seed=46)),
+        ("sum_baseline", lambda: Model(_cfg(d=4, heads=1), "sum_baseline", seed=47)),
+        ("altup_k2_h2", lambda: Model(_cfg(d=4), "altup", altup={"k": 2}, seed=48)),
     ]]
     for k in (1, 2, 4):
         for selection in ("same", "alternating"):
@@ -80,6 +83,15 @@ def suite_instances():
         ("memory_softmax_top2_b2", lambda: Model(
             _cfg(d=4, L=1, heads=1), "dense", seed=45,
             memory={"n": 3, "rank": 2, "lookup": "softmax", "k": 2}), True),
+        ("avg_pool_s3_b2", lambda: Model(_cfg(L=1), "avg_pool", seq={"stride": 3}, seed=49), True),
+        ("sum_baseline_b2", lambda: Model(_cfg(d=4, heads=1), "sum_baseline", seed=50), True),
+        # 8 rows into 3 experts, so rows share experts in the table's scatter-add
+        ("memory_lsh_b2", lambda: Model(
+            _cfg(d=4, L=1, heads=1), "dense", seed=51,
+            memory={"n": 3, "rank": 2, "lookup": "lsh"}), True),
+        ("memory_minhash_constant_b2", lambda: Model(
+            _cfg(d=4, L=1, heads=1), "dense", seed=52,
+            memory={"n": 3, "rank": 2, "lookup": "minhash", "constant": True}), True),
     ]
     return instances
 

@@ -1,4 +1,4 @@
-"""Memory-augmented layers: partial experts plus four lookup functions.
+"""Memory-augmented layers: a stacked table of partial experts plus four lookups.
 
 A table of n small experts sits beside a layer; a lookup function maps the
 layer input (and/or its token id) to table indices, and the selected experts'
@@ -7,9 +7,10 @@ token-id indexing, hyperplane LSH bucketing, and min-hash over the token-id
 set of each position's prefix. A lookup routes all rows of a layer input at
 once and returns ``(indices, weights)``: weights is None (unit weights) for
 token-id, lsh and min-hash, and probability Tensors for softmax.
-``memory_augmented_forward`` then adds the selected experts to one row. A
-model runs it off the tape once per position and records a layer's rows as
-one ``expert_rows`` node, whose backward handles all rows at once.
+``memory_augmented_forward`` then adds the selected experts to one row as
+constants to the tape. A model runs it off the tape once per position and
+records a layer's rows as one ``expert_rows`` node, whose backward handles
+all rows at once and gives the table its gradients.
 """
 
 from __future__ import annotations
@@ -35,51 +36,40 @@ def _splitmix64(z):
     return z ^ (z >> 31)
 
 
-class PartialExpert:
-    """Rank-limited two-matrix ReLU network f(x) = V relu(U^T x), or a constant."""
-
-    def __init__(self, d: int, rank: int = 0, rng: np.random.Generator | None = None,
-                 constant: bool = False, prefix: str = "expert"):
-        self.d = d
-        self.constant = constant
-        if constant:
-            self.rank = 0
-            self.b = Tensor(np.zeros(d), requires_grad=True, name=f"{prefix}.b")
-        else:
-            if rank < 1:
-                raise ValueError("matrix expert rank must be >= 1")
-            self.rank = rank
-            rng = rng or np.random.default_rng(0)
-            # LeCun-normal: std 1/sqrt(fan_in)
-            self.u = Tensor(rng.normal(0, 1 / np.sqrt(d), (d, rank)),
-                            requires_grad=True, name=f"{prefix}.u")
-            # stored as V^T, (rank, d), so a row x maps to relu(x U) V^T
-            self.v = Tensor(rng.normal(0, 1 / np.sqrt(rank), (d, rank)).T.copy(),
-                            requires_grad=True, name=f"{prefix}.v")
-
-    def params(self):
-        return [self.b] if self.constant else [self.u, self.v]
-
-
 class MemoryTable:
-    """Indexed collection of n partial experts sharing d and rank."""
+    """n partial experts sharing d and rank, stacked in one indexed table.
+
+    A matrix expert is the rank-limited ReLU network f_i(x) = V_i relu(U_i^T x),
+    stored as ``u`` (n, d, rank) and ``v`` (n, rank, d), which holds each V_i
+    transposed so a row x maps to relu(x U_i) V_i^T; a constant expert is its
+    output b_i, stored as ``b`` (n, d). ``experts[i]`` is expert i's handle,
+    the tuple ``(u[i], v[i])`` or ``(b[i],)`` of Tensors viewing the table,
+    built once, so its identity is stable; handles are not parameters.
+    """
 
     def __init__(self, n: int, d: int, rank: int, rng: np.random.Generator,
                  constant: bool = DEFAULTS["memory"]["constant"], prefix: str = "table"):
         if n < 1:
             raise ValueError("table size must be >= 1")
         self.n = n
-        self.d = d
-        self.rank = rank
-        self.experts = [PartialExpert(d, rank, rng, constant=constant,
-                                      prefix=f"{prefix}.expert{i}")
-                        for i in range(n)]
+        self.constant = constant
+        if constant:
+            self.b = Tensor(np.zeros((n, d)), requires_grad=True, name=f"{prefix}.b")
+            self.experts = [(Tensor(b),) for b in self.b.data]
+            return
+        if rank < 1:
+            raise ValueError("matrix expert rank must be >= 1")
+        u, v = np.empty((n, d, rank)), np.empty((n, rank, d))
+        for i in range(n):
+            # LeCun-normal, std 1/sqrt(fan_in); V_i is drawn as (d, rank)
+            u[i] = rng.normal(0, 1 / np.sqrt(d), (d, rank))
+            v[i] = rng.normal(0, 1 / np.sqrt(rank), (d, rank)).T
+        self.u = Tensor(u, requires_grad=True, name=f"{prefix}.u")
+        self.v = Tensor(v, requires_grad=True, name=f"{prefix}.v")
+        self.experts = [(Tensor(u_i), Tensor(v_i)) for u_i, v_i in zip(u, v)]
 
     def params(self):
-        return [p for e in self.experts for p in e.params()]
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params())
+        return [self.b] if self.constant else [self.u, self.v]
 
 
 @dataclass
@@ -134,15 +124,17 @@ def lsh_projections(n: int) -> int:
     return max(1, int(np.ceil(np.log2(n))))
 
 
-def expert_forward(x: Tensor, e: PartialExpert) -> Tensor:
-    """V relu(U^T x) for each row of an (N, d) input; one tape node for a
-    matrix expert."""
-    if x.data.ndim != 2 or x.data.shape[1] != e.d:
-        raise T.ShapeError("expert_forward", x.data.shape, (-1, e.d))
-    if e.constant:
+def expert_forward(x: Tensor, expert) -> Tensor:
+    """V relu(U^T x) for each row of an (N, d) input, or the constant b on
+    every row, for a table's expert handle ``(u, v)`` or ``(b,)``. The
+    handle's Tensors are constants to the tape."""
+    d = expert[0].data.shape[0]
+    if x.data.ndim != 2 or x.data.shape[1] != d:
+        raise T.ShapeError("expert_forward", x.data.shape, (-1, d))
+    if len(expert) == 1:
         # constant output b, broadcast over rows; no gradient reaches x
-        return T.add(T.scalar_mul(x, 0.0), e.b)
-    return T.matmul_relu_matmul(x, e.u, e.v)
+        return T.add(T.scalar_mul(x, 0.0), expert[0])
+    return T.matmul_relu_matmul(x, *expert)
 
 
 def softmax_route(x: Tensor, r: RouterParams, training: bool = False,
@@ -152,13 +144,6 @@ def softmax_route(x: Tensor, r: RouterParams, training: bool = False,
     q = softmax_lookup(replace(r, w=Tensor(r.w.data)), training, rng)
     indices, weights = q(Tensor(x.data.reshape(1, -1)), [0])
     return [int(i) for i in indices[0]], [w.item() for w in weights]
-
-
-def token_id_lookup(token_id: int, n: int) -> int:
-    """The token's own vocabulary index; ignores the layer input entirely."""
-    if not (0 <= token_id < n):
-        raise IndexError(f"token_id_lookup: id {token_id} out of range [0, {n})")
-    return int(token_id)
 
 
 def lsh_cell_hash(cells: np.ndarray) -> np.ndarray:
@@ -228,7 +213,8 @@ def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,
     unit weights (token-id, lsh and min-hash lookups) or k (1, 1) Tensors
     (differentiable softmax probabilities); explicit ``weights`` override
     them. A unit-weight expert output is added as is. With no selected index
-    the inner output passes through untouched.
+    the inner output passes through untouched. The expert terms are
+    constants to the tape: the table's gradients come from ``expert_rows``.
     """
     indices, w = lookup(x, token_id)
     if weights is not None:
@@ -255,43 +241,37 @@ def expert_rows(x_rows: Tensor, inner_rows: Tensor, indices, weights, table: Mem
     tape, for row i of ``x_rows`` and ``inner_rows`` with the route
     ``indices[i]`` (an (N, k) array) and the weights ``weights``: None (unit
     weights) or k (N, 1) Tensors. The node's inputs are ``x_rows``,
-    ``inner_rows``, the weight columns and the parameters of the experts the
-    route selected, so an expert no row selected gets no gradient.
+    ``inner_rows``, the weight columns and the table's parameters, whose
+    gradients cover the whole table and are zero at every expert no row
+    selected.
 
     Backward recomputes the selected experts' products for all rows at once
     as stacked matmuls whose 2-D slices have the shapes and memory layouts of
-    the per-row products, and adds each expert's gradients in the per-row
-    tape's reverse (position, slot) order, so every gradient is bitwise that
-    of the per-row composition.
+    the per-row products, and scatter-adds the expert gradients into the
+    table in the per-row tape's reverse (position, slot) order, so every
+    gradient is bitwise that of the per-row composition.
     """
     xd = x_rows.data
     out = np.concatenate([r.data for r in rows])
     if out.shape != xd.shape:
         raise T.ShapeError("expert_rows", out.shape, xd.shape)
     idx = np.asarray(indices, dtype=np.int64)
-    used, slots = np.unique(idx, return_inverse=True)
-    slots = slots.reshape(idx.shape)
-    experts = [table.experts[i] for i in used.tolist()]
     cols = list(weights) if weights is not None else []
-    constant = table.experts[0].constant
+    params = table.params()
+    constant = table.constant
 
     def bw(g):
         n_rows, d = xd.shape
         x3 = xd.reshape(n_rows, 1, d)
-        if constant:
-            b = np.stack([e.b.data for e in experts])
-        else:
-            u = np.stack([e.u.data for e in experts])
-            v = np.stack([e.v.data for e in experts])
         gx, gw, gps = None, [None] * len(cols), []
         # slots in reverse order: the per-row tape sums a row's expert
         # gradients into x from its last slot to its first
         for j in reversed(range(idx.shape[1])):
-            s = slots[:, j]
+            s = idx[:, j]
             if constant:
-                e_out = b[s]
+                e_out = table.b.data[s]
             else:
-                uj, vj = u[s], v[s]
+                uj, vj = table.u.data[s], table.v.data[s]
                 h = x3 @ uj
                 a = np.maximum(h, 0.0)
                 e_out = (a @ vj).reshape(n_rows, d)
@@ -311,16 +291,15 @@ def expert_rows(x_rows: Tensor, inner_rows: Tensor, indices, weights, table: Mem
             gps.append(gp)
         # gps runs over slots last to first; np.add.at adds in index order,
         # so order the contributions by position, then slot, both reversed
-        at = slots[::-1, ::-1].reshape(-1)
-        expert_grads = []
-        for part in zip(*gps):
+        at = idx[::-1, ::-1].reshape(-1)
+        table_grads = []
+        for p, part in zip(params, zip(*gps)):
             contrib = np.stack(part, axis=1)[::-1].reshape((-1,) + part[0].shape[1:])
-            acc = np.zeros((len(experts),) + part[0].shape[1:])
+            acc = np.zeros(p.data.shape)
             np.add.at(acc, at, contrib)
-            expert_grads.append(acc)
-        return (gx, g, *gw, *(acc[m] for m in range(len(experts)) for acc in expert_grads))
+            table_grads.append(acc)
+        return (gx, g, *gw, *table_grads)
 
-    params = [p for e in experts for p in e.params()]
     return T.record("expert_rows", [x_rows, inner_rows, *cols, *params], out, bw)
 
 
@@ -357,11 +336,13 @@ def softmax_lookup(router: RouterParams, training: bool = False,
 
 
 def token_id_fixed_lookup(n: int):
-    """Lookup: index = token id, unit weight."""
+    """Lookup: index = token id, unit weight; ignores the layer input entirely.
+    Token ids may be one id or any array of them, routed in row-major order."""
 
     def q(x: Tensor, token_ids):
-        return np.array([[token_id_lookup(t, n)] for t in np.ravel(token_ids).tolist()],
-                        dtype=np.int64).reshape(-1, 1), None
+        ids = np.asarray(token_ids, dtype=np.int64).reshape(-1, 1)
+        T._check_range("token_id_fixed_lookup", ids, n)
+        return ids, None
 
     return q
 

@@ -12,13 +12,13 @@ its parameters and its forward step, and ``forward`` runs the steps in order.
 ``forward`` and ``loss`` take token ids of shape (T,) or (B, T) through the
 same code. A memory layer routes all B*T rows at once (one lookup call,
 returning ``(indices, weights | None)``), then makes one
-``memory_augmented_forward`` call per position, off the tape, since each
-position applies its own experts from per-expert tensors, and records the
-rows those calls return as one ``memory.expert_rows`` node. So a memory
-layer records 4 tape nodes at any batch size (two reshapes in, the rows
-node and a reshape out), and softmax routing adds 4 plus one per top-k
-slot (the router's transpose, the training jitter, the logits product, the
-softmax and each probability pick).
+``memory_augmented_forward`` call per position, off the tape, whose expert
+terms are constants, and records the rows those calls return as one
+``memory.expert_rows`` node, which gives the stacked table its gradients.
+So a memory layer records 4 tape nodes at any batch size (two reshapes in,
+the rows node and a reshape out), and softmax routing adds 4 plus one per
+top-k slot (the router's transpose, the training jitter, the logits
+product, the softmax and each probability pick).
 """
 
 from __future__ import annotations

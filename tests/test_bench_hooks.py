@@ -65,6 +65,30 @@ def test_hooks_installed_after_construction_see_every_call():
     assert names.count("memory.memory_augmented_forward") == cfg.n_layers * len(ids)
 
 
+def test_tracer_counts_each_distinct_expert_once_per_table():
+    # the benchmark's memory.experts_used_share counts the experts a table
+    # used by the identity of the handle expert_forward gets, so each expert
+    # must reach it as one object, whichever position and forward selects it
+    cfg = tr.ModelConfig(d_model=8, n_layers=3, n_heads=2, ffn_hidden=16, vocab_size=11,
+                         max_seq_len=8)
+    model = models.Model(cfg, "dense", seed=4,
+                         memory={"n": 11, "rank": 2, "lookup": "token_id"})
+    ids = np.array([[1, 4, 4, 7], [7, 1, 9, 4]])
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        model.forward(ids)
+        model.forward(ids[:, ::-1])
+    finally:
+        tracer.uninstall()
+    distinct = len(set(ids.reshape(-1).tolist()))
+    assert sorted(id(table) for table, _ in tracer.used_experts.values()) == sorted(
+        id(slot["table"]) for slot in model._mem)
+    assert [len(used) for _, used in tracer.used_experts.values()] == [distinct] * cfg.n_layers
+    tracer.fold_expert_use()
+    assert tracer.shares == [(distinct, 11)] * cfg.n_layers
+
+
 def test_token_id_routing_check_sees_each_position_select_its_own_id(monkeypatch):
     # what altbench/checks.check_token_id_routing does: one patched
     # memory_augmented_forward call per (layer, position), whose lookup

@@ -14,19 +14,20 @@ from altup.transformer import ModelConfig
 
 
 def test_expert_forward_zero_weights():
-    e = mem.PartialExpert(4, rank=2, rng=np.random.default_rng(0))
-    e.u.data[...] = 0.0
-    e.v.data[...] = 0.0
-    out = mem.expert_forward(Tensor(np.ones((1, 4))), e)
+    table = mem.MemoryTable(n=2, d=4, rank=2, rng=np.random.default_rng(0))
+    table.u.data[1] = 0.0
+    table.v.data[1] = 0.0
+    out = mem.expert_forward(Tensor(np.ones((1, 4))), table.experts[1])
     assert np.array_equal(out.data, np.zeros((1, 4)))
 
 
 def test_expert_forward_rank_one_relu_gate():
-    e = mem.PartialExpert(3, rank=1, rng=np.random.default_rng(1))
-    e.u.data[...] = 0.0
-    e.v.data[...] = 0.0
-    e.u.data[0, 0] = 1.0  # U = e1
-    e.v.data[0, 1] = 1.0  # V = e2, stored as V^T
+    table = mem.MemoryTable(n=1, d=3, rank=1, rng=np.random.default_rng(1))
+    table.u.data[...] = 0.0
+    table.v.data[...] = 0.0
+    table.u.data[0, 0, 0] = 1.0  # U = e1
+    table.v.data[0, 0, 1] = 1.0  # V = e2, stored as V^T
+    e = table.experts[0]
     out = mem.expert_forward(Tensor(np.array([[3.0, 0.0, 0.0]])), e)
     assert np.allclose(out.data, [[0.0, 3.0, 0.0]])
     out_neg = mem.expert_forward(Tensor(np.array([[-3.0, 0.0, 0.0]])), e)
@@ -34,41 +35,52 @@ def test_expert_forward_rank_one_relu_gate():
 
 
 def test_expert_stores_v_transposed_and_applies_it_bitwise():
-    d, rank = 6, 3
-    e = mem.PartialExpert(d, rank=rank, rng=np.random.default_rng(8))
-    # the same draws as a (d, rank) V, stored transposed
+    n, d, rank = 3, 6, 2
+    table = mem.MemoryTable(n=n, d=d, rank=rank, rng=np.random.default_rng(8))
+    assert table.u.data.shape == (n, d, rank) and table.v.data.shape == (n, rank, d)
+    # row-major like a per-expert V^T, so each product has the per-expert layout
+    assert table.u.data.flags.c_contiguous and table.v.data.flags.c_contiguous
+    # expert after expert: U_i, then V_i drawn as (d, rank) and stored transposed
     rng = np.random.default_rng(8)
-    u = rng.normal(0, 1 / np.sqrt(d), (d, rank))
-    v = rng.normal(0, 1 / np.sqrt(rank), (d, rank))
-    assert e.u.data.shape == (d, rank) and e.v.data.shape == (rank, d)
-    assert np.array_equal(e.u.data, u) and np.array_equal(e.v.data, v.T)
     x = np.random.default_rng(9).standard_normal((5, d))
-    out = mem.expert_forward(Tensor(x), e)
-    assert np.array_equal(out.data, np.maximum(x @ u, 0.0) @ v.T)
+    for i, e in enumerate(table.experts):
+        u = rng.normal(0, 1 / np.sqrt(d), (d, rank))
+        v = rng.normal(0, 1 / np.sqrt(rank), (d, rank))
+        assert np.array_equal(table.u.data[i], u) and np.array_equal(table.v.data[i], v.T)
+        # the handle views the table's slices and is no parameter
+        assert e[0].data.base is table.u.data and e[1].data.base is table.v.data
+        assert not (e[0].requires_grad or e[1].requires_grad)
+        out = mem.expert_forward(Tensor(x), e)
+        assert np.array_equal(out.data, np.maximum(x @ u, 0.0) @ v.T)
     with pytest.raises(T.ShapeError):
-        mem.expert_forward(Tensor(np.ones(d)), e)
+        mem.expert_forward(Tensor(np.ones(d)), table.experts[0])
 
 
 def test_expert_param_count():
-    e = mem.PartialExpert(8, rank=4, rng=np.random.default_rng(2))
-    assert sum(p.size for p in e.params()) == 2 * 4 * 8
-    c = mem.PartialExpert(8, constant=True)
-    assert sum(p.size for p in c.params()) == 8
+    table = mem.MemoryTable(n=3, d=8, rank=4, rng=np.random.default_rng(2))
+    assert [(p.name, p.data.shape) for p in table.params()] == [
+        ("table.u", (3, 8, 4)), ("table.v", (3, 4, 8))]
+    assert sum(p.size for p in table.params()) == 3 * 2 * 4 * 8
+    c = mem.MemoryTable(n=3, d=8, rank=0, rng=np.random.default_rng(2), constant=True,
+                        prefix="layers.1.table")
+    assert [(p.name, p.data.shape) for p in c.params()] == [("layers.1.table.b", (3, 8))]
+    assert sum(p.size for p in c.params()) == 3 * 8
     assert np.array_equal(
-        mem.expert_forward(Tensor(np.ones((2, 8))), c).data, np.zeros((2, 8)))
+        mem.expert_forward(Tensor(np.ones((2, 8))), c.experts[2]).data, np.zeros((2, 8)))
+    with pytest.raises(ValueError):
+        mem.MemoryTable(n=3, d=8, rank=0, rng=np.random.default_rng(2))
 
 
 def test_table_param_census_matches_formula():
     rng = np.random.default_rng(3)
     table = mem.MemoryTable(n=128, d=64, rank=16, rng=rng)
-    assert table.param_count() == costs.memory_params_per_layer(128, 16, 64, "lsh")
-    assert table.param_count() == 262144
+    census = sum(p.size for p in table.params())
+    assert census == costs.memory_params_per_layer(128, 16, 64, "lsh") == 262144
     small = mem.MemoryTable(n=5, d=6, rank=2, rng=rng)
-    assert small.param_count() == 2 * 2 * 5 * 6
-    assert sum(p.size for p in small.params()) == small.param_count()
+    assert sum(p.size for p in small.params()) == 2 * 2 * 5 * 6
     constant = mem.MemoryTable(n=5, d=6, rank=2, rng=rng, constant=True)
-    assert constant.param_count() == costs.memory_params_per_layer(5, 2, 6, "lsh", constant=True)
-    assert sum(p.size for p in constant.params()) == constant.param_count() == 5 * 6
+    assert (sum(p.size for p in constant.params())
+            == costs.memory_params_per_layer(5, 2, 6, "lsh", constant=True) == 5 * 6)
 
 
 def test_softmax_route_uniform_when_router_zero():
@@ -142,12 +154,27 @@ def test_softmax_lookup_routes_rows_as_if_one_at_a_time():
 
 
 def test_token_id_lookup():
-    assert mem.token_id_lookup(0, 10) == 0
-    assert mem.token_id_lookup(7, 10) == 7
+    q = mem.token_id_fixed_lookup(10)
+    x = Tensor(np.ones((1, 3)))
+    assert q(x, 0)[0].tolist() == [[0]] and q(x, 7)[0].tolist() == [[7]]
     with pytest.raises(IndexError):
-        mem.token_id_lookup(10, 10)
-    # layer/position independent: the id is the answer, always
-    assert mem.token_id_lookup(3, 10) == mem.token_id_lookup(3, 10)
+        q(x, 10)
+    # layer/position independent: the id is the answer, whatever the input
+    assert q(Tensor(-x.data), 3)[0].tolist() == q(x, 3)[0].tolist() == [[3]]
+
+
+def test_token_id_fixed_lookup_names_an_out_of_range_id_and_its_position():
+    q = mem.token_id_fixed_lookup(10)
+    ids = np.array([[1, 4, 7], [2, 9, 0]])
+    indices, weights = q(Tensor(np.zeros((6, 2))), ids)
+    assert weights is None and indices.tolist() == [[i] for i in ids.reshape(-1)]
+    ids[1, 1] = 12
+    with pytest.raises(IndexError, match=r"id_fixed_lookup: index 12 at position 4 out of "
+                                         r"range \[0, 10\)"):
+        q(Tensor(np.zeros((6, 2))), ids)
+    ids[1, 1] = -1
+    with pytest.raises(IndexError, match="index -1 at position 4"):
+        q(Tensor(np.zeros((6, 2))), ids)
 
 
 def test_hyperplane_lsh_cell_arithmetic():
@@ -289,9 +316,8 @@ def test_memory_forward_empty_selection_is_inner_output():
 
 def test_memory_forward_zero_experts_is_inner_output():
     table = _table()
-    for e in table.experts:
-        e.u.data[...] = 0.0
-        e.v.data[...] = 0.0
+    table.u.data[...] = 0.0
+    table.v.data[...] = 0.0
     x = Tensor(np.random.default_rng(22).standard_normal((1, 4)))
     inner = Tensor(np.random.default_rng(23).standard_normal((1, 4)))
     for lookup in (mem.token_id_fixed_lookup(3),
@@ -331,14 +357,15 @@ def test_gradient_flows_into_router_through_probabilities():
                                            mem.softmax_lookup(router), table)
         return T.sum_all(T.mul(out, out))
 
-    params = [router.w] + table.params()
-    assert grad_check(f, params, eps=1e-5) < 1e-4
+    assert grad_check(f, [router.w], eps=1e-5) < 1e-4
 
     router.w.grad = None
     with Graph() as g:
         loss = f(None)
     backward(g, loss)
     assert router.w.grad is not None and np.abs(router.w.grad).sum() > 0
+    # the expert terms are constants to this tape; expert_rows trains the table
+    assert table.u.grad is None and table.v.grad is None
 
 
 def test_lsh_lookup_ignores_call_order():
@@ -352,19 +379,31 @@ def test_lsh_lookup_ignores_call_order():
 # -- one node per memory layer against the per-row tape ------------------------
 
 def _per_row_memory_augment(slot, x_in, inner_out, ids, training, rng):
-    """The memory layer as a per-row tape: each position's
-    ``memory_augmented_forward`` runs under the graph on its own gathered
-    rows and probability weights."""
+    """The memory layer as a per-row tape: each position's selected experts
+    are gathered from the stacked table and applied, on the graph, to its own
+    gathered row, with its own probability weights."""
+    table = slot["table"]
     x_rows = T.reshape(x_in, (ids.size, x_in.data.shape[-1]))
     inner_rows = T.reshape(inner_out, x_rows.data.shape)
-    tokens = ids.reshape(-1).tolist()
-    indices, weights = models._lookup(slot, ids, training, rng)(x_rows, tokens)
+    indices, weights = models._lookup(slot, ids, training, rng)(x_rows, ids.reshape(-1).tolist())
+
+    def expert_slice(p, i):
+        flat = T.reshape(p, (table.n, p.data[0].size))
+        return T.reshape(T.gather_rows(flat, [i]), p.data.shape[1:])
+
     rows = []
-    for i, token in enumerate(tokens):
-        w = None if weights is None else [T.gather_rows(c, [i]) for c in weights]
-        rows.append(mem.memory_augmented_forward(
-            T.gather_rows(x_rows, [i]), token, T.gather_rows(inner_rows, [i]),
-            lambda x, tid, route=indices[i].tolist(), w=w: (route, w), slot["table"]))
+    for r, route in enumerate(indices.tolist()):
+        x = T.gather_rows(x_rows, [r])
+        out = T.gather_rows(inner_rows, [r])
+        for j, i in enumerate(route):
+            if table.constant:
+                e_out = T.add(T.scalar_mul(x, 0.0), T.gather_rows(table.b, [i]))
+            else:
+                e_out = T.matmul_relu_matmul(x, expert_slice(table.u, i),
+                                             expert_slice(table.v, i))
+            out = T.add(out, e_out if weights is None
+                        else T.mul(T.gather_rows(weights[j], [r]), e_out))
+        rows.append(out)
     return T.reshape(T.concat_last(rows), x_in.data.shape)
 
 

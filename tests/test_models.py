@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altup import models, tensor as T, transformer as tr
+from altup import costs, models, tensor as T, transformer as tr
 from altup.tensor import Graph, backward
 
 
@@ -155,6 +155,20 @@ def test_tape_nodes_per_step_do_not_grow_with_batch(variant, kwargs, nodes):
         assert _step_nodes(model, batch, rng) == nodes, f"batch {batch}"
 
 
+def test_memory_tables_are_stacked_tensors():
+    # each table is its u (n, d, rank) and v (n, rank, d): 2 parameter tensors
+    # per layer where one per expert matrix made 1577 for this model
+    memory = {"n": 258, "rank": 4, "lookup": "token_id"}
+    model = models.Model(SMOKE_CFG, "dense", seed=1, memory=memory)
+    named = model.named_parameters()
+    assert len(named) == 35
+    assert [(name, p.data.shape) for name, p in named if ".table." in name] == [
+        (f"layers.{i}.table.{m}", shape) for i in range(3)
+        for m, shape in (("u", (258, 32, 4)), ("v", (258, 4, 32)))]
+    report = costs.count_params(SMOKE_CFG, "dense", memory=memory)
+    assert model.census() == report.embedding_params + report.non_embedding_params == 237952
+
+
 @pytest.mark.parametrize("lookup,n,nodes", MEMORY_SMOKE_NODES)
 def test_memory_tape_nodes_per_step(lookup, n, nodes):
     model = models.Model(SMOKE_CFG, "dense", seed=1,
@@ -292,9 +306,8 @@ def test_memory_zero_experts_is_plain_dense_model():
     mem_model = models.Model(cfg, "dense", seed=9,
                              memory={"n": 5, "rank": 2, "lookup": "lsh"})
     for slot in mem_model._mem:
-        for e in slot["table"].experts:
-            e.u.data[...] = 0.0
-            e.v.data[...] = 0.0
+        slot["table"].u.data[...] = 0.0
+        slot["table"].v.data[...] = 0.0
     plain = models.Model(cfg, "dense", seed=9)
     # embedding/pos/inner draws happen before memory draws, so they coincide
     for (name, p), (name2, p2) in zip(plain.named_parameters(), mem_model.named_parameters()):

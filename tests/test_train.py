@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from altup import checkpoint as ckpt
 from altup import cli, collisions, costs, models, schema, transformer as tr
+from altup import tensor as T
 from altup import train as train_module
 from altup.data import TASKS, input_length, make_demo_corpus, make_task
 from altup.train import (ConfigError, DivergenceError, build_model,
@@ -161,9 +162,12 @@ def test_training_is_byte_deterministic(tmp_path):
 # _raw() at seed 5. A tape change that keeps the arithmetic keeps these bytes.
 # Routing all memory rows of a layer at once kept the softmax jitter stream and
 # these bytes; min-hash was re-pinned when it began to route each position by
-# its prefix. Stacked expert tables that sum expert outputs in another order
-# may change the memory entries on purpose. The digests hold for the
-# numpy/OpenBLAS build the suite runs on; another BLAS may sum in another order.
+# its prefix. Storing each table as stacked tensors kept every memory entry:
+# each expert slice has the layout of a per-expert array, and the table's
+# gradients are added in the per-row order. A batched expert forward that sums
+# expert outputs in another order may change the memory entries on purpose.
+# The digests hold for the numpy/OpenBLAS build the suite runs on; another
+# BLAS may sum in another order.
 BITWISE_RUNS = {
     "dense": ({}, "342fbb7bc29528ee856f36419e2d57f8135ff2bde6e6a5d8024885b891e35e62",
               "5.5002480122472726"),
@@ -196,6 +200,40 @@ def test_metrics_bytes_are_pinned(name, tmp_path):
     summary = train(config_from_dict(raw), tmp_path)
     assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest
     assert repr(summary["final_train_loss"]) == final_loss
+
+
+def test_sgd_step_leaves_unselected_experts_bitwise_unchanged(tmp_path, monkeypatch):
+    # a table's gradient is zero at every expert no row of the step selected,
+    # so a momentum-0 step leaves those slices bitwise as they were. A selected
+    # expert whose ReLUs are all off on its rows gets a zero gradient too; at
+    # rank 8 no selected expert of this run is one.
+    n = 64
+    cfg = config_from_dict(_raw(memory={"n": n, "rank": 8, "lookup": "lsh"},
+                                optimizer={"learning_rate": 0.05, "steps": 1,
+                                           "batch_size": 2, "momentum": 0.0}))
+    selected = {}
+    original = models.expert_rows
+
+    def recording(x_rows, inner_rows, indices, weights, table, rows):
+        if T.active_graph() is not None:  # the training step, not an eval
+            selected.setdefault(table.u.name.rsplit(".", 1)[0], set()).update(
+                np.ravel(indices).tolist())
+        return original(x_rows, inner_rows, indices, weights, table, rows)
+
+    monkeypatch.setattr(models, "expert_rows", recording)
+    train(cfg, tmp_path)
+    _, trained = ckpt.load_checkpoint(tmp_path / "model.ckpt")
+    init = dict(build_model(cfg).named_parameters())
+    assert sorted(selected) == ["layers.0.table", "layers.1.table"]
+    for table, used in selected.items():
+        unused = sorted(set(range(n)) - used)
+        assert len(used) >= 8 and len(unused) >= 8
+        for name in (f"{table}.u", f"{table}.v"):
+            assert np.array_equal(trained[name][unused], init[name].data[unused])
+        moved = [not (np.array_equal(trained[f"{table}.u"][i], init[f"{table}.u"].data[i])
+                      and np.array_equal(trained[f"{table}.v"][i], init[f"{table}.v"].data[i]))
+                 for i in sorted(used)]
+        assert all(moved), f"{table}: selected experts left unchanged"
 
 
 def test_summary_reports_the_process_peak_rss(tmp_path):
@@ -347,17 +385,19 @@ def test_checkpoint_version_and_magic_errors(tmp_path):
 
 def test_checkpoint_version_2_is_rejected(tmp_path):
     # version 2 stored each expert's v as (d, rank); with d == rank it would
-    # otherwise load transposed without a shape error
+    # otherwise load transposed without a shape error. Version 3 stored one
+    # tensor per expert where version 4 stacks each table.
     cfg = tr.ModelConfig(4, 1, 1, 8, 11, 8)
     model = models.Model(cfg, "dense", seed=4, memory={"n": 3, "rank": 4, "lookup": "lsh"})
     path = tmp_path / "m.ckpt"
     ckpt.save_model(model, path)
     blob = bytearray(path.read_bytes())
-    assert struct.unpack("<I", blob[4:8])[0] == ckpt.FORMAT_VERSION == 3
-    blob[4:8] = struct.pack("<I", 2)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ckpt.CheckpointVersionError):
-        ckpt.load_model(model, path)
+    assert struct.unpack("<I", blob[4:8])[0] == ckpt.FORMAT_VERSION == 4
+    for old in (2, 3):
+        blob[4:8] = struct.pack("<I", old)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ckpt.CheckpointVersionError, match=f"format version {old}"):
+            ckpt.load_model(model, path)
 
 
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
