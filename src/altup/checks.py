@@ -8,6 +8,8 @@ tests and the ``gradcheck`` CLI command.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .models import Model
 from .tensor import grad_check
 from .transformer import ModelConfig
@@ -18,6 +20,7 @@ _IDS = [1, 4, 7, 2]
 _TARGETS = [4, 7, 2, 9]
 _BATCH_IDS = [_IDS, [3, 0, 9, 5]]
 _BATCH_TARGETS = [_TARGETS, [0, 9, 5, 1]]
+_JITTER_SEED = 54
 
 
 def _cfg(d=8, L=2, heads=2, ffn=8):
@@ -30,14 +33,17 @@ def _wrap_all(stride):
 
 
 def suite_instances():
-    """(name, model builder, batched) triples covering the variant matrix.
+    """(name, model builder, batched, training) tuples covering the variant
+    matrix.
 
     Batched instances (names ending ``_b2``) take a (2, T) batch, so the
     backward of every batched product and row gather/scatter is checked too.
     Memory instances cover each of the four lookups, constant experts, and
-    batches whose rows share experts.
+    batches whose rows share experts. A training instance runs every loss in
+    training mode with a fresh jitter rng of one fixed seed, so the softmax
+    router's jitter is the same draw at every perturbation.
     """
-    instances = [(name, builder, False) for name, builder in [
+    instances = [(name, builder, False, False) for name, builder in [
         ("dense", lambda: Model(_cfg(), "dense", seed=11)),
         ("recycled_altup_k2", lambda: Model(_cfg(d=4, heads=1), "recycled_altup",
                                             altup={"k": 2}, seed=13)),
@@ -72,39 +78,42 @@ def suite_instances():
             name = f"altup_k{k}_{selection}"
             instances.append((name, lambda k=k, s=selection: Model(
                 _cfg(d=4, heads=1), "altup", altup={"k": k, "selection": s},
-                seed=20 + k), False))
-    instances += [
-        ("dense_b2", lambda: Model(_cfg(), "dense", seed=31), True),
-        ("altup_k2_b2", lambda: Model(_cfg(d=4, heads=1), "altup", altup={"k": 2}, seed=32), True),
-        ("seq_altup_k2_b2", lambda: Model(_cfg(L=1), "seq_altup", seq=_wrap_all(2), seed=33),
-         True),
-        ("stride_skip_b2", lambda: Model(_cfg(L=1), "stride_skip", seq=_wrap_all(2), seed=34),
-         True),
+                seed=20 + k), False, False))
+    instances += [(name, builder, True, False) for name, builder in [
+        ("dense_b2", lambda: Model(_cfg(), "dense", seed=31)),
+        ("altup_k2_b2", lambda: Model(_cfg(d=4, heads=1), "altup", altup={"k": 2}, seed=32)),
+        ("seq_altup_k2_b2", lambda: Model(_cfg(L=1), "seq_altup", seq=_wrap_all(2), seed=33)),
+        ("stride_skip_b2", lambda: Model(_cfg(L=1), "stride_skip", seq=_wrap_all(2), seed=34)),
         ("memory_softmax_top2_b2", lambda: Model(
             _cfg(d=4, L=1, heads=1), "dense", seed=45,
-            memory={"n": 3, "rank": 2, "lookup": "softmax", "k": 2}), True),
-        ("avg_pool_s3_b2", lambda: Model(_cfg(L=1), "avg_pool", seq={"stride": 3}, seed=49), True),
-        ("sum_baseline_b2", lambda: Model(_cfg(d=4, heads=1), "sum_baseline", seed=50), True),
+            memory={"n": 3, "rank": 2, "lookup": "softmax", "k": 2})),
+        ("avg_pool_s3_b2", lambda: Model(_cfg(L=1), "avg_pool", seq={"stride": 3}, seed=49)),
+        ("sum_baseline_b2", lambda: Model(_cfg(d=4, heads=1), "sum_baseline", seed=50)),
         # 8 rows into 3 experts, so rows share experts in the table's scatter-add
         ("memory_lsh_b2", lambda: Model(
             _cfg(d=4, L=1, heads=1), "dense", seed=51,
-            memory={"n": 3, "rank": 2, "lookup": "lsh"}), True),
+            memory={"n": 3, "rank": 2, "lookup": "lsh"})),
         ("memory_minhash_constant_b2", lambda: Model(
             _cfg(d=4, L=1, heads=1), "dense", seed=52,
-            memory={"n": 3, "rank": 2, "lookup": "minhash", "constant": True}), True),
-    ]
+            memory={"n": 3, "rank": 2, "lookup": "minhash", "constant": True})),
+    ]]
+    # training mode, the only one that puts the router's jitter multiply on the tape
+    instances.append(("memory_softmax_jitter_b2", lambda: Model(
+        _cfg(d=4, L=1, heads=1), "dense", seed=53,
+        memory={"n": 3, "rank": 2, "lookup": "softmax", "k": 2, "jitter_eps": 0.1}), True, True))
     return instances
 
 
 def run_gradcheck_suite(eps: float = 1e-5):
     """Run every instance; yields (name, max relative error)."""
     results = []
-    for name, builder, batched in suite_instances():
+    for name, builder, batched, training in suite_instances():
         model = builder()
         ids, targets = (_BATCH_IDS, _BATCH_TARGETS) if batched else (_IDS, _TARGETS)
 
-        def f(params, model=model, ids=ids, targets=targets):
-            return model.loss(ids, targets)
+        def f(params, model=model, ids=ids, targets=targets, training=training):
+            rng = np.random.default_rng(_JITTER_SEED) if training else None
+            return model.loss(ids, targets, training=training, rng=rng)
 
         results.append((name, grad_check(f, model.parameters(), eps=eps)))
     return results

@@ -28,13 +28,13 @@ class CostReport:
     assumptions: list = field(default_factory=list)
 
 
-def layer_flops(n: int, d_model: int, ffn_hidden: int, n_heads: int = 1):
+def layer_flops(n: int, d_model: int, ffn_hidden: int):
     """Exact multiply-accumulate counts of one layer on an n-token sequence.
 
-    Attention: 4 projections (4*n*d^2) plus scores and value mixing
-    (2*n^2*d, summed over heads). FFN: gate, up, down (3*n*d*ffn).
+    Attention: 4 projections (4*n*d^2) plus scores and value mixing (2*n^2*d
+    summed over heads, whatever their count). FFN: gate, up, down (3*n*d*ffn).
     """
-    if min(n, d_model, ffn_hidden, n_heads) < 1:
+    if min(n, d_model, ffn_hidden) < 1:
         raise ValueError("layer_flops: arguments must be positive")
     attention = 4 * n * d_model * d_model + 2 * n * n * d_model
     ffn = 3 * n * d_model * ffn_hidden
@@ -124,7 +124,7 @@ def count_params(cfg: ModelConfig, variant: str, altup: dict | None = None,
             memory["n"], memory["rank"], d, memory["lookup"], memory["constant"])
         assumptions.append("memory: one table (and router, for softmax lookup) per layer")
 
-    attn, ffn = layer_flops(cfg.max_seq_len, d, cfg.ffn_hidden, cfg.n_heads)
+    attn, ffn = layer_flops(cfg.max_seq_len, d, cfg.ffn_hidden)
     per_token = (attn + ffn) // cfg.max_seq_len
     overhead = altup_overhead(d, k) if altup is not None else 0
 

@@ -4,13 +4,14 @@ A table of n small experts sits beside a layer; a lookup function maps the
 layer input (and/or its token id) to table indices, and the selected experts'
 outputs are added to the layer output. Lookups: learned softmax top-k routing,
 token-id indexing, hyperplane LSH bucketing, and min-hash over the token-id
-set of each position's prefix. A lookup routes all rows of a layer input at
-once and returns ``(indices, weights)``: weights is None (unit weights) for
-token-id, lsh and min-hash, and probability Tensors for softmax.
-``memory_augmented_forward`` then adds the selected experts to one row as
-constants to the tape. A model runs it off the tape once per position and
-records a layer's rows as one ``expert_rows`` node, whose backward handles
-all rows at once and gives the table its gradients.
+set of each position's prefix. A lookup takes any (..., d) layer input, routes
+its rows at once in row-major order and returns ``(indices, weights)``:
+weights is None (unit weights) for token-id, lsh and min-hash, and probability
+Tensors for softmax. ``memory_augmented_forward`` then adds the selected
+experts to one row; its inputs are constants, so it records nothing. A model
+runs it once per position and records a layer's output, in the layer's
+(..., T, d) shape, as one ``expert_rows`` node, whose backward handles all
+rows at once and gives the table its gradients.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ def expert_forward(x: Tensor, expert) -> Tensor:
 def softmax_route(x: Tensor, r: RouterParams, training: bool = False,
                   rng: np.random.Generator | None = None):
     """Top-k routing of one input: ``softmax_lookup``'s rule run off the tape
-    on x as a (1, d) row. Returns (indices, probabilities as floats)."""
+    on x as one row. Returns (indices, probabilities as floats)."""
     q = softmax_lookup(replace(r, w=Tensor(r.w.data)), training, rng)
-    indices, weights = q(Tensor(x.data.reshape(1, -1)), [0])
+    indices, weights = q(Tensor(x.data), [0])
     return [int(i) for i in indices[0]], [w.item() for w in weights]
 
 
@@ -232,18 +233,18 @@ def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,
     return out
 
 
-def expert_rows(x_rows: Tensor, inner_rows: Tensor, indices, weights, table: MemoryTable,
+def expert_rows(x_in: Tensor, inner_out: Tensor, indices, weights, table: MemoryTable,
                 rows) -> Tensor:
-    """The (N, d) output of a memory layer whose row i is ``rows[i]``, recorded
-    as one tape node.
+    """The output of a memory layer on ``x_in`` and ``inner_out``, both
+    (..., d), as one tape node of their shape whose row i, in row-major
+    order, is ``rows[i]``.
 
-    ``rows[i]`` is the ``memory_augmented_forward`` result, computed off the
-    tape, for row i of ``x_rows`` and ``inner_rows`` with the route
-    ``indices[i]`` (an (N, k) array) and the weights ``weights``: None (unit
-    weights) or k (N, 1) Tensors. The node's inputs are ``x_rows``,
-    ``inner_rows``, the weight columns and the table's parameters, whose
-    gradients cover the whole table and are zero at every expert no row
-    selected.
+    ``rows[i]`` is the (1, d) ``memory_augmented_forward`` result for row i of
+    ``x_in`` and ``inner_out`` with the route ``indices[i]`` (an (N, k)
+    array) and the weights ``weights``: None (unit weights) or k (N, 1)
+    Tensors. The node's inputs are ``x_in``, ``inner_out``, the weight
+    columns and the table's parameters, whose gradients cover the whole table
+    and are zero at every expert no row selected.
 
     Backward recomputes the selected experts' products for all rows at once
     as stacked matmuls whose 2-D slices have the shapes and memory layouts of
@@ -251,7 +252,8 @@ def expert_rows(x_rows: Tensor, inner_rows: Tensor, indices, weights, table: Mem
     table in the per-row tape's reverse (position, slot) order, so every
     gradient is bitwise that of the per-row composition.
     """
-    xd = x_rows.data
+    shape = x_in.data.shape
+    xd = x_in.data.reshape(-1, shape[-1])
     out = np.concatenate([r.data for r in rows])
     if out.shape != xd.shape:
         raise T.ShapeError("expert_rows", out.shape, xd.shape)
@@ -260,8 +262,9 @@ def expert_rows(x_rows: Tensor, inner_rows: Tensor, indices, weights, table: Mem
     params = table.params()
     constant = table.constant
 
-    def bw(g):
+    def bw(g_out):
         n_rows, d = xd.shape
+        g = g_out.reshape(n_rows, d)
         x3 = xd.reshape(n_rows, 1, d)
         gx, gw, gps = None, [None] * len(cols), []
         # slots in reverse order: the per-row tape sums a row's expert
@@ -298,14 +301,14 @@ def expert_rows(x_rows: Tensor, inner_rows: Tensor, indices, weights, table: Mem
             acc = np.zeros(p.data.shape)
             np.add.at(acc, at, contrib)
             table_grads.append(acc)
-        return (gx, g, *gw, *table_grads)
+        return (gx.reshape(shape), g_out, *gw, *table_grads)
 
-    return T.record("expert_rows", [x_rows, inner_rows, *cols, *params], out, bw)
+    return T.record("expert_rows", [x_in, inner_out, *cols, *params], out.reshape(shape), bw)
 
 
 # Lookup factories. A factory returns a lookup ``q(x, token_ids)`` that routes
-# the N rows of an (N, d) input at once and returns ``(indices, weights)``:
-# an (N, k) int array, and None (unit weights) or k (N, 1) Tensors.
+# the N rows of an (..., d) input at once, row-major, and returns ``(indices,
+# weights)``: an (N, k) int array, and None (unit weights) or k (N, 1) Tensors.
 
 
 def softmax_lookup(router: RouterParams, training: bool = False,
@@ -314,15 +317,17 @@ def softmax_lookup(router: RouterParams, training: bool = False,
 
     Builds the routing probabilities inside the active graph so gradients
     reach W through the probability weighting; the top-k selection itself is
-    discrete and carries no gradient. W is transposed once per lookup; the
-    logits of all rows are one product and their softmax one node. In
-    training mode each row is scaled elementwise by multiplicative jitter
-    drawn uniformly from [1-eps, 1+eps], one (N, d) draw, row after row; top-k
-    ties break toward the lowest index.
+    discrete and carries no gradient. W is transposed once per lookup; x is
+    reshaped to its N rows on the tape, whose logits are one product and
+    their softmax one node. In training mode each row is scaled elementwise
+    by multiplicative jitter drawn uniformly from [1-eps, 1+eps], one (N, d)
+    draw, row after row; top-k ties break toward the lowest index.
     """
     w_t = T.transpose(router.w)
 
     def q(x: Tensor, token_ids):
+        d = x.data.shape[-1]
+        x = T.reshape(x, (x.data.size // d, d))
         if training and router.jitter_eps > 0:
             if rng is None:
                 raise ValueError("softmax_lookup: training jitter requires an rng")
@@ -351,7 +356,7 @@ def lsh_lookup(params: HyperplaneLshParams):
     """Lookup: hyperplane LSH bucket of each row of the layer input, unit weight."""
 
     def q(x: Tensor, token_ids):
-        return hyperplane_lsh_lookup(x, params)[:, None], None
+        return np.reshape(hyperplane_lsh_lookup(x, params), (-1, 1)), None
 
     return q
 
@@ -361,13 +366,13 @@ def minhash_sequence_lookup(sequence_ids, perm_seed: int, n: int):
 
     ``sequence_ids`` is (T,) or (B, T). Position t of a sequence takes the
     member of its ids at positions 0..t with the smallest priority, mod n, so
-    no position reads a later id. The lookup routes the B*T rows in row-major
-    order.
+    no position reads a later id. The lookup routes the B*T rows of a
+    (..., d) input in row-major order.
     """
     buckets = (minhash_prefix_members(sequence_ids, perm_seed) % n).reshape(-1, 1)
 
     def q(x: Tensor, token_ids):
-        if x.data.shape[0] != buckets.shape[0]:
+        if np.prod(x.data.shape[:-1]) != len(buckets):
             raise T.ShapeError("minhash_sequence_lookup", x.data.shape, buckets.shape)
         return buckets, None
 

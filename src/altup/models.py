@@ -10,15 +10,16 @@ Parameter creation order is fixed by construction so checkpoints and the
 parameter census are deterministic. Each layer is built once, as a pair of
 its parameters and its forward step, and ``forward`` runs the steps in order.
 ``forward`` and ``loss`` take token ids of shape (T,) or (B, T) through the
-same code. A memory layer routes all B*T rows at once (one lookup call,
-returning ``(indices, weights | None)``), then makes one
-``memory_augmented_forward`` call per position, off the tape, whose expert
-terms are constants, and records the rows those calls return as one
-``memory.expert_rows`` node, which gives the stacked table its gradients.
-So a memory layer records 4 tape nodes at any batch size (two reshapes in,
-the rows node and a reshape out), and softmax routing adds 4 plus one per
-top-k slot (the router's transpose, the training jitter, the logits
-product, the softmax and each probability pick).
+same code, and every layer, a memory layer too, maps a (..., T, d) activation
+to one of the same shape. A memory layer routes all B*T rows of its input at
+once (one lookup call, returning ``(indices, weights | None)``), then makes
+one ``memory_augmented_forward`` call per position; those calls take only
+constants, so they record nothing. The rows they return are the layer's
+output, recorded as one ``memory.expert_rows`` node, which gives the stacked
+table its gradients. So a memory layer records 1 tape node at any batch size,
+and softmax routing adds 5 plus one per top-k slot (the router's transpose,
+the reshape of the input to rows, the training jitter, the logits product,
+the softmax and each probability pick).
 """
 
 from __future__ import annotations
@@ -56,28 +57,24 @@ def _memory_augment(slot, x_in, inner_out, ids, training, rng):
     """``inner_out`` plus the memory slot's expert outputs at every position.
 
     All B*T rows are routed at once. Then each position's
-    ``memory_augmented_forward`` call, run off the tape, takes its own row
-    and looks up its precomputed route; the rows it returns are the layer's
-    output, recorded as one ``expert_rows`` node.
+    ``memory_augmented_forward`` call takes its own row and looks up its
+    precomputed route; the rows they return are the layer's output, recorded
+    as one ``expert_rows`` node.
     """
     table = slot["table"]
-    x_rows = T.reshape(x_in, (ids.size, x_in.data.shape[-1]))
-    inner_rows = T.reshape(inner_out, x_rows.data.shape)
     tokens = ids.reshape(-1).tolist()
-    indices, weights = _lookup(slot, ids, training, rng)(x_rows, tokens)
+    indices, weights = _lookup(slot, ids, training, rng)(x_in, tokens)
     position_weights = ([None] * ids.size if weights is None
                         else list(zip(*(_rows(w.data) for w in weights))))
-    with T.recording_paused():
-        rows = [memory_augmented_forward(x, token, inner, _route(i, w), table)
-                for x, token, inner, i, w in zip(_rows(x_rows.data), tokens,
-                                                 _rows(inner_rows.data), indices.tolist(),
-                                                 position_weights)]
-    return T.reshape(expert_rows(x_rows, inner_rows, indices, weights, table, rows),
-                     x_in.data.shape)
+    rows = [memory_augmented_forward(x, token, inner, _route(i, w), table)
+            for x, token, inner, i, w in zip(_rows(x_in.data), tokens, _rows(inner_out.data),
+                                             indices.tolist(), position_weights)]
+    return expert_rows(x_in, inner_out, indices, weights, table, rows)
 
 
 def _rows(a):
-    """The rows of an (N, d) array as N (1, d) Tensors viewing it."""
+    """The N rows of an (..., d) array, in row-major order, as N (1, d) Tensors."""
+    a = a.reshape(-1, a.shape[-1])
     return [Tensor(a[i:i + 1]) for i in range(a.shape[0])]
 
 

@@ -8,17 +8,15 @@ output's gradient, so a graph runs backward once. Only leaves (tensors no
 node of the graph produced, such as parameters and inputs) keep ``.grad``,
 and leaf gradients accumulate across graphs. A node's output is one tensor.
 :func:`record` adds a node; modules outside this one use it for fused nodes
-whose backward they own. :func:`recording_paused` runs a block with no graph
-open on this thread, so nothing in it is recorded. Broadcasting is deliberately
-restricted: operand shapes must match exactly, or the smaller shape must be
-a trailing suffix of the larger (leading-batch expansion), or one operand
-must be scalar-shaped. Anything else raises :class:`ShapeError` rather than
-silently expanding.
+whose backward they own, such as a whole memory layer. Broadcasting is
+deliberately restricted: operand shapes must match exactly, or the smaller
+shape must be a trailing suffix of the larger (leading-batch expansion), or
+one operand must be scalar-shaped. Anything else raises :class:`ShapeError`
+rather than silently expanding.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 
@@ -141,18 +139,6 @@ class Graph:
     def __exit__(self, exc_type, exc, tb):
         _graph_stack().pop()
         return False
-
-
-@contextlib.contextmanager
-def recording_paused():
-    """Run the body with no graph open on this thread, so nothing in it is
-    recorded; the open graphs are restored on exit, also when the body raises."""
-    saved = _state.stack
-    _state.stack = []
-    try:
-        yield
-    finally:
-        _state.stack = saved
 
 
 def record(op, inputs, out_data, backward_fn) -> Tensor:

@@ -149,10 +149,10 @@ def test_criterion_4_compute_accounting(layer_calls):
         x = Tensor(np.random.default_rng(1).standard_normal((n, d)))
         T.reset_mac_count()
         tr.layer_forward(x, params)
-        attn, f = costs.layer_flops(n, d, ffn, heads)
+        attn, f = costs.layer_flops(n, d, ffn)
         ok.append(T.mac_count() == attn + f)
 
-    _, ffn_flops = costs.layer_flops(1, 512, 2048, 8)
+    _, ffn_flops = costs.layer_flops(1, 512, 2048)
     ratio = costs.altup_overhead(512, 2) / ffn_flops
     ok.append(ratio < 0.01)
 
@@ -165,7 +165,7 @@ def test_criterion_4_compute_accounting(layer_calls):
     T.reset_mac_count()
     seq.seq_altup_forward(x, inner, p)
     ok.append(layer_calls == [t_sub])
-    attn_sub, ffn_sub = costs.layer_flops(t_sub, 8, 16, 2)
+    attn_sub, ffn_sub = costs.layer_flops(t_sub, 8, 16)
     ok.append(T.mac_count() == attn_sub + ffn_sub)
     lin_full = 4 * t_len * 8 * 8 + 3 * t_len * 8 * 16
     lin_sub = 4 * t_sub * 8 * 8 + 3 * t_sub * 8 * 16

@@ -7,10 +7,10 @@ from altup import costs, models, sequence, tensor as T, transformer as tr
 
 
 def test_layer_flops_scaling_structure():
-    attn1, ffn1 = costs.layer_flops(8, 16, 64, 2)
-    attn2, ffn2 = costs.layer_flops(8, 32, 128, 2)
+    attn1, ffn1 = costs.layer_flops(8, 16, 64)
+    attn2, ffn2 = costs.layer_flops(8, 32, 128)
     assert 2 * ffn1 <= ffn2 <= 4 * ffn1  # quadratic in width when ffn tracks d
-    attn_n, _ = costs.layer_flops(16, 16, 64, 2)
+    attn_n, _ = costs.layer_flops(16, 16, 64)
     # the n^2 attention term quadruples exactly when n doubles
     assert (attn_n - 4 * 16 * 16 * 16) == 4 * (attn1 - 4 * 8 * 16 * 16)
 
@@ -21,13 +21,13 @@ def test_layer_flops_match_instrumented_counter(n, d, ffn, heads):
     x = T.Tensor(np.random.default_rng(1).standard_normal((n, d)))
     T.reset_mac_count()
     tr.layer_forward(x, params)
-    attn, f = costs.layer_flops(n, d, ffn, heads)
+    attn, f = costs.layer_flops(n, d, ffn)
     assert T.mac_count() == attn + f
 
 
 def _forward_macs_per_example(cfg, variant, k, t):
     """Closed-form matrix-product MACs of one forward pass over t tokens."""
-    attn, ffn = costs.layer_flops(t, cfg.d_model, cfg.ffn_hidden, cfg.n_heads)
+    attn, ffn = costs.layer_flops(t, cfg.d_model, cfg.ffn_hidden)
     if variant == "dense":
         return cfg.n_layers * (attn + ffn) + t * cfg.d_model * cfg.vocab_size
     # predict (K x K) and two K-gain corrections per position, per layer
@@ -51,7 +51,7 @@ def test_batched_layer_macs_are_batch_times_layer_flops():
     x = T.Tensor(np.random.default_rng(1).standard_normal((4, 5, 8)))
     T.reset_mac_count()
     tr.layer_forward(x, params)
-    assert T.mac_count() == 4 * sum(costs.layer_flops(5, 8, 16, 2))
+    assert T.mac_count() == 4 * sum(costs.layer_flops(5, 8, 16))
 
 
 def test_altup_overhead_examples():
@@ -60,7 +60,7 @@ def test_altup_overhead_examples():
     ratio = costs.altup_overhead(64, 32) / costs.altup_overhead(64, 16)
     assert 3.5 < ratio < 4.0
     # negligible next to the FFN at production-like widths
-    _, ffn = costs.layer_flops(1, 512, 2048, 8)
+    _, ffn = costs.layer_flops(1, 512, 2048)
     assert costs.altup_overhead(512, 2) / ffn < 0.01
 
 
@@ -152,21 +152,21 @@ def test_seq_altup_inner_compute_is_subsampled_exactly(layer_calls):
     T.reset_mac_count()
     sequence.seq_altup_forward(x, inner, p)
     assert layer_calls == [t_sub]
-    attn, f = costs.layer_flops(t_sub, d, ffn, heads)
+    attn, f = costs.layer_flops(t_sub, d, ffn)
     assert T.mac_count() == attn + f
 
     # position-linear work scales exactly by ceil(T/k)/T; attention is even cheaper
     lin_full = 4 * 10 * d * d + 3 * 10 * d * ffn
     lin_sub = 4 * t_sub * d * d + 3 * t_sub * d * ffn
     assert lin_sub * 10 == lin_full * t_sub
-    attn_full, _ = costs.layer_flops(10, d, ffn, heads)
+    attn_full, _ = costs.layer_flops(10, d, ffn)
     assert attn * 10 <= attn_full * t_sub
 
 
 def test_count_params_flop_fields():
     cfg = _cfg(d=8, L=2, ffn=16, n=8)
     rep = costs.count_params(cfg, "altup", altup={"k": 2})
-    attn, ffn = costs.layer_flops(8, 8, 16, 2)
+    attn, ffn = costs.layer_flops(8, 8, 16)
     assert rep.flops_per_token_per_layer == (attn + ffn) // 8
     assert rep.altup_overhead_flops_per_token == costs.altup_overhead(8, 2)
     assert costs.count_params(cfg, "dense").altup_overhead_flops_per_token == 0

@@ -376,6 +376,34 @@ def test_lsh_lookup_ignores_call_order():
     assert forward == backward_order[::-1]
 
 
+@pytest.mark.parametrize("lookup", ["softmax", "token_id", "lsh", "minhash"])
+@pytest.mark.parametrize("batch,t_len", [(1, 1), (2, 1), (3, 5)])
+def test_lookups_route_a_batch_like_its_rows(lookup, batch, t_len):
+    # a (B, T, d) input is routed as its B*T rows in row-major order; softmax
+    # weights are bitwise equal under the same training jitter draw
+    d, n = 5, 7
+    rng = np.random.default_rng(40)
+    ids = rng.integers(0, n, (batch, t_len))
+    xs = 3.0 * rng.standard_normal((batch, t_len, d))
+    router = mem.RouterParams.create(n, d, rng, k=2, jitter_eps=0.1)
+    router.w.data *= 20.0
+    lsh = mem.HyperplaneLshParams.create(d, n, seed=41)
+    make = {"softmax": lambda: mem.softmax_lookup(router, training=True,
+                                                  rng=np.random.default_rng(42)),
+            "token_id": lambda: mem.token_id_fixed_lookup(n),
+            "lsh": lambda: mem.lsh_lookup(lsh),
+            "minhash": lambda: mem.minhash_sequence_lookup(ids, perm_seed=43, n=n)}[lookup]
+    got, got_w = make()(Tensor(xs), ids.reshape(-1))
+    want, want_w = make()(Tensor(xs.reshape(-1, d)), ids.reshape(-1))
+    assert got.shape == want.shape == (batch * t_len, 2 if lookup == "softmax" else 1)
+    assert np.array_equal(got, want)
+    if lookup == "softmax":
+        assert [w.data.shape for w in got_w] == [(batch * t_len, 1)] * 2
+        assert all(np.array_equal(g.data, w.data) for g, w in zip(got_w, want_w, strict=True))
+    else:
+        assert got_w is None and want_w is None
+
+
 # -- one node per memory layer against the per-row tape ------------------------
 
 def _per_row_memory_augment(slot, x_in, inner_out, ids, training, rng):
@@ -383,9 +411,9 @@ def _per_row_memory_augment(slot, x_in, inner_out, ids, training, rng):
     are gathered from the stacked table and applied, on the graph, to its own
     gathered row, with its own probability weights."""
     table = slot["table"]
+    indices, weights = models._lookup(slot, ids, training, rng)(x_in, ids.reshape(-1).tolist())
     x_rows = T.reshape(x_in, (ids.size, x_in.data.shape[-1]))
     inner_rows = T.reshape(inner_out, x_rows.data.shape)
-    indices, weights = models._lookup(slot, ids, training, rng)(x_rows, ids.reshape(-1).tolist())
 
     def expert_slice(p, i):
         flat = T.reshape(p, (table.n, p.data[0].size))

@@ -129,12 +129,13 @@ SMOKE_NODES = [
 ]
 
 
-# A memory layer records the same tape for any batch size too: two reshapes
-# in, one node for all its rows (expert_rows) and a reshape out. Softmax
-# routing adds 5 more per layer: the router's transpose, the jitter, the
-# logits product, the softmax and the top-1 probability pick.
-MEMORY_SMOKE_NODES = [("softmax", 64, 117), ("token_id", 258, 102),
-                      ("lsh", 64, 102), ("minhash", 64, 102)]
+# A memory layer records the same tape for any batch size too: one node
+# (expert_rows) for all its rows, in the layer's (B, T, d) shape. Softmax
+# routing adds 6 more per layer: the router's transpose, the reshape of the
+# input to rows, the jitter, the logits product, the softmax and the top-1
+# probability pick.
+MEMORY_SMOKE_NODES = [("softmax", 64, 111), ("token_id", 258, 93),
+                      ("lsh", 64, 93), ("minhash", 64, 93)]
 
 SMOKE_CFG = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
                            vocab_size=258, max_seq_len=20)

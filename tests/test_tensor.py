@@ -379,20 +379,6 @@ def test_no_recording_outside_graph():
     assert not y.requires_grad  # eval mode: nothing to backprop through
 
 
-def test_recording_pause_restores_the_open_graphs_after_an_exception():
-    x = t([1.0, 2.0], rg=True)
-    with Graph() as outer, Graph() as inner:
-        with pytest.raises(ValueError):
-            with T.recording_paused():
-                assert T.active_graph() is None
-                assert not T.mul(x, x).requires_grad
-                raise ValueError("inside the pause")
-        assert T.active_graph() is inner
-        y = T.mul(x, x)
-    assert T.active_graph() is None
-    assert outer.nodes == [] and [n.output for n in inner.nodes] == [y]
-
-
 def test_mac_counter_counts_matmul_only():
     T.reset_mac_count()
     a = t(np.ones((3, 4)))

@@ -214,11 +214,11 @@ def test_sgd_step_leaves_unselected_experts_bitwise_unchanged(tmp_path, monkeypa
     selected = {}
     original = models.expert_rows
 
-    def recording(x_rows, inner_rows, indices, weights, table, rows):
+    def recording(x_in, inner_out, indices, weights, table, rows):
         if T.active_graph() is not None:  # the training step, not an eval
             selected.setdefault(table.u.name.rsplit(".", 1)[0], set()).update(
                 np.ravel(indices).tolist())
-        return original(x_rows, inner_rows, indices, weights, table, rows)
+        return original(x_in, inner_out, indices, weights, table, rows)
 
     monkeypatch.setattr(models, "expert_rows", recording)
     train(cfg, tmp_path)
