@@ -66,10 +66,6 @@ def activation_memory(s: int, b: int, h: int, n_layers: int, a: int,
     raise ValueError(f"unknown activation variant {variant!r}")
 
 
-def activation_memory_bytes(s, b, h, n_layers, a, variant="dense", element_size=8) -> int:
-    return int(activation_memory(s, b, h, n_layers, a, variant) * element_size)
-
-
 def _per_layer_params(d: int, ffn_hidden: int) -> int:
     # q, k, v, o, gate, up, down, two LN scale vectors
     return 4 * d * d + 3 * d * ffn_hidden + 2 * d

@@ -5,13 +5,13 @@ layer input (and/or its token id) to table indices, and the selected experts'
 outputs are added to the layer output. Lookups: learned softmax top-k routing,
 token-id indexing, hyperplane LSH bucketing, and min-hash over the token-id
 set of each position's prefix. A lookup takes any (..., d) layer input, routes
-its rows at once in row-major order and returns ``(indices, weights)``:
-weights is None (unit weights) for token-id, lsh and min-hash, and probability
-Tensors for softmax. ``memory_augmented_forward`` then adds the selected
-experts to one row; its inputs are constants, so it records nothing. A model
+its N rows at once in row-major order and returns ``(indices, weights)``: an
+(N, k) int array, and None (unit weights) for token-id, lsh and min-hash or
+one (N, k) Tensor of probabilities for softmax. ``memory_augmented_forward``
+adds the selected experts to one row on arrays and records nothing. A model
 runs it once per position and records a layer's output, in the layer's
 (..., T, d) shape, as one ``expert_rows`` node, whose backward handles all
-rows at once and gives the table its gradients.
+rows at once and gives the table and the weights their gradients.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def expert_forward(x: Tensor, expert) -> Tensor:
     if x.data.ndim != 2 or x.data.shape[1] != d:
         raise T.ShapeError("expert_forward", x.data.shape, (-1, d))
     if len(expert) == 1:
-        # constant output b, broadcast over rows; no gradient reaches x
-        return T.add(T.scalar_mul(x, 0.0), expert[0])
+        # constant output b on every row, a constant to the tape
+        return Tensor(x.data * 0.0 + expert[0].data)
     return T.matmul_relu_matmul(x, *expert)
 
 
@@ -144,7 +144,7 @@ def softmax_route(x: Tensor, r: RouterParams, training: bool = False,
     on x as one row. Returns (indices, probabilities as floats)."""
     q = softmax_lookup(replace(r, w=Tensor(r.w.data)), training, rng)
     indices, weights = q(Tensor(x.data), [0])
-    return [int(i) for i in indices[0]], [w.item() for w in weights]
+    return indices[0].tolist(), weights.data[0].tolist()
 
 
 def lsh_cell_hash(cells: np.ndarray) -> np.ndarray:
@@ -207,30 +207,29 @@ def minhash_prefix_members(ids, perm_seed: int) -> np.ndarray:
 
 def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,
                              lookup, table: MemoryTable, weights=None) -> Tensor:
-    """inner_out + sum_i w_i * expert_i(x) for the looked-up indices of one row.
+    """inner_out + sum_j w_j * expert_{i_j}(x) over the looked-up indices of one row.
 
     ``lookup(x, token_id)`` returns ``(indices, weights)`` for the (1, d) row
     x: k indices (a list, or a lookup's (1, k) array), and weights None for
-    unit weights (token-id, lsh and min-hash lookups) or k (1, 1) Tensors
-    (differentiable softmax probabilities); explicit ``weights`` override
-    them. A unit-weight expert output is added as is. With no selected index
-    the inner output passes through untouched. The expert terms are
-    constants to the tape: the table's gradients come from ``expert_rows``.
+    unit weights (token-id, lsh and min-hash lookups) or one (1, k) Tensor
+    (softmax probabilities); explicit ``weights`` override them. A
+    unit-weight expert output is added as is. With no selected index the row
+    is the inner output. The row is computed on arrays and returned as a
+    constant: a layer's gradients come from ``expert_rows``.
     """
     indices, w = lookup(x, token_id)
-    if weights is not None:
-        w = weights
+    w = w if weights is None else weights
     if type(indices) is not list:
         indices = np.ravel(indices).tolist()
-    if w is not None and len(w) != len(indices):
+    if w is not None and w.data.size != len(indices):
         raise ValueError("memory_augmented_forward: weights/indices length mismatch")
-    out = inner_out
+    out = inner_out.data
     for j, i in enumerate(indices):
         if not (0 <= i < table.n):
             raise IndexError(f"memory_augmented_forward: index {i} out of range [0, {table.n})")
-        e_out = expert_forward(x, table.experts[i])
-        out = T.add(out, e_out if w is None else T.mul(w[j], e_out))
-    return out
+        e_out = expert_forward(x, table.experts[i]).data
+        out = out + (e_out if w is None else w.data[:, j:j + 1] * e_out)
+    return Tensor(out)
 
 
 def expert_rows(x_in: Tensor, inner_out: Tensor, indices, weights, table: MemoryTable,
@@ -241,9 +240,9 @@ def expert_rows(x_in: Tensor, inner_out: Tensor, indices, weights, table: Memory
 
     ``rows[i]`` is the (1, d) ``memory_augmented_forward`` result for row i of
     ``x_in`` and ``inner_out`` with the route ``indices[i]`` (an (N, k)
-    array) and the weights ``weights``: None (unit weights) or k (N, 1)
-    Tensors. The node's inputs are ``x_in``, ``inner_out``, the weight
-    columns and the table's parameters, whose gradients cover the whole table
+    array) and the weights ``weights``: None (unit weights) or one (N, k)
+    Tensor. The node's inputs are ``x_in``, ``inner_out``, the weights, if
+    any, and the table's parameters, whose gradients cover the whole table
     and are zero at every expert no row selected.
 
     Backward recomputes the selected experts' products for all rows at once
@@ -258,7 +257,7 @@ def expert_rows(x_in: Tensor, inner_out: Tensor, indices, weights, table: Memory
     if out.shape != xd.shape:
         raise T.ShapeError("expert_rows", out.shape, xd.shape)
     idx = np.asarray(indices, dtype=np.int64)
-    cols = list(weights) if weights is not None else []
+    w = [] if weights is None else [weights]
     params = table.params()
     constant = table.constant
 
@@ -266,7 +265,7 @@ def expert_rows(x_in: Tensor, inner_out: Tensor, indices, weights, table: Memory
         n_rows, d = xd.shape
         g = g_out.reshape(n_rows, d)
         x3 = xd.reshape(n_rows, 1, d)
-        gx, gw, gps = None, [None] * len(cols), []
+        gx, gw, gps = None, np.empty(idx.shape), []
         # slots in reverse order: the per-row tape sums a row's expert
         # gradients into x from its last slot to its first
         for j in reversed(range(idx.shape[1])):
@@ -279,9 +278,9 @@ def expert_rows(x_in: Tensor, inner_out: Tensor, indices, weights, table: Memory
                 a = np.maximum(h, 0.0)
                 e_out = (a @ vj).reshape(n_rows, d)
             ge = g
-            if cols:
-                gw[j] = (g * e_out).sum(axis=(1,), keepdims=True)
-                ge = g * cols[j].data
+            if w:
+                gw[:, j] = (g * e_out).sum(axis=1)
+                ge = g * weights.data[:, j:j + 1]
             if constant:
                 # expert_forward adds b to x * 0.0
                 gx_j, gp = ge * 0.0, (ge,)
@@ -301,14 +300,14 @@ def expert_rows(x_in: Tensor, inner_out: Tensor, indices, weights, table: Memory
             acc = np.zeros(p.data.shape)
             np.add.at(acc, at, contrib)
             table_grads.append(acc)
-        return (gx.reshape(shape), g_out, *gw, *table_grads)
+        return (gx.reshape(shape), g_out, *([gw] if w else []), *table_grads)
 
-    return T.record("expert_rows", [x_in, inner_out, *cols, *params], out.reshape(shape), bw)
+    return T.record("expert_rows", [x_in, inner_out, *w, *params], out.reshape(shape), bw)
 
 
 # Lookup factories. A factory returns a lookup ``q(x, token_ids)`` that routes
 # the N rows of an (..., d) input at once, row-major, and returns ``(indices,
-# weights)``: an (N, k) int array, and None (unit weights) or k (N, 1) Tensors.
+# weights)``: an (N, k) int array, and None (unit weights) or one (N, k) Tensor.
 
 
 def softmax_lookup(router: RouterParams, training: bool = False,
@@ -335,7 +334,7 @@ def softmax_lookup(router: RouterParams, training: bool = False,
                                             x.data.shape)))
         probs = T.softmax(T.matmul(x, w_t))
         order = np.argsort(-probs.data, axis=-1, kind="stable")[:, :router.k]
-        return order, [T.gather_cols(probs, order[:, j]) for j in range(order.shape[1])]
+        return order, T.gather_cols(probs, order)
 
     return q
 

@@ -12,14 +12,14 @@ its parameters and its forward step, and ``forward`` runs the steps in order.
 ``forward`` and ``loss`` take token ids of shape (T,) or (B, T) through the
 same code, and every layer, a memory layer too, maps a (..., T, d) activation
 to one of the same shape. A memory layer routes all B*T rows of its input at
-once (one lookup call, returning ``(indices, weights | None)``), then makes
-one ``memory_augmented_forward`` call per position; those calls take only
-constants, so they record nothing. The rows they return are the layer's
-output, recorded as one ``memory.expert_rows`` node, which gives the stacked
-table its gradients. So a memory layer records 1 tape node at any batch size,
-and softmax routing adds 5 plus one per top-k slot (the router's transpose,
-the reshape of the input to rows, the training jitter, the logits product,
-the softmax and each probability pick).
+once (one lookup call, returning an (N, k) index array and weights that are
+None or one (N, k) Tensor), then makes one ``memory_augmented_forward`` call
+per position, which computes on arrays and records nothing. The rows they
+return are the layer's output, recorded as one ``memory.expert_rows`` node,
+which gives the stacked table and the weights their gradients. So a memory
+layer records 1 tape node at any batch size, and softmax routing adds 6 at
+any k (the router's transpose, the reshape of the input to rows, the
+training jitter, the logits product, the softmax and the top-k pick).
 """
 
 from __future__ import annotations
@@ -58,14 +58,13 @@ def _memory_augment(slot, x_in, inner_out, ids, training, rng):
 
     All B*T rows are routed at once. Then each position's
     ``memory_augmented_forward`` call takes its own row and looks up its
-    precomputed route; the rows they return are the layer's output, recorded
-    as one ``expert_rows`` node.
+    precomputed route, its k indices and its (1, k) weight row; the rows they
+    return are the layer's output, recorded as one ``expert_rows`` node.
     """
     table = slot["table"]
     tokens = ids.reshape(-1).tolist()
     indices, weights = _lookup(slot, ids, training, rng)(x_in, tokens)
-    position_weights = ([None] * ids.size if weights is None
-                        else list(zip(*(_rows(w.data) for w in weights))))
+    position_weights = [None] * ids.size if weights is None else _rows(weights.data)
     rows = [memory_augmented_forward(x, token, inner, _route(i, w), table)
             for x, token, inner, i, w in zip(_rows(x_in.data), tokens, _rows(inner_out.data),
                                              indices.tolist(), position_weights)]

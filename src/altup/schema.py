@@ -90,7 +90,11 @@ def take_fields(section: str, raw: dict, allowed: dict) -> dict:
     for key, value in raw.items():
         expected = allowed[key]
         if expected is float and is_int(value):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"{section}.{key}: expected a finite number, got an "
+                                  f"integer too large for a float") from None
         if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
             raise ConfigError(f"{section}.{key}: expected {expected}, got {type(value).__name__}")
         if expected is float and not math.isfinite(value):

@@ -457,24 +457,22 @@ def scatter_rows(x: Tensor, indices, n_rows: int) -> Tensor:
 
 
 def gather_cols(x: Tensor, indices) -> Tensor:
-    """Pick one element per row along the last axis, x[..., indices[...]],
-    returned with a trailing axis of 1."""
+    """Pick k elements per row along the last axis: for ``indices`` of shape
+    (..., k), the (..., k) array ``np.take_along_axis(x, indices, -1)``, in
+    its memory order, which fixes the summation order of any reduction over
+    it. Backward is ``np.put_along_axis``, so a row's k indices must differ."""
     idx = np.asarray(indices, dtype=np.int64)
-    if x.data.ndim < 2 or idx.shape != x.data.shape[:-1]:
+    if x.data.ndim < 2 or idx.shape[:-1] != x.data.shape[:-1]:
         raise ShapeError("gather_cols", x.data.shape, idx.shape)
     _check_range("gather_cols", idx, x.data.shape[-1])
-    # an arange per leading axis plus the column index, broadcast together;
-    # the output takes the memory order of ``indices``, which fixes the
-    # summation order of any reduction over it
-    nd = idx.ndim
-    at = tuple(np.arange(n).reshape((n,) + (1,) * (nd - i))
-               for i, n in enumerate(idx.shape)) + (idx[..., None],)
-    out = x.data[at]
+    if idx.shape[-1] > 1 and (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
+        raise ValueError("gather_cols: a row picks one column twice")
+    out = np.take_along_axis(x.data, idx, axis=-1)
     xshape = x.data.shape
 
     def bw(g):
         gx = np.zeros(xshape, dtype=np.float64)
-        gx[at] = g
+        np.put_along_axis(gx, idx, g, axis=-1)
         return (gx,)
 
     return record("gather_cols", [x], out, bw)

@@ -39,6 +39,9 @@ MAX_PARAM_BYTES = 1 << 30
 # forward pass: a training batch, or the whole eval set, which `evaluate` runs
 # at once
 MAX_ACTIVATION_BYTES = 1 << 30
+# int64 input and target bytes of the task's train and eval sets, which
+# `make_task` builds at once
+MAX_TASK_BYTES = 1 << 30
 
 
 @dataclass
@@ -92,6 +95,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     if length > model.max_seq_len:
         raise ConfigError(f"task.seq_len: {task['name']} inputs of length {length} "
                           f"exceed model.max_seq_len {model.max_seq_len}")
+    task_bytes = 16 * (task["n_train"] + task["n_eval"]) * length
+    if task_bytes > MAX_TASK_BYTES:
+        raise ConfigError(f"task.n_train, task.n_eval: {task_bytes} int64 input and target "
+                          f"bytes exceed the cap of {MAX_TASK_BYTES >> 30} GiB")
 
     optimizer = complete("optimizer", raw.get("optimizer", {}))
     if optimizer["learning_rate"] <= 0 or optimizer["momentum"] >= 1:

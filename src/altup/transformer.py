@@ -128,5 +128,5 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over all positions of -log softmax(logits)[target], max-shifted for
     stability; logits (..., T, V) and targets (..., T). A target outside the
     vocabulary raises ``gather_cols``'s IndexError."""
-    picked = T.gather_cols(T.log_softmax(logits), targets)
+    picked = T.gather_cols(T.log_softmax(logits), np.asarray(targets)[..., None])
     return T.scalar_mul(T.mean_all(picked), -1.0)

@@ -82,11 +82,6 @@ def test_activation_memory_formula():
     assert doubled == 2 * 2 * base  # s and h both doubled keeps the ratio
 
 
-def test_activation_memory_bytes_view():
-    entries = costs.activation_memory(16, 1, 8, 2, 2)
-    assert costs.activation_memory_bytes(16, 1, 8, 2, 2, element_size=4) == int(entries * 4)
-
-
 def _cfg(d=8, L=2, heads=2, ffn=16, v=11, n=8):
     return tr.ModelConfig(d_model=d, n_layers=L, n_heads=heads, ffn_hidden=ffn,
                           vocab_size=v, max_seq_len=n)

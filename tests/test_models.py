@@ -131,11 +131,11 @@ SMOKE_NODES = [
 
 # A memory layer records the same tape for any batch size too: one node
 # (expert_rows) for all its rows, in the layer's (B, T, d) shape. Softmax
-# routing adds 6 more per layer: the router's transpose, the reshape of the
-# input to rows, the jitter, the logits product, the softmax and the top-1
-# probability pick.
-MEMORY_SMOKE_NODES = [("softmax", 64, 111), ("token_id", 258, 93),
-                      ("lsh", 64, 93), ("minhash", 64, 93)]
+# routing adds 6 more per layer at any top-k count: the router's transpose,
+# the reshape of the input to rows, the jitter, the logits product, the
+# softmax and the one pick of the (N, k) probability weights.
+MEMORY_SMOKE_NODES = [("softmax", 64, 1, 111), ("softmax", 64, 2, 111),
+                      ("token_id", 258, 1, 93), ("lsh", 64, 1, 93), ("minhash", 64, 1, 93)]
 
 SMOKE_CFG = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
                            vocab_size=258, max_seq_len=20)
@@ -170,10 +170,12 @@ def test_memory_tables_are_stacked_tensors():
     assert model.census() == report.embedding_params + report.non_embedding_params == 237952
 
 
-@pytest.mark.parametrize("lookup,n,nodes", MEMORY_SMOKE_NODES)
-def test_memory_tape_nodes_per_step(lookup, n, nodes):
+@pytest.mark.parametrize("lookup,n,k,nodes", MEMORY_SMOKE_NODES,
+                         ids=[f"{lookup}-{n}-{nodes}" + (f"-k{k}" if k > 1 else "")
+                              for lookup, n, k, nodes in MEMORY_SMOKE_NODES])
+def test_memory_tape_nodes_per_step(lookup, n, k, nodes):
     model = models.Model(SMOKE_CFG, "dense", seed=1,
-                         memory={"n": n, "rank": 4, "lookup": lookup})
+                         memory={"n": n, "rank": 4, "lookup": lookup, "k": k})
     rng = np.random.default_rng(2)
     for batch in (1, 8):
         assert _step_nodes(model, batch, rng) == nodes, f"batch {batch}"

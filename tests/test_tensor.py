@@ -228,7 +228,7 @@ def test_structural_primitives_match_finite_differences():
         rng = np.random.default_rng(4000 + trial)
         x = _random_tensor(rng, (5, 6))
         idx = rng.integers(0, 5, size=4)
-        cols = rng.integers(0, 6, size=5)
+        cols = rng.integers(0, 6, size=(5, 1))
         s = _random_tensor(rng, (6,))
 
         def f(params):
@@ -302,7 +302,7 @@ def test_batched_structural_primitives_match_finite_differences():
         rng = np.random.default_rng(7000 + trial)
         x = _random_tensor(rng, (2, 5, 6))
         idx = rng.integers(0, 5, size=4)
-        cols = rng.integers(0, 6, size=(2, 5))
+        cols = rng.integers(0, 6, size=(2, 5, 1))
 
         def f(params):
             (xx,) = params
@@ -409,23 +409,36 @@ def _floats(shape, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(lead=hnp.array_shapes(min_dims=1, max_dims=3, **_SIDES), m=st.integers(1, 5),
-       fortran=st.booleans(), seed=st.integers(0, 2**16))
-def test_gather_cols_is_bitwise_take_and_put_along_axis(lead, m, fortran, seed):
+       k=st.integers(1, 3), fortran=st.booleans(), seed=st.integers(0, 2**16))
+def test_gather_cols_is_bitwise_take_and_put_along_axis(lead, m, k, fortran, seed):
+    # k distinct picks per row, as top-k routing makes; k = 1 with a trailing
+    # axis added to (..., T) targets, as cross_entropy makes
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(lead + (m,))
-    idx = rng.integers(0, m, size=lead)
+    k = min(k, m)
+    idx = np.argsort(rng.random(lead + (m,)), axis=-1)[..., :k]
     if fortran:  # batches of targets picked by fancy indexing arrive in this order
-        idx = np.asfortranarray(idx)
+        idx = np.asfortranarray(idx[..., 0])[..., None] if k == 1 else np.asfortranarray(idx)
     out, bw = _recorded(T.gather_cols, t(x, rg=True), idx)
-    want = np.take_along_axis(x, idx[..., None], axis=-1)
+    want = np.take_along_axis(x, idx, axis=-1)
     assert out.shape == want.shape and np.array_equal(out, want)
     # the memory order decides the summation order of a reduction over it
     assert out.size == 0 or out.strides == want.strides
     g = rng.standard_normal(want.shape)
     (gx,) = bw(g)
     want_gx = np.zeros_like(x)
-    np.put_along_axis(want_gx, idx[..., None], g, axis=-1)
+    np.put_along_axis(want_gx, idx, g, axis=-1)
     assert gx.shape == x.shape and np.array_equal(gx, want_gx)
+
+
+def test_gather_cols_rejects_a_row_that_picks_one_column_twice():
+    # put_along_axis would keep one of the two picks' gradients
+    x = t(np.zeros((2, 5)))
+    assert T.gather_cols(x, [[4, 0], [1, 3]]).data.shape == (2, 2)
+    with pytest.raises(ValueError, match="picks one column twice"):
+        T.gather_cols(x, [[4, 0], [3, 3]])
+    with pytest.raises(T.ShapeError):
+        T.gather_cols(x, [4, 0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -506,7 +519,7 @@ def test_graphs_do_not_see_other_threads():
 @pytest.mark.parametrize("op,call", [
     ("gather_rows", lambda idx: T.gather_rows(t(np.zeros((5, 4))), idx)),
     ("scatter_rows", lambda idx: T.scatter_rows(t(np.zeros((6, 4))), np.reshape(idx, -1), 5)),
-    ("gather_cols", lambda idx: T.gather_cols(t(np.zeros((2, 3, 5))), idx)),
+    ("gather_cols", lambda idx: T.gather_cols(t(np.zeros((2, 5))), idx)),
 ], ids=["gather_rows", "scatter_rows", "gather_cols"])
 def test_index_errors_name_the_bad_value_and_its_position(op, call):
     # the first index outside [0, 5) in row-major order, either side

@@ -580,6 +580,9 @@ def test_cli_config_error_exit_code(tmp_path):
     ["optimizer.momentum=1.5"],
     ["task.n_eval=1000000"],
     ["optimizer.batch_size=1000000"],
+    ["optimizer.learning_rate=1" + "0" * 400],
+    ['memory={"n":8,"rank":1,"lookup":"softmax","jitter_eps":1' + "0" * 400 + "}"],
+    ["task.n_train=1000000000000"],
 ])
 def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, _raw())
