@@ -128,14 +128,15 @@ def lsh_projections(n: int) -> int:
 def expert_forward(x: Tensor, expert) -> Tensor:
     """V relu(U^T x) for each row of an (N, d) input, or the constant b on
     every row, for a table's expert handle ``(u, v)`` or ``(b,)``. The
-    handle's Tensors are constants to the tape."""
-    d = expert[0].data.shape[0]
-    if x.data.ndim != 2 or x.data.shape[1] != d:
-        raise T.ShapeError("expert_forward", x.data.shape, (-1, d))
-    if len(expert) == 1:
-        # constant output b on every row, a constant to the tape
-        return Tensor(x.data * 0.0 + expert[0].data)
-    return T.matmul_relu_matmul(x, *expert)
+    handle's Tensors are constants to the tape; ``matmul_relu_matmul`` checks
+    a matrix expert's shapes."""
+    if len(expert) == 2:
+        return T.matmul_relu_matmul(x, *expert)
+    b = expert[0].data
+    if x.data.ndim != 2 or x.data.shape[1] != b.shape[0]:
+        raise T.ShapeError("expert_forward", x.data.shape, (-1, b.shape[0]))
+    # constant output b on every row, a constant to the tape
+    return Tensor(x.data * 0.0 + b)
 
 
 def softmax_route(x: Tensor, r: RouterParams, training: bool = False,
@@ -221,14 +222,17 @@ def memory_augmented_forward(x: Tensor, token_id: int, inner_out: Tensor,
     w = w if weights is None else weights
     if type(indices) is not list:
         indices = np.ravel(indices).tolist()
-    if w is not None and w.data.size != len(indices):
-        raise ValueError("memory_augmented_forward: weights/indices length mismatch")
+    if w is not None:
+        # a float times the expert row: the bits of the (1, 1) weight slice's product
+        w = w.data.ravel().tolist()
+        if len(w) != len(indices):
+            raise ValueError("memory_augmented_forward: weights/indices length mismatch")
     out = inner_out.data
     for j, i in enumerate(indices):
         if not (0 <= i < table.n):
             raise IndexError(f"memory_augmented_forward: index {i} out of range [0, {table.n})")
         e_out = expert_forward(x, table.experts[i]).data
-        out = out + (e_out if w is None else w.data[:, j:j + 1] * e_out)
+        out = out + (e_out if w is None else w[j] * e_out)
     return Tensor(out)
 
 
@@ -333,10 +337,34 @@ def softmax_lookup(router: RouterParams, training: bool = False,
             x = T.mul(x, Tensor(rng.uniform(1.0 - router.jitter_eps, 1.0 + router.jitter_eps,
                                             x.data.shape)))
         probs = T.softmax(T.matmul(x, w_t))
-        order = np.argsort(-probs.data, axis=-1, kind="stable")[:, :router.k]
+        order = top_k(probs.data, router.k)
         return order, T.gather_cols(probs, order)
 
     return q
+
+
+def top_k(p: np.ndarray, k: int) -> np.ndarray:
+    """The column indices of each row's k largest entries of an (N, n) array,
+    largest first: ``np.argsort(-p, axis=-1, kind="stable")[:, :k]``, so ties
+    go to the lowest index and NaN entries come after every number.
+
+    Picked by k argmax passes, each of which masks the entries it picked.
+    """
+    work = np.fmax(p, -np.inf)  # a copy with NaN as -inf
+    rows = np.arange(p.shape[0])
+    order = np.empty((p.shape[0], k), dtype=np.intp)
+    for j in range(k):
+        i = work.argmax(axis=-1)
+        tail = work[rows, i] == -np.inf
+        if tail.any():
+            # where only -inf, NaN and picked entries are left, argmax cannot
+            # tell them apart: take the -inf entries, then the NaN, by index
+            rank = np.where(np.isnan(p), 1, 2)
+            np.put_along_axis(rank, order[:, :j], 0, axis=-1)
+            i = np.where(tail, rank.argmax(axis=-1), i)
+        order[:, j] = i
+        work[rows, i] = -np.inf
+    return order
 
 
 def token_id_fixed_lookup(n: int):

@@ -59,22 +59,20 @@ def _memory_augment(slot, x_in, inner_out, ids, training, rng):
     All B*T rows are routed at once. Then each position's
     ``memory_augmented_forward`` call takes its own row and looks up its
     precomputed route, its k indices and its (1, k) weight row; the rows they
-    return are the layer's output, recorded as one ``expert_rows`` node.
+    return are the layer's output, recorded as one ``expert_rows`` node. The
+    positions are walked in one pass over (N, 1, d) views, whose items are the
+    (1, d) rows.
     """
     table = slot["table"]
     tokens = ids.reshape(-1).tolist()
     indices, weights = _lookup(slot, ids, training, rng)(x_in, tokens)
-    position_weights = [None] * ids.size if weights is None else _rows(weights.data)
-    rows = [memory_augmented_forward(x, token, inner, _route(i, w), table)
-            for x, token, inner, i, w in zip(_rows(x_in.data), tokens, _rows(inner_out.data),
-                                             indices.tolist(), position_weights)]
+    d = x_in.data.shape[-1]
+    weight_rows = [None] * ids.size if weights is None else map(Tensor, weights.data[:, None])
+    rows = [memory_augmented_forward(Tensor(x), token, Tensor(inner), _route(i, w), table)
+            for x, token, inner, i, w in zip(x_in.data.reshape(-1, 1, d), tokens,
+                                             inner_out.data.reshape(-1, 1, d),
+                                             indices.tolist(), weight_rows)]
     return expert_rows(x_in, inner_out, indices, weights, table, rows)
-
-
-def _rows(a):
-    """The N rows of an (..., d) array, in row-major order, as N (1, d) Tensors."""
-    a = a.reshape(-1, a.shape[-1])
-    return [Tensor(a[i:i + 1]) for i in range(a.shape[0])]
 
 
 def _route(indices, weights):

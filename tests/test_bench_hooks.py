@@ -13,6 +13,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from altup import memory, models, tensor as T, transformer as tr
 
@@ -145,3 +146,45 @@ def test_taped_step_uses_the_rows_of_each_per_position_call(monkeypatch):
     with T.Graph():
         taped, _ = model.forward(ids)
     assert np.array_equal(taped.data, shifted.data)
+
+
+@pytest.mark.parametrize("lookup,k", [("token_id", 1), ("softmax", 2)])
+def test_expert_forward_is_reached_once_per_layer_row_and_slot(monkeypatch, lookup, k):
+    # the tracer's memory.expert_calls_per_step counts expert_forward calls,
+    # and memory.experts_used_share the handles they get: a taped step and an
+    # untaped forward reach it once per (layer, row, slot) with the handle of
+    # the slot's expert in that layer's table
+    cfg = tr.ModelConfig(d_model=8, n_layers=3, n_heads=2, ffn_hidden=16, vocab_size=11,
+                         max_seq_len=8)
+    model = models.Model(cfg, "dense", seed=5,
+                         memory={"n": 11, "rank": 2, "lookup": lookup, "k": k})
+    ids = np.array([[1, 4, 7, 2, 9], [3, 0, 9, 5, 5]])
+    tables, routed, reached = [], [], []
+    per_position, expert_forward = models.memory_augmented_forward, memory.expert_forward
+
+    def routing(x, token_id, inner_out, lookup, table, weights=None):
+        indices, _ = lookup(x, token_id)
+        tables.append(table)
+        routed.extend(table.experts[i] for i in np.ravel(indices).tolist())
+        return per_position(x, token_id, inner_out, lookup, table, weights)
+
+    def reaching(x, expert):
+        reached.append(expert)
+        return expert_forward(x, expert)
+
+    monkeypatch.setattr(models, "memory_augmented_forward", routing)
+    monkeypatch.setattr(memory, "expert_forward", reaching)
+
+    def check():
+        assert tables == [slot["table"] for slot in model._mem for _ in range(ids.size)]
+        assert len(routed) == cfg.n_layers * ids.size * k
+        assert [id(e) for e in reached] == [id(e) for e in routed]
+        for collected in (tables, routed, reached):
+            collected.clear()
+
+    with T.Graph() as g:
+        loss = model.loss(ids, ids, training=True, rng=np.random.default_rng(0))
+    T.backward(g, loss)
+    check()
+    model.forward(ids)
+    check()

@@ -46,6 +46,30 @@ def test_batched_forward_macs_are_batch_times_per_example(variant, k, batch):
     assert T.mac_count() == batch * _forward_macs_per_example(cfg, variant, k, 6)
 
 
+@pytest.mark.parametrize("lookup", ["softmax", "token_id", "lsh", "minhash"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("constant", [False, True], ids=["matrix", "constant"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_memory_forward_macs_are_dense_plus_experts_plus_router(lookup, k, constant, batch):
+    # an untaped forward adds, per layer and row, one rank-r expert product
+    # pair per selected slot (none for constant experts) and, for softmax,
+    # the (d, n) logits product; only softmax routes to more than one slot
+    cfg, t, rank = _cfg(L=3, n=6), 6, 3
+    n = cfg.vocab_size if lookup == "token_id" else 6
+    ids = np.random.default_rng(7).integers(0, cfg.vocab_size, size=(batch, t))
+    T.reset_mac_count()
+    models.Model(cfg, "dense", seed=4).forward(ids)
+    dense = T.mac_count()
+    model = models.Model(cfg, "dense", seed=4, memory={"n": n, "rank": rank, "lookup": lookup,
+                                                       "k": k, "constant": constant})
+    T.reset_mac_count()
+    model.forward(ids)
+    rows, slots = batch * t, k if lookup == "softmax" else 1
+    experts = 0 if constant else slots * 2 * cfg.d_model * rank
+    router = n * cfg.d_model if lookup == "softmax" else 0
+    assert T.mac_count() == dense + cfg.n_layers * rows * (experts + router)
+
+
 def test_batched_layer_macs_are_batch_times_layer_flops():
     params = tr.LayerParams(8, 16, 2, np.random.default_rng(0))
     x = T.Tensor(np.random.default_rng(1).standard_normal((4, 5, 8)))

@@ -117,7 +117,25 @@ def test_softmax_route_topk_matches_full_sort():
         p = np.exp(h - h.max())
         p /= p.sum()
         assert list(np.sort(probs)[::-1]) == sorted(probs, reverse=True)
-        assert set(idx) == set(np.argsort(-p)[:3].tolist())
+        assert idx == np.argsort(-p, kind="stable")[:3].tolist()
+
+
+# rows of exact ties (a few distinct values, -0.0 beside 0.0, infinities) and
+# rows with NaN, beside rows of distinct draws
+_TOPK_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), rows=st.integers(1, 5), ties=st.booleans())
+def test_top_k_is_the_prefix_of_a_stable_descending_sort(data, n, rows, ties):
+    values = _TOPK_VALUES if ties else st.floats(-1e3, 1e3, allow_nan=False)
+    p = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                    min_size=rows, max_size=rows)), dtype=np.float64)
+    want = np.argsort(-p, axis=-1, kind="stable")
+    for k in range(1, n + 1):
+        got = mem.top_k(p, k)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want[:, :k])
 
 
 def test_softmax_route_deterministic_without_jitter():
