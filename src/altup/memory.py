@@ -60,11 +60,15 @@ class MemoryTable:
             return
         if rank < 1:
             raise ValueError("matrix expert rank must be >= 1")
-        u, v = np.empty((n, d, rank)), np.empty((n, rank, d))
-        for i in range(n):
-            # LeCun-normal, std 1/sqrt(fan_in); V_i is drawn as (d, rank)
-            u[i] = rng.normal(0, 1 / np.sqrt(d), (d, rank))
-            v[i] = rng.normal(0, 1 / np.sqrt(rank), (d, rank)).T
+        # LeCun-normal, std 1/sqrt(fan_in), drawn expert by expert: U_i, then
+        # V_i as (d, rank). One draw in that order, scaled as rng.normal
+        # scales (loc + scale * z), gives the bits of a per-expert loop.
+        # Scaling in place keeps the peak at z plus the two tables.
+        z = rng.standard_normal((n, 2, d, rank))
+        z[:, 0] *= 1 / np.sqrt(d)
+        z[:, 1] *= 1 / np.sqrt(rank)
+        u = z[:, 0] + 0.0
+        v = np.add(z[:, 1].swapaxes(-1, -2), 0.0, out=np.empty((n, rank, d)))
         self.u = Tensor(u, requires_grad=True, name=f"{prefix}.u")
         self.v = Tensor(v, requires_grad=True, name=f"{prefix}.v")
         self.experts = [(Tensor(u_i), Tensor(v_i)) for u_i, v_i in zip(u, v)]

@@ -12,7 +12,10 @@ whose backward they own, such as a whole memory layer. Broadcasting is
 deliberately restricted: operand shapes must match exactly, or the smaller
 shape must be a trailing suffix of the larger (leading-batch expansion), or
 one operand must be scalar-shaped. Anything else raises :class:`ShapeError`
-rather than silently expanding.
+rather than silently expanding. Gradient arrays are never written in place,
+so a ``.grad`` may share its array with another tensor's. Importing this
+module does not load scipy: :func:`gelu` imports ``scipy.special.erf`` at
+its first call, so a process that never runs a forward never pays for it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -169,6 +171,12 @@ def backward(graph: Graph, loss: Tensor):
     which accumulate additively across fan-out and across graphs; callers
     reset parameter grads between steps. Accumulation order is the fixed
     reverse tape order, so results are bitwise deterministic.
+
+    A tensor's first gradient is stored as the array its consumer's backward
+    returned, not a copy, and later ones are added out of place. So ``.grad``
+    may share its array with another tensor's (``add`` hands one array to
+    both inputs), and no backward function and no caller may write a
+    gradient in place.
     """
     if loss.data.shape not in ((), (1,), (1, 1)):
         raise GraphError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -190,7 +198,7 @@ def backward(graph: Graph, loss: Tensor):
             if g is None or not t.requires_grad:
                 continue
             if t.grad is None:
-                t.grad = np.array(g, dtype=np.float64, copy=True)
+                t.grad = g
             else:
                 t.grad = t.grad + g
 
@@ -285,16 +293,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
     _mac_count += out.size * ad.shape[-1]
     # a 2-D operand shared across leading axes sums its gradient over them,
-    # which tensordot does as one product over the flattened axes
+    # as one product over the flattened leading and row axes
     lead = tuple(range(out.ndim - 2))
-    rows, cols = (out.ndim - 2,), (out.ndim - 1,)
+    cols = (out.ndim - 1,)
 
     def bw(g):
         if ad.ndim == bd.ndim:
             return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
         if ad.ndim == 2:
             return (np.tensordot(g, bd, axes=(lead + cols, lead + cols)), ad.T @ g)
-        return (g @ bd.T, np.tensordot(ad, g, axes=(lead + rows, lead + rows)))
+        return (g @ bd.T, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return record("matmul", [a, b], out, bw)
 
@@ -350,7 +358,14 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact erf-based GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact erf-based GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    ``erf`` is scipy's, imported here rather than at module import: loading
+    ``scipy.special`` is most of a process's start-up, and only a forward
+    needs it. After the first call the import is a ``sys.modules`` lookup.
+    """
+    from scipy.special import erf
+
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out = x * cdf

@@ -56,6 +56,21 @@ def test_expert_stores_v_transposed_and_applies_it_bitwise():
         mem.expert_forward(Tensor(np.ones(d)), table.experts[0])
 
 
+@pytest.mark.parametrize("n,d,rank", [(5, 6, 2), (16, 32, 4), (64, 32, 8), (258, 64, 4)])
+def test_table_draw_is_bitwise_the_per_expert_loop(n, d, rank):
+    rng = np.random.default_rng(n)
+    table = mem.MemoryTable(n=n, d=d, rank=rank, rng=rng)
+    ref_rng = np.random.default_rng(n)
+    u, v = np.empty((n, d, rank)), np.empty((n, rank, d))
+    for i in range(n):
+        u[i] = ref_rng.normal(0, 1 / np.sqrt(d), (d, rank))
+        v[i] = ref_rng.normal(0, 1 / np.sqrt(rank), (d, rank)).T
+    assert table.u.data.tobytes() == u.tobytes() and table.v.data.tobytes() == v.tobytes()
+    assert table.u.data.flags.c_contiguous and table.v.data.flags.c_contiguous
+    # the generator is left where the loop leaves it
+    assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes()
+
+
 def test_expert_param_count():
     table = mem.MemoryTable(n=3, d=8, rank=4, rng=np.random.default_rng(2))
     assert [(p.name, p.data.shape) for p in table.params()] == [

@@ -304,6 +304,38 @@ def test_memory_attaches_to_every_layer(lookup, n):
         assert router.grad is not None and np.abs(router.grad).sum() > 0
 
 
+READ_ONLY_GRAD_MODELS = ALL_VARIANTS + [
+    ("dense", {"memory": {"n": n, "rank": 2, "lookup": lookup,
+                          "k": 2 if lookup == "softmax" else 1}})
+    for lookup, n in MEMORY_LOOKUPS] + [
+    ("dense", {"memory": {"n": 4, "rank": 2, "lookup": "minhash", "constant": True}})]
+
+
+@pytest.mark.parametrize("variant,kwargs", READ_ONLY_GRAD_MODELS)
+def test_training_step_never_writes_a_gradient_in_place(variant, kwargs):
+    # backward stores a tensor's first gradient without a copy, so .grad may
+    # share its array with another's; that holds only if no backward writes
+    # the gradient it is handed
+    model = models.Model(_cfg(L=3), variant, seed=5, **kwargs)
+    rng = np.random.default_rng(6)
+    ids, targets = rng.integers(0, 11, size=(2, 2, 6))
+    model.zero_grad()
+    with Graph() as g:
+        loss = model.loss(ids, targets, training=True, rng=rng)
+
+    def read_only(fn):
+        def bw(grad):
+            if isinstance(grad, np.ndarray):  # a numpy scalar is immutable
+                grad.flags.writeable = False
+            return fn(grad)
+        return bw
+
+    for node in g.nodes:
+        node.backward_fn = read_only(node.backward_fn)
+    backward(g, loss)
+    assert all(p.grad is not None for p in model.parameters())
+
+
 def test_memory_zero_experts_is_plain_dense_model():
     cfg = _cfg(L=2)
     mem_model = models.Model(cfg, "dense", seed=9,
