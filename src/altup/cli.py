@@ -87,8 +87,8 @@ def _cmd_cost(args) -> int:
         ("embedding params (tied)", report.embedding_params),
         ("embedding params (untied view)", report.embedding_params_untied),
         ("non-embedding params", report.non_embedding_params),
-        ("flops/token/layer", report.flops_per_token_per_layer),
-        ("block-update overhead flops/token", report.altup_overhead_flops_per_token),
+        ("matrix-product MACs/token/layer", report.flops_per_token_per_layer),
+        ("AltUp predict+correct ops/token (paper count)", report.altup_overhead_flops_per_token),
         ("activation memory (entries)", report.activation_memory_entries),
     ]
     width = max(len(r[0]) for r in rows)
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.set_defaults(fn=_cmd_eval)
 
-    p_cost = sub.add_parser("cost", help="parameter/FLOP/memory report for a config")
+    p_cost = sub.add_parser("cost", help="parameter/MAC/memory report for a config")
     add_config_args(p_cost)
     p_cost.set_defaults(fn=_cmd_cost)
 

@@ -1,8 +1,10 @@
-"""Closed-form parameter, FLOP, and activation-memory accounting.
+"""Closed-form parameter, multiply-accumulate, and activation-memory accounting.
 
-FLOPs are multiply-accumulates of matrix products only (softmax, layer norm
-and activations excluded), which is what the matmul counter in the tensor
-module instruments, so closed forms and counters can be compared exactly.
+The ``flops`` of :func:`layer_flops` are multiply-accumulates (MACs) of
+matrix products only (softmax, layer norm and activations excluded), which
+is what the MAC counter in the tensor module instruments, so closed forms
+and counters can be compared exactly. :func:`altup_overhead` is the paper's
+operation count instead.
 Parameter counts must match the census of an actually constructed model,
 entry for entry: :func:`count_params` takes the same variant and sections as
 ``models.Model`` and resolves them through ``schema.resolve``.
@@ -42,10 +44,12 @@ def layer_flops(n: int, d_model: int, ffn_hidden: int):
 
 
 def altup_overhead(d: int, k: int) -> int:
-    """Extra per-token work of the predict and correct steps.
+    """Extra per-token work of the predict and correct steps, as the paper
+    counts operations (not multiply-accumulates).
 
     Predict: k mixtures of k d-vectors, k*(2k-1)*d ops. Correct: one
     multiply-add per block element, 2*k*d ops. Quadratic in k, linear in d.
+    The MAC counter sees k*k*d + 2*k*d of it.
     """
     if k < 1 or d < 1:
         raise ValueError("altup_overhead: arguments must be positive")
@@ -104,7 +108,8 @@ def count_params(cfg: ModelConfig, variant: str, altup: dict | None = None,
     assumptions = [
         "weight-tied input/output embedding; untied view adds one output table",
         "position embeddings are d-wide (tiled across sub-blocks) and counted as non-embedding",
-        "FLOPs are matrix-product multiply-accumulates only",
+        "flops_per_token_per_layer counts matrix-product multiply-accumulates only",
+        "altup_overhead_flops_per_token is the paper's operation count k(2k-1)d + 2kd",
     ]
 
     k = altup["k"] if altup is not None else 1

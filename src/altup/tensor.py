@@ -53,7 +53,7 @@ class NonFiniteError(FloatingPointError):
 
 
 # Multiply-accumulate counter for matrix products. Only the matrix-product
-# primitives (matmul and matmul_relu_matmul) count; elementwise ops,
+# primitives (matmul, matmul_relu_matmul, causal_attention) count; elementwise ops,
 # normalizations and activations are excluded so the counter matches the
 # closed-form layer cost model exactly.
 _mac_count = 0
@@ -333,6 +333,38 @@ def matmul_relu_matmul(x: Tensor, u: Tensor, v: Tensor) -> Tensor:
                 a.swapaxes(-1, -2) @ g)
 
     return record("matmul_relu_matmul", [x, u, v], out, bw)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Causal multi-head attention of (..., T, d) projections as one tape node:
+    heads of width d/H, softmax(q k^T / sqrt(d/H) + mask) @ v with the mask
+    -1e30 above the diagonal, merged back to (..., T, d). Forward and backward
+    run the array operations of that composition of primitives in its order,
+    so values, gradients and MACs are bitwise those of the composition."""
+    shape = q.data.shape
+    if (len(shape) < 2 or k.data.shape != shape or v.data.shape != shape
+            or n_heads < 1 or shape[-1] % n_heads):
+        raise ShapeError("causal_attention", shape, k.data.shape, v.data.shape, (n_heads,))
+    *lead, n, d = shape
+    heads, c = (*lead, n, n_heads, d // n_heads), 1.0 / np.sqrt(d // n_heads)
+    qh, kh, vh = (a.reshape(heads).swapaxes(-3, -2).copy() for a in (q.data, k.data, v.data))
+    kt = kh.swapaxes(-2, -1).copy()
+    scores = (qh @ kt) * c + np.triu(np.full((n, n), -1e30), k=1)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    mixed = y @ vh
+    global _mac_count
+    _mac_count += 2 * mixed.size * n
+
+    def bw(g):
+        go = g.reshape(heads).swapaxes(-3, -2)
+        gy = go @ vh.swapaxes(-1, -2)
+        gs = y * (gy - (gy * y).sum(axis=-1, keepdims=True)) * c
+        grads = (gs @ kt.swapaxes(-1, -2), (qh.swapaxes(-1, -2) @ gs).swapaxes(-2, -1),
+                 y.swapaxes(-1, -2) @ go)
+        return tuple(a.swapaxes(-3, -2).reshape(shape) for a in grads)
+
+    return record("causal_attention", [q, k, v], mixed.swapaxes(-3, -2).copy().reshape(shape), bw)
 
 
 def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:

@@ -128,7 +128,12 @@ def build_model(cfg: RunConfig) -> Model:
 
 
 def make_task_data(cfg: RunConfig):
-    return make_task(seed=cfg.seed, **cfg.task)
+    """The task's train and eval sets. A corpus that cannot be read, is not
+    UTF-8 or is too short for ``task.seq_len`` is a config error."""
+    try:
+        return make_task(seed=cfg.seed, **cfg.task)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"task.corpus_path: {exc}") from exc
 
 
 METRIC_COLUMNS = ("step", "train_loss", "eval_loss", "eval_token_accuracy",

@@ -15,9 +15,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-_NEG_INF = -1e30
-
-
 @dataclass
 class ModelConfig:
     d_model: int
@@ -79,36 +76,19 @@ def embed(token_ids, table: Tensor) -> Tensor:
     return T.gather_rows(table, token_ids)
 
 
-def _causal_mask(n: int) -> Tensor:
-    mask = np.triu(np.full((n, n), _NEG_INF), k=1)
-    return Tensor(mask)
-
-
 def layer_forward(x: Tensor, params: LayerParams) -> Tensor:
     """One pre-LN residual layer on (..., T, d): x + Attn(LN(x)), then + FFN(LN(.)).
 
-    Attention is causal: position t attends to positions 0..t only.
-
-    Heads are a reshape to (..., T, H, d/H) and a swap to (..., H, T, d/H), so
-    scores and value mixing are one batched product each.
+    Attention is causal: position t attends to positions 0..t only. The q, k
+    and v products feed one ``tensor.causal_attention`` node, which splits,
+    mixes and merges the heads, so a layer records 14 tape nodes.
     """
-    *lead, n, d = x.data.shape
-    if d != params.d:
+    if x.data.shape[-1] != params.d:
         raise T.ShapeError("layer_forward", x.data.shape, (params.d,))
-    heads = params.n_heads
-    dh = d // heads
-
-    def split(t):
-        return T.transpose(T.reshape(t, (*lead, n, heads, dh)), -3, -2)
-
     h = T.layer_norm(x, params.ln_attn)
-    q = split(T.matmul(h, params.wq))
-    k = split(T.matmul(h, params.wk))
-    v = split(T.matmul(h, params.wv))
-    scores = T.scalar_mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
-    scores = T.add(scores, _causal_mask(n))
-    mixed = T.transpose(T.matmul(T.softmax(scores), v), -3, -2)
-    attn = T.matmul(T.reshape(mixed, (*lead, n, d)), params.wo)
+    mixed = T.causal_attention(T.matmul(h, params.wq), T.matmul(h, params.wk),
+                               T.matmul(h, params.wv), params.n_heads)
+    attn = T.matmul(mixed, params.wo)
     x1 = T.add(x, attn)
 
     h2 = T.layer_norm(x1, params.ln_ffn)

@@ -1,6 +1,8 @@
 """Variant model assembly: forwards, determinism, memory attachment."""
 
+import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -119,14 +121,22 @@ def test_a_sequence_in_a_batch_gets_its_logits_alone(variant, kwargs, data):
 
 
 # One training step of the smoke model at seq 16 records the same tape for
-# any batch size; the AltUp block's nodes do not depend on K either.
+# any batch size; the AltUp block's nodes do not depend on K either. A
+# transformer layer is 14 nodes, attention from its q/k/v products to its
+# `wo` product one `causal_attention` node.
 SMOKE_NODES = [
-    ("dense", {}, 90),
-    ("altup", {"altup": {"k": 2}}, 121),
-    ("altup", {"altup": {"k": 4}}, 121),
-    ("recycled_altup", {"altup": {"k": 2}}, 124),
-    ("seq_altup", {"seq": {"stride": 4}}, 101),
+    ("dense", {}, 51),
+    ("altup", {"altup": {"k": 2}}, 82),
+    ("altup", {"altup": {"k": 4}}, 82),
+    ("recycled_altup", {"altup": {"k": 2}}, 85),
+    ("seq_altup", {"seq": {"stride": 4}}, 62),
 ]
+SMOKE_IDS = ["dense", "altup-k2", "altup-k4", "recycled_altup-k2", "seq_altup-s4"]
+
+# The dense step's nodes by op, so a change in the total shows which op moved.
+DENSE_SMOKE_OPS = {"gather_rows": 2, "add": 7, "layer_norm": 6, "matmul": 22,
+                   "causal_attention": 3, "gelu": 3, "mul": 3, "transpose": 1,
+                   "log_softmax": 1, "gather_cols": 1, "mean_all": 1, "scalar_mul": 1}
 
 
 # A memory layer records the same tape for any batch size too: one node
@@ -134,26 +144,81 @@ SMOKE_NODES = [
 # routing adds 6 more per layer at any top-k count: the router's transpose,
 # the reshape of the input to rows, the jitter, the logits product, the
 # softmax and the one pick of the (N, k) probability weights.
-MEMORY_SMOKE_NODES = [("softmax", 64, 1, 111), ("softmax", 64, 2, 111),
-                      ("token_id", 258, 1, 93), ("lsh", 64, 1, 93), ("minhash", 64, 1, 93)]
+MEMORY_SMOKE_NODES = [("softmax", 64, 1, 72), ("softmax", 64, 2, 72),
+                      ("token_id", 258, 1, 54), ("lsh", 64, 1, 54), ("minhash", 64, 1, 54)]
 
 SMOKE_CFG = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
                            vocab_size=258, max_seq_len=20)
 
 
-def _step_nodes(model, batch, rng):
+def _step_ops(model, batch, rng):
     ids, targets = rng.integers(0, 258, size=(2, batch, 16))
     with Graph() as g:
         model.loss(ids, targets, training=True, rng=rng)
-    return len(g.nodes)
+    return Counter(node.op for node in g.nodes)
 
 
-@pytest.mark.parametrize("variant,kwargs,nodes", SMOKE_NODES)
+@pytest.mark.parametrize("variant,kwargs,nodes", SMOKE_NODES, ids=SMOKE_IDS)
 def test_tape_nodes_per_step_do_not_grow_with_batch(variant, kwargs, nodes):
     model = models.Model(SMOKE_CFG, variant, seed=1, **kwargs)
     rng = np.random.default_rng(2)
     for batch in (1, 8):
-        assert _step_nodes(model, batch, rng) == nodes, f"batch {batch}"
+        ops = _step_ops(model, batch, rng)
+        assert ops.total() == nodes, f"batch {batch}"
+        if variant == "dense":
+            assert ops == DENSE_SMOKE_OPS, f"batch {batch}"
+
+
+# The gradient contract at the smoke size, for the variants without memory:
+# <grad f, v> for a random unit direction v over all parameters against the
+# Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the central differences
+# D(h) = (f(p + h v) - f(p - h v)) / 2h, whose error is O(h^4). The bound is
+# relative to |grad f|, the largest a directional derivative can be.
+SMOKE_GRAD_VARIANTS = [
+    ("dense", {}),
+    ("altup", {"altup": {"k": 2}}),
+    ("recycled_altup", {"altup": {"k": 2}}),
+    ("sum_baseline", {}),
+    ("seq_altup", {"seq": {"stride": 4}}),
+    ("stride_skip", {"seq": {"stride": 4}}),
+    ("avg_pool", {"seq": {"stride": 4}}),
+]
+DIRECTIONAL_STEP = 1e-3
+DIRECTIONAL_TOLERANCE = 1e-7
+
+
+@pytest.mark.parametrize("variant,kwargs", SMOKE_GRAD_VARIANTS,
+                         ids=[variant for variant, _ in SMOKE_GRAD_VARIANTS])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_smoke_gradient_matches_directional_differences(variant, kwargs, seed):
+    model = models.Model(SMOKE_CFG, variant, seed=1, **kwargs)
+    ids, targets = np.random.default_rng(7).integers(0, 258, size=(2, 2, 16))
+    params = model.parameters()
+    model.zero_grad()
+    with Graph() as g:
+        loss = model.loss(ids, targets)
+    backward(g, loss)
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    rng = np.random.default_rng(seed)
+    v = [rng.standard_normal(p.data.shape) for p in params]
+    norm = math.sqrt(sum(float((x * x).sum()) for x in v))
+    v = [x / norm for x in v]
+    analytic = sum(float((gr * x).sum()) for gr, x in zip(grads, v))
+    grad_norm = math.sqrt(sum(float((gr * gr).sum()) for gr in grads))
+    base = [p.data.copy() for p in params]
+
+    def central(h):
+        values = []
+        for step in (h, -h):
+            for p, b, x in zip(params, base, v):
+                p.data[...] = b + step * x
+            values.append(model.loss(ids, targets).item())
+        return (values[0] - values[1]) / (2 * h)
+
+    h = DIRECTIONAL_STEP
+    numeric = (4 * central(h / 2) - central(h)) / 3
+    assert abs(analytic - numeric) <= DIRECTIONAL_TOLERANCE * grad_norm, (analytic, numeric)
 
 
 def test_memory_tables_are_stacked_tensors():
@@ -171,14 +236,14 @@ def test_memory_tables_are_stacked_tensors():
 
 
 @pytest.mark.parametrize("lookup,n,k,nodes", MEMORY_SMOKE_NODES,
-                         ids=[f"{lookup}-{n}-{nodes}" + (f"-k{k}" if k > 1 else "")
+                         ids=[f"{lookup}-{n}" + (f"-k{k}" if k > 1 else "")
                               for lookup, n, k, nodes in MEMORY_SMOKE_NODES])
 def test_memory_tape_nodes_per_step(lookup, n, k, nodes):
     model = models.Model(SMOKE_CFG, "dense", seed=1,
                          memory={"n": n, "rank": 4, "lookup": lookup, "k": k})
     rng = np.random.default_rng(2)
     for batch in (1, 8):
-        assert _step_nodes(model, batch, rng) == nodes, f"batch {batch}"
+        assert _step_ops(model, batch, rng).total() == nodes, f"batch {batch}"
 
 
 # One training step of the smoke model at B=8, T=16. Backward frees each node

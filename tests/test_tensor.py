@@ -594,3 +594,65 @@ def test_fused_expert_counts_the_macs_of_its_two_products():
     T.reset_mac_count()
     T.matmul_relu_matmul(x, u, v)
     assert T.mac_count() == 2 * n * d * r
+
+
+def _composed_attention(q, k, v, n_heads):
+    """The head split, scores, mask, softmax, value mix and merge as separate
+    primitives: the oracle ``causal_attention`` must match bit for bit."""
+    *lead, n, d = q.data.shape
+    dh = d // n_heads
+
+    def split(x):
+        return T.transpose(T.reshape(x, (*lead, n, n_heads, dh)), -3, -2)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = T.scalar_mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
+    scores = T.add(scores, t(np.triu(np.full((n, n), -1e30), k=1)))
+    mixed = T.transpose(T.matmul(T.softmax(scores), vh), -3, -2)
+    return T.reshape(mixed, (*lead, n, d))
+
+
+@settings(max_examples=120, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (2,), (3,)]), n=st.integers(1, 9),
+       heads=st.sampled_from([1, 2, 4]), dh=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_causal_attention_is_bitwise_the_composed_path(lead, n, heads, dh, seed):
+    shape = lead + (n, heads * dh)
+    rng = np.random.default_rng(seed)
+    qkv, g = [rng.standard_normal(shape) for _ in range(3)], rng.standard_normal(shape)
+    results = []
+    for attention in (T.causal_attention, _composed_attention):
+        inputs = [t(a, rg=True) for a in qkv]
+        T.reset_mac_count()
+        with Graph() as graph:
+            out = attention(*inputs, heads)
+            loss = T.sum_all(T.mul(out, t(g)))
+        macs = T.mac_count()
+        backward(graph, loss)
+        results.append([out.data] + [x.grad for x in inputs] + [macs])
+    fused, composed = results
+    assert fused[-1] == composed[-1] == 2 * math.prod(shape) * n
+    for a, b in zip(fused[:-1], composed[:-1]):
+        # the layout decides the summation order of the products downstream
+        assert np.array_equal(a, b) and a.strides == b.strides
+
+
+def test_causal_attention_is_one_node_and_checks_shapes():
+    q, k, v = (t(np.ones((2, 3, 4)), rg=True) for _ in range(3))
+    with Graph() as g:
+        T.causal_attention(q, k, v, 2)
+    assert [node.op for node in g.nodes] == ["causal_attention"]
+    for args in [(q, k, t(np.ones((2, 3, 2))), 2), (q, k, v, 3), (q, k, v, 0),
+                 (t(np.ones(4)), t(np.ones(4)), t(np.ones(4)), 1)]:
+        with pytest.raises(T.ShapeError, match="causal_attention"):
+            T.causal_attention(*args)
+
+
+def test_causal_attention_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    params = [t(rng.standard_normal((2, 5, 4)), rg=True, name=name) for name in "qkv"]
+    c = t(rng.standard_normal((2, 5, 4)))
+
+    def f(params):
+        return T.sum_all(T.mul(T.causal_attention(*params, 2), c))
+
+    assert grad_check(f, params, eps=1e-6) < 1e-6

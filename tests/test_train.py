@@ -651,16 +651,23 @@ def test_activation_cap_takes_the_larger_of_batch_and_eval_set(monkeypatch, batc
         config_from_dict(raw)
 
 
-@pytest.mark.parametrize("corpus", [None, b"abc"], ids=["missing", "too_short"])
-def test_cli_train_setup_failure_leaves_no_out(tmp_path, capsys, corpus):
+@pytest.mark.parametrize("corpus,reason", [
+    (None, "No such file"), ("dir", "Is a directory"), (b"abc", "corpus too short: 3 bytes"),
+    (b"", "is empty"), (b"\xffabcdefghijklmnop", "is not valid UTF-8"),
+], ids=["missing", "directory", "too_short", "empty", "not_utf8"])
+def test_cli_train_setup_failure_leaves_no_out(tmp_path, capsys, corpus, reason):
+    # a corpus the run cannot use is a bad config value: exit 1, before --out exists
     path = tmp_path / "corpus.txt"
-    if corpus is not None:
+    if corpus == "dir":
+        path.mkdir()
+    elif corpus is not None:
         path.write_bytes(corpus)
     raw = _raw(task={"name": "char_lm", "seq_len": 8, "corpus_path": str(path)})
     assert cli.main(["train", "--config", _write_config(tmp_path, raw), "--seed", "1",
-                     "--out", str(tmp_path / "x")]) == 2
+                     "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("runtime error:") and "Traceback" not in err
+    assert err.startswith("config error: task.corpus_path: ") and reason in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 
@@ -694,6 +701,25 @@ def test_cli_cost_and_census(tmp_path, capsys):
     assert "embedding_params" in capsys.readouterr().out
     assert cli.main(["census", "--config", cfg_path]) == 0
     assert "census" in capsys.readouterr().out
+
+
+def test_cli_cost_labels_macs_apart_from_the_paper_overhead_count(tmp_path, capsys):
+    # the smoke model at K=2: 11264 matrix-product MACs per token per layer
+    # at T=16, and the paper's predict/correct count k(2k-1)d + 2kd = 320,
+    # of which the MAC counter sees k^2 d + 2kd = 256
+    model = {"d_model": 32, "n_layers": 3, "n_heads": 2, "ffn_hidden": 64,
+             "vocab_size": 258, "max_seq_len": 16}
+    raw = _raw(variant="altup", altup={"k": 2}, model=model)
+    assert cli.main(["cost", "--config", _write_config(tmp_path, raw)]) == 0
+    out = capsys.readouterr().out
+    report, rows = out.split("\n}\n")
+    report = json.loads(report + "}")
+    assert report["flops_per_token_per_layer"] == 11264
+    assert report["altup_overhead_flops_per_token"] == 320
+    printed = dict(line.rsplit(None, 1) for line in rows.splitlines())
+    assert printed["matrix-product MACs/token/layer"] == "11264"
+    assert printed["AltUp predict+correct ops/token (paper count)"] == "320"
+    assert not any("flops" in label.lower() for label in printed)
 
 
 @pytest.mark.parametrize("variant,section", [
