@@ -3,7 +3,10 @@
 The representation is widened from d to K*d, split into K contiguous d-wide
 sub-blocks. Each layer runs the real transformer layer on one selected block
 and reconstructs the rest with a predict-compute-correct scheme driven by
-K*K + K trainable scalars. Also provides ``widen``, which the model's input
+K*K + K trainable scalars. Predict and correct are one tape node with a
+hand-written backward, bitwise the composition of primitives it replaces,
+so a layer adds two nodes (the block's slice and that node) to its inner
+layer's. Also provides ``widen``, which the model's input
 stream uses to tile d-wide embeddings, and the down-projection that ends the
 embedding-recycling path. The closed-form parameter counts of these variants
 live in :mod:`altup.costs`.
@@ -77,30 +80,66 @@ def altup_layer_forward(x_old: Tensor, params: AltUpLayerParams, j_star: int,
     Compute  y = inner(block_{j_star})        (the single real layer call),
     Correct  x_new_i = x_hat_i + g_i * (y - x_hat_{j_star}).
 
-    The stream is viewed as (..., T, K, d), so predict and correct are each one
-    product with p or g over the K axis. ``inner_fn`` overrides the compute
-    step (any (..., T, d) -> (..., T, d) map); by default the wrapped
-    transformer layer runs.
+    The layer records the block's ``slice_last``, the compute step and one
+    ``"altup_predict_correct"`` node for predict and correct together.
+    ``inner_fn`` overrides the compute step (any (..., T, d) -> (..., T, d)
+    map); by default the wrapped transformer layer runs.
     """
     k, d = params.cfg.k, params.cfg.d
     *lead, width = x_old.data.shape
-    if width != k * d:
+    if not lead or width != k * d:
         raise T.ShapeError("altup_layer_forward", x_old.data.shape, (*lead, k * d))
     if not (0 <= j_star < k):
         raise ValueError(f"j_star {j_star} out of range [0, {k})")
 
     block = T.slice_last(x_old, j_star * d, d)
-    x_hat = T.matmul(params.p, T.reshape(x_old, (*lead, k, d)))
     y = layer_forward(block, params.inner) if inner_fn is None else inner_fn(block)
-    hat_star = T.gather_rows(x_hat, [j_star])
+    if y.data.shape != block.data.shape:
+        raise T.ShapeError("altup_layer_forward", y.data.shape, block.data.shape)
+    return _predict_correct(x_old, params.p, params.g, y, j_star)
 
-    # Evaluated as (x_hat_i - g_i*x_hat_star) + g_i*y: with g = 0 the output is
-    # exactly x_hat, and with g_i = 1, i = j_star the layer output passes
-    # through bitwise (x - x cancels exactly), which the degeneracy identities
-    # rely on.
-    base = T.sub(x_hat, T.matmul(params.g, hat_star))
-    x_new = T.add(base, T.matmul(params.g, T.reshape(y, (*lead, 1, d))))
-    return T.reshape(x_new, x_old.data.shape)
+
+def _predict_correct(x_old: Tensor, p: Tensor, g: Tensor, y: Tensor, j_star: int) -> Tensor:
+    """x_new from ``x_old`` (..., T, K*d) and the layer output ``y`` (..., T, d)
+    as one tape node with inputs [x_old, p, g, y].
+
+    The stream is viewed as (..., T, K, d), so predict and correct are each a
+    product with p or g over the K axis: x_hat = p @ x, then
+    (x_hat - g @ x_hat[..., [j_star], :]) + g @ y. With g = 0 the output is
+    exactly x_hat, and with g_i = 1, i = j_star the layer output passes
+    through bitwise (x - x cancels exactly), which the degeneracy identities
+    rely on. Forward and backward run the array operations of the composition
+    of ``matmul``, ``gather_rows``, ``sub``, ``add`` and ``reshape`` in its
+    order, and count its K*K*N*d + 2*K*N*d MACs for N token positions. g's
+    gradient is its two products' sum, in the composition's order, so all
+    gradients are bitwise the composition's when g.grad starts empty, as in
+    every training step.
+    """
+    shape = x_old.data.shape
+    pd, gd = p.data, g.data
+    k, d = pd.shape[0], y.data.shape[-1]
+    x4 = x_old.data.reshape(*shape[:-1], k, d)
+    y4 = y.data.reshape(*shape[:-1], 1, d)
+    x_hat = pd @ x4
+    star = np.s_[..., [j_star], :]
+    hat_star = x_hat[star]
+    out = (x_hat - gd @ hat_star) + gd @ y4
+    T.count_macs(x_hat.size * (k + 2))
+    # matmul's backward for a 2-D operand shared across the other's leading axes
+    axes = (*range(x_hat.ndim - 2), x_hat.ndim - 1)
+
+    def bw(g_out):
+        grad = g_out.reshape(x_hat.shape)
+        neg = -grad
+        g_grad = (np.tensordot(grad, y4, axes=(axes, axes))
+                  + np.tensordot(neg, hat_star, axes=(axes, axes)))
+        scatter = np.zeros(x_hat.shape)
+        np.add.at(scatter, star, gd.T @ neg)
+        hat_grad = grad + scatter
+        return ((pd.T @ hat_grad).reshape(shape), np.tensordot(hat_grad, x4, axes=(axes, axes)),
+                g_grad, (gd.T @ grad).reshape(y.data.shape))
+
+    return T.record("altup_predict_correct", [x_old, p, g, y], out.reshape(shape), bw)
 
 
 def widen(x: Tensor, k: int) -> Tensor:

@@ -83,6 +83,9 @@ def suite_instances():
         ("dense_b2", lambda: Model(_cfg(), "dense", seed=31)),
         ("altup_k2_b2", lambda: Model(_cfg(d=4, heads=1), "altup", altup={"k": 2}, seed=32)),
         ("seq_altup_k2_b2", lambda: Model(_cfg(L=1), "seq_altup", seq=_wrap_all(2), seed=33)),
+        # the wrapped layer sees positions 0 and 3, so attention's score
+        # gradient is not zero, and the last window {3} is shorter than the stride
+        ("seq_altup_k3_b2", lambda: Model(_cfg(L=1), "seq_altup", seq=_wrap_all(3), seed=55)),
         ("stride_skip_b2", lambda: Model(_cfg(L=1), "stride_skip", seq=_wrap_all(2), seed=34)),
         ("memory_softmax_top2_b2", lambda: Model(
             _cfg(d=4, L=1, heads=1), "dense", seed=45,

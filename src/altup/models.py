@@ -19,7 +19,11 @@ return are the layer's output, recorded as one ``memory.expert_rows`` node,
 which gives the stacked table and the weights their gradients. So a memory
 layer records 1 tape node at any batch size, and softmax routing adds 6 at
 any k (the router's transpose, the reshape of the input to rows, the
-training jitter, the logits product, the softmax and the top-k pick).
+training jitter, the logits product, the softmax and the top-k pick). Around
+its inner layer, an AltUp layer records its block's slice and one
+predict/correct node, and a seq-AltUp layer a predict node, the subsample's
+gather and a correct node; the loss is one ``cross_entropy`` node. A smoke
+step (d=32, L=3, T=16) records 48 nodes dense and 55 with AltUp K=2.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ output's gradient, so a graph runs backward once. Only leaves (tensors no
 node of the graph produced, such as parameters and inputs) keep ``.grad``,
 and leaf gradients accumulate across graphs. A node's output is one tensor.
 :func:`record` adds a node; modules outside this one use it for fused nodes
-whose backward they own, such as a whole memory layer. Broadcasting is
+whose backward they own: a whole memory layer, AltUp's and seq-AltUp's
+predict/correct steps and the cross-entropy loss. Such a node adds its
+matrix products' MACs through :func:`count_macs`. Broadcasting is
 deliberately restricted: operand shapes must match exactly, or the smaller
 shape must be a trailing suffix of the larger (leading-batch expansion), or
 one operand must be scalar-shaped. Anything else raises :class:`ShapeError`
@@ -52,10 +54,11 @@ class NonFiniteError(FloatingPointError):
         super().__init__(f"non-finite value encountered at {where}")
 
 
-# Multiply-accumulate counter for matrix products. Only the matrix-product
-# primitives (matmul, matmul_relu_matmul, causal_attention) count; elementwise ops,
-# normalizations and activations are excluded so the counter matches the
-# closed-form layer cost model exactly.
+# Multiply-accumulate counter for matrix products. Only the nodes that run
+# matrix products count, through count_macs: the primitives matmul,
+# matmul_relu_matmul and causal_attention, and AltUp's predict/correct node in
+# ``alternating``. Elementwise ops, normalizations and activations are excluded
+# so the counter matches the closed-form layer cost model exactly.
 _mac_count = 0
 
 
@@ -66,6 +69,12 @@ def reset_mac_count():
 
 def mac_count() -> int:
     return _mac_count
+
+
+def count_macs(n: int):
+    """Add ``n`` multiply-accumulates to the counter."""
+    global _mac_count
+    _mac_count += n
 
 
 class Tensor:
@@ -289,9 +298,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
             or (ad.ndim > 2 and bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
         raise ShapeError("matmul", ad.shape, bd.shape)
-    global _mac_count
     out = ad @ bd
-    _mac_count += out.size * ad.shape[-1]
+    count_macs(out.size * ad.shape[-1])
     # a 2-D operand shared across leading axes sums its gradient over them,
     # as one product over the flattened leading and row axes
     lead = tuple(range(out.ndim - 2))
@@ -321,11 +329,10 @@ def matmul_relu_matmul(x: Tensor, u: Tensor, v: Tensor) -> Tensor:
     if (xd.ndim != 2 or ud.ndim != 2 or vd.ndim != 2
             or xd.shape[1] != ud.shape[0] or ud.shape[1] != vd.shape[0]):
         raise ShapeError("matmul_relu_matmul", xd.shape, ud.shape, vd.shape)
-    global _mac_count
     h = xd.dot(ud)
     a = np.maximum(h, 0.0)
     out = a.dot(vd)
-    _mac_count += h.size * xd.shape[1] + out.size * ud.shape[1]
+    count_macs(h.size * xd.shape[1] + out.size * ud.shape[1])
 
     def bw(g):
         gh = (g @ vd.swapaxes(-1, -2)) * (h > 0.0)
@@ -353,8 +360,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     mixed = y @ vh
-    global _mac_count
-    _mac_count += 2 * mixed.size * n
+    count_macs(2 * mixed.size * n)
 
     def bw(g):
         go = g.reshape(heads).swapaxes(-3, -2)

@@ -106,7 +106,27 @@ def lm_head(x: Tensor, table: Tensor) -> Tensor:
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over all positions of -log softmax(logits)[target], max-shifted for
-    stability; logits (..., T, V) and targets (..., T). A target outside the
-    vocabulary raises ``gather_cols``'s IndexError."""
-    picked = T.gather_cols(T.log_softmax(logits), np.asarray(targets)[..., None])
-    return T.scalar_mul(T.mean_all(picked), -1.0)
+    stability, as one tape node; logits (..., T, V) and targets (..., T).
+
+    Forward and backward run the array operations of the composition
+    ``scalar_mul(mean_all(gather_cols(log_softmax(logits), targets)), -1)``
+    in its order, so the loss and the logits' gradient are bitwise that
+    composition's. A target outside the vocabulary raises ``IndexError``,
+    and targets whose shape is not the logits' leading shape ``ShapeError``.
+    """
+    x = logits.data
+    idx = np.asarray(targets, dtype=np.int64)[..., None]
+    if x.ndim < 2 or idx.shape[:-1] != x.shape[:-1]:
+        raise T.ShapeError("cross_entropy", x.shape, idx.shape)
+    T._check_range("cross_entropy", idx, x.shape[-1])
+    shifted = x - x.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    inv = 1.0 / idx.size
+
+    def bw(g):
+        g_log_probs = np.zeros(x.shape)
+        np.put_along_axis(g_log_probs, idx, np.full(idx.shape, float(g * -1.0) * inv), axis=-1)
+        return (g_log_probs - np.exp(log_probs) * g_log_probs.sum(axis=-1, keepdims=True),)
+
+    loss = np.take_along_axis(log_probs, idx, axis=-1).mean() * -1.0
+    return T.record("cross_entropy", [logits], loss, bw)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altup import alternating as alt
 from altup import costs
@@ -126,6 +128,49 @@ def test_width_mismatch_raises():
     params = _altup_params(2, 4, seed=22)
     with pytest.raises(T.ShapeError):
         alt.altup_layer_forward(Tensor(np.zeros((2, 9))), params, j_star=0)
+
+
+def _composed_altup_layer(x_old, params, j_star):
+    """Predict and correct as separate primitives on the (..., T, K, d) view:
+    the oracle the one predict/correct node must match bit for bit."""
+    k, d = params.cfg.k, params.cfg.d
+    *lead, _ = x_old.data.shape
+    block = T.slice_last(x_old, j_star * d, d)
+    x_hat = T.matmul(params.p, T.reshape(x_old, (*lead, k, d)))
+    y = tr.layer_forward(block, params.inner)
+    hat_star = T.gather_rows(x_hat, [j_star])
+    base = T.sub(x_hat, T.matmul(params.g, hat_star))
+    x_new = T.add(base, T.matmul(params.g, T.reshape(y, (*lead, 1, d))))
+    return T.reshape(x_new, x_old.data.shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (2,), (3,)]), n=st.integers(1, 9),
+       k=st.sampled_from([1, 2, 4]), d=st.integers(1, 4), data=st.data())
+def test_predict_correct_node_is_bitwise_the_composed_path(lead, n, k, d, data):
+    j_star = data.draw(st.integers(0, k - 1), label="j_star")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    x, c = rng.standard_normal((2, *lead, n, k * d))
+    p, g = rng.standard_normal((k, k)), rng.standard_normal((k, 1))
+    results = []
+    for forward in (alt.altup_layer_forward, _composed_altup_layer):
+        params = _altup_params(k, d, seed=3)
+        params.p.data[...], params.g.data[...] = p, g
+        x_old = Tensor(x, requires_grad=True)
+        T.reset_mac_count()
+        with Graph() as graph:
+            out = forward(x_old, params, j_star)
+            ops = [node.op for node in graph.nodes]
+            loss = T.sum_all(T.mul(out, Tensor(c)))
+        macs = T.mac_count()
+        backward(graph, loss)
+        results.append(([out.data, x_old.grad] + [q.grad for q in params.params()], macs, ops))
+    (fused, fused_macs, fused_ops), (composed, composed_macs, _) = results
+    assert fused_ops[0] == "slice_last" and fused_ops[-1] == "altup_predict_correct"
+    assert len(fused_ops) == 16  # the layer's 14 between them
+    assert fused_macs == composed_macs
+    for a, b in zip(fused, composed):
+        assert np.array_equal(a, b) and a.strides == b.strides
 
 
 def _extra_params(model, variant, k):

@@ -443,7 +443,7 @@ def test_per_position_rows_call_no_primitive_but_the_expert_product(monkeypatch,
     with Graph() as g:
         model.loss(ids, ids, training=True, rng=np.random.default_rng(0))
     assert ops == ([] if constant else ["matmul_relu_matmul"] * 2 * ids.size)
-    assert [node.op for node in g.nodes].count("gather_cols") == 2  # the loss's, the route's
+    assert [node.op for node in g.nodes].count("gather_cols") == 1  # the route's
 
 
 # -- one node per memory layer against the per-row tape ------------------------

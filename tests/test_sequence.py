@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altup import sequence as seq
 from altup import tensor as T
 from altup import transformer as tr
-from altup.tensor import Tensor, grad_check
+from altup.tensor import Graph, Tensor, backward, grad_check
 
 
 def _inner(d=4, ffn=8, heads=1, seed=0):
@@ -47,6 +49,49 @@ def test_hand_example_identity_layer():
     out = seq.seq_altup_forward(x, inner, p)
     expected = np.stack([x.data[0], x.data[0], x.data[2]])
     assert np.array_equal(out.data, expected)
+
+
+def _composed_seq_altup(x, inner, p):
+    """Predict and correct as separate primitives: the oracle the predict and
+    correct nodes must match bit for bit."""
+    t, k = x.data.shape[-2], p.stride
+    anchors = (np.arange(t) // k) * k
+    y_hat = T.add(T.mul(p.a1, x), T.mul(p.a2, T.gather_rows(x, anchors)))
+    y_sub = tr.layer_forward(T.gather_rows(x, np.arange(0, t, k)), inner)
+    y_comp = T.gather_rows(y_sub, anchors // k)
+    y_hat_anchor = T.gather_rows(y_hat, anchors)
+    return T.add(T.sub(y_hat, T.mul(p.b, y_hat_anchor)), T.mul(p.b, y_comp))
+
+
+@settings(max_examples=120, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (2,), (3,)]), n=st.integers(1, 9),
+       stride=st.integers(1, 4), d=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_predict_and_correct_nodes_are_bitwise_the_composed_path(lead, n, stride, d, seed):
+    rng = np.random.default_rng(seed)
+    x, c = rng.standard_normal((2, *lead, n, d))
+    scalars = rng.standard_normal((3, 1, 1))
+    results = []
+    for forward in (seq.seq_altup_forward, _composed_seq_altup):
+        inner = _inner(d=d, seed=5)
+        p = seq.SeqAltUpParams(stride)
+        for q, value in zip(p.params(), scalars):
+            q.data[...] = value
+        x_in = Tensor(x, requires_grad=True)
+        T.reset_mac_count()
+        with Graph() as graph:
+            out = forward(x_in, inner, p)
+            ops = [node.op for node in graph.nodes]
+            loss = T.sum_all(T.mul(out, Tensor(c)))
+        macs = T.mac_count()
+        backward(graph, loss)
+        results.append(([out.data, x_in.grad] + [q.grad for q in p.params() + inner.params()],
+                        macs, ops))
+    (fused, fused_macs, fused_ops), (composed, composed_macs, _) = results
+    assert fused_ops[:2] == ["seq_predict", "gather_rows"] and fused_ops[-1] == "seq_correct"
+    assert len(fused_ops) == 17  # the layer's 14 between them
+    assert fused_macs == composed_macs
+    for a, b in zip(fused, composed):
+        assert np.array_equal(a, b) and a.strides == b.strides
 
 
 def test_empty_sequence_rejected():

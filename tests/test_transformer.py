@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from altup import tensor as T
@@ -159,6 +161,45 @@ def test_cross_entropy_matches_bruteforce():
 def test_cross_entropy_target_range_error():
     with pytest.raises(IndexError):
         tr.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+
+
+def _composed_cross_entropy(logits, targets):
+    """The loss as separate primitives: the oracle the one loss node must
+    match bit for bit."""
+    picked = T.gather_cols(T.log_softmax(logits), np.asarray(targets)[..., None])
+    return T.scalar_mul(T.mean_all(picked), -1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (2,), (3,)]), n=st.integers(1, 9),
+       v=st.integers(1, 12), scale=st.sampled_from([1.0, 30.0]), seed=st.integers(0, 2**16))
+def test_cross_entropy_node_is_bitwise_the_composed_path(lead, n, v, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((*lead, n, v))
+    targets = rng.integers(0, v, size=(*lead, n))
+    results = []
+    for loss_fn in (tr.cross_entropy, _composed_cross_entropy):
+        logits = Tensor(x, requires_grad=True)
+        T.reset_mac_count()
+        with Graph() as graph:
+            loss = loss_fn(logits, targets)
+        ops = [node.op for node in graph.nodes]
+        backward(graph, loss)
+        results.append((loss.data, logits.grad, T.mac_count(), ops))
+    (loss, grad, macs, ops), (want_loss, want_grad, want_macs, _) = results
+    assert ops == ["cross_entropy"]
+    assert macs == want_macs == 0
+    assert np.array_equal(loss, want_loss) and loss.shape == want_loss.shape
+    assert np.array_equal(grad, want_grad) and grad.strides == want_grad.strides
+
+
+def test_cross_entropy_checks_target_shapes():
+    with pytest.raises(T.ShapeError, match="cross_entropy"):
+        tr.cross_entropy(Tensor(np.zeros((2, 3))), [0, 1, 2])
+    with pytest.raises(T.ShapeError, match="cross_entropy"):
+        tr.cross_entropy(Tensor(np.zeros(3)), 0)
+    with pytest.raises(IndexError, match="cross_entropy: index -1 at position 1"):
+        tr.cross_entropy(Tensor(np.zeros((2, 2, 3))), [[0, -1], [2, 1]])
 
 
 def test_end_to_end_two_layer_gradcheck():
