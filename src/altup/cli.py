@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import checks, collisions, train as training
+from . import checks, collisions, costs, train as training
 from .checkpoint import CheckpointError, load_model
 from .train import ConfigError, DivergenceError, build_model, config_from_dict
 
@@ -81,7 +81,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    report = training.cost_report(_load_config(args))
+    cfg = _load_config(args)
+    report = training.cost_report(cfg)
     print(json.dumps(asdict(report), indent=2))
     rows = [
         ("embedding params (tied)", report.embedding_params),
@@ -91,6 +92,10 @@ def _cmd_cost(args) -> int:
         ("AltUp predict+correct ops/token (paper count)", report.altup_overhead_flops_per_token),
         ("activation memory (entries)", report.activation_memory_entries),
     ]
+    macs = costs.forward_macs(cfg.model, cfg.variant, cfg.altup, cfg.seq, cfg.memory)
+    macs["total"] = sum(macs.values())
+    for term, value in macs.items():
+        rows.append((f"forward MACs ({cfg.model.max_seq_len}-token sequence): {term}", value))
     width = max(len(r[0]) for r in rows)
     for label, value in rows:
         print(f"{label:<{width}}  {value}")

@@ -3,11 +3,17 @@
 The ``flops`` of :func:`layer_flops` are multiply-accumulates (MACs) of
 matrix products only (softmax, layer norm and activations excluded), which
 is what the MAC counter in the tensor module instruments, so closed forms
-and counters can be compared exactly. :func:`altup_overhead` is the paper's
-operation count instead.
+and counters can be compared exactly. :func:`forward_macs` sums them over a
+whole model's untaped forward: the layers, AltUp's predict/correct products,
+average pooling's averaging product, a memory layer's router and experts,
+and the output head. Sequence AltUp's predict and correct, stride-and-skip's
+placement and the memory lookups other than softmax are elementwise or index
+work and count 0. :func:`altup_overhead` is the paper's operation count
+instead.
 Parameter counts must match the census of an actually constructed model,
-entry for entry: :func:`count_params` takes the same variant and sections as
-``models.Model`` and resolves them through ``schema.resolve``.
+entry for entry. :func:`count_params` and :func:`forward_macs` take the same
+variant and sections as ``models.Model`` and resolve them through
+``schema.resolve``.
 """
 
 from __future__ import annotations
@@ -83,6 +89,48 @@ def wrapped_layers(n_layers: int, wrap: str) -> range:
     if wrap == "interior":
         return range(1, n_layers - 1)
     raise ValueError(f"unknown wrap mode {wrap!r}")
+
+
+def forward_macs(cfg: ModelConfig, variant: str, altup: dict | None = None,
+                 seq: dict | None = None, memory: dict | None = None,
+                 seq_len: int | None = None) -> dict:
+    """Matrix-product MACs of one untaped forward over one sequence of
+    ``seq_len`` tokens (default ``max_seq_len``), by term, each summed over
+    the layers and 0 where the variant has none.
+
+    The layers ``wrapped_layers`` picks run at T' = ceil(T/stride) positions
+    for ``seq_altup`` and ``stride_skip``; ``avg_pool`` runs every layer and
+    the head at T' and averages with a (T', T) product. AltUp's predict and
+    correct are K*K + 2*K products of T*d per layer, and its head is K*d
+    wide. A softmax memory layer's router is T*d*n, and its experts are
+    T*k*2*d*rank (0 for constant experts). A batch of B sequences costs B
+    times this.
+    """
+    altup, seq, memory = resolve(variant, cfg.vocab_size, altup, seq, memory)
+    t = cfg.max_seq_len if seq_len is None else seq_len
+    if not 1 <= t <= cfg.max_seq_len:
+        raise ValueError(f"sequence length {t} outside [1, max_seq_len = {cfg.max_seq_len}]")
+    d, L = cfg.d_model, cfg.n_layers
+    # T' = ceil(T/stride); without a seq section T' = T, so every layer runs at T
+    short = t if seq is None else -(-t // seq["stride"])
+    wrapped = (wrapped_layers(L, seq["wrap"]) if seq is not None and variant != "avg_pool"
+               else range(L))
+    layers = [layer_flops(short if i in wrapped else t, d, cfg.ffn_hidden) for i in range(L)]
+    k = 1 if altup is None else altup["k"]
+    out = short if variant == "avg_pool" else t
+    macs = {"attention": sum(a for a, _ in layers), "ffn": sum(f for _, f in layers),
+            "predict_correct": 0, "pooling": 0, "router": 0, "experts": 0,
+            "head": out * (k * d if variant == "altup" else d) * cfg.vocab_size}
+    if altup is not None:
+        macs["predict_correct"] = L * (k * k + 2 * k) * t * d
+    if variant == "avg_pool":
+        macs["pooling"] = out * t * d
+    if memory is not None:
+        if memory["lookup"] == "softmax":
+            macs["router"] = L * t * d * memory["n"]
+        if not memory["constant"]:
+            macs["experts"] = L * t * memory["k"] * 2 * d * memory["rank"]
+    return macs
 
 
 def memory_params_per_layer(n: int, rank: int, d: int, lookup: str,

@@ -151,6 +151,9 @@ def resolve(variant: str, vocab_size: int, altup: dict | None = None,
                               f"({vocab_size}), got {n}")
         if memory["k"] > n:
             raise ConfigError(f"memory.k must lie in [1, memory.n = {n}]")
+        if memory["k"] != 1 and memory["lookup"] != "softmax":
+            raise ConfigError(f"memory.k: the {memory['lookup']} lookup selects one expert, "
+                              f"so k must be 1, got {memory['k']}")
         if not memory["constant"] and memory["rank"] < 1:
             raise ConfigError("memory.rank must be >= 1 for matrix experts")
     return altup, seq, memory

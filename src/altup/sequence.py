@@ -132,15 +132,12 @@ def average_pool_seq(x: Tensor, k: int) -> Tensor:
         raise ValueError("average_pool_seq: empty sequence")
     if k < 1:
         raise ValueError("stride must be >= 1")
-    t_out = -(-t // k)
-    pool = np.zeros((t_out, t))
-    for j in range(t_out):
-        lo, hi = j * k, min((j + 1) * k, t)
-        pool[j, lo:hi] = 1.0 / (hi - lo)
+    window = np.arange(t) // k
+    sizes = np.bincount(window)  # k each, but the last window may be shorter
+    pool = np.equal.outer(np.arange(sizes.size), window) / sizes[:, None]
     return T.matmul(Tensor(pool), x)
 
 
 def pooled_target_positions(t: int, k: int) -> np.ndarray:
     """Original position whose target each pooled position predicts (last in window)."""
-    t_out = -(-t // k)
-    return np.array([min((j + 1) * k, t) - 1 for j in range(t_out)], dtype=np.int64)
+    return np.minimum(np.arange(k, t + k, k, dtype=np.int64), t) - 1

@@ -58,7 +58,8 @@ class NonFiniteError(FloatingPointError):
 # matrix products count, through count_macs: the primitives matmul,
 # matmul_relu_matmul and causal_attention, and AltUp's predict/correct node in
 # ``alternating``. Elementwise ops, normalizations and activations are excluded
-# so the counter matches the closed-form layer cost model exactly.
+# so the counter matches the closed forms of ``costs.layer_flops`` and
+# ``costs.forward_macs`` exactly.
 _mac_count = 0
 
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from altup import costs, models, sequence, tensor as T, transformer as tr
+from altup import costs, models, schema, sequence, tensor as T, transformer as tr
+from altup.schema import ConfigError
 
 
 def test_layer_flops_scaling_structure():
@@ -25,25 +28,51 @@ def test_layer_flops_match_instrumented_counter(n, d, ffn, heads):
     assert T.mac_count() == attn + f
 
 
-def _forward_macs_per_example(cfg, variant, k, t):
-    """Closed-form matrix-product MACs of one forward pass over t tokens."""
-    attn, ffn = costs.layer_flops(t, cfg.d_model, cfg.ffn_hidden)
-    if variant == "dense":
-        return cfg.n_layers * (attn + ffn) + t * cfg.d_model * cfg.vocab_size
-    # predict (K x K) and two K-gain corrections per position, per layer
-    per_layer = attn + ffn + k * k * t * cfg.d_model + 2 * k * t * cfg.d_model
-    return cfg.n_layers * per_layer + t * k * cfg.d_model * cfg.vocab_size
+def _assert_counter_is_batch_times_forward_macs(cfg, variant, sections, batch, t):
+    model = models.Model(cfg, variant, seed=4, **sections)
+    ids = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(batch, t))
+    T.reset_mac_count()
+    model.forward(ids)
+    terms = costs.forward_macs(cfg, variant, seq_len=t, **sections)
+    assert list(terms) == ["attention", "ffn", "predict_correct", "pooling", "router",
+                           "experts", "head"]
+    assert T.mac_count() == batch * sum(terms.values()), terms
+
+
+@st.composite
+def _model_cases(draw):
+    """A small model in any variant, with its section, or dense with a memory
+    table; strides reach past the sequence length."""
+    cfg = _cfg(L=draw(st.integers(1, 3)), n=8)
+    variant = draw(st.sampled_from([*schema.VARIANTS, "memory"]))
+    if variant == "memory":
+        lookup = draw(st.sampled_from(schema.LOOKUPS))
+        memory = {"n": cfg.vocab_size if lookup == "token_id" else 6, "lookup": lookup,
+                  "rank": draw(st.integers(1, 3)), "constant": draw(st.booleans()),
+                  "k": draw(st.integers(1, 2)) if lookup == "softmax" else 1}
+        return cfg, "dense", {"memory": memory}
+    section = schema.VARIANTS[variant]
+    if section == "altup":
+        return cfg, variant, {"altup": {"k": draw(st.integers(1, 4)), "selection": draw(
+            st.sampled_from(schema.SELECTION_MODES))}}
+    if section == "seq":
+        return cfg, variant, {"seq": {"stride": draw(st.integers(1, 9)),
+                                      "wrap": draw(st.sampled_from(schema.WRAP_MODES))}}
+    return cfg, variant, {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_model_cases(), batch=st.sampled_from([1, 3]), t=st.sampled_from([1, 5, 8]))
+def test_forward_mac_counter_is_batch_times_the_closed_form_terms(case, batch, t):
+    cfg, variant, sections = case
+    _assert_counter_is_batch_times_forward_macs(cfg, variant, sections, batch, t)
 
 
 @pytest.mark.parametrize("variant,k", [("dense", 1), ("altup", 1), ("altup", 2), ("altup", 4)])
 @pytest.mark.parametrize("batch", [1, 3])
 def test_batched_forward_macs_are_batch_times_per_example(variant, k, batch):
-    cfg = _cfg(L=3, n=6)
-    model = models.Model(cfg, variant, altup={"k": k} if variant == "altup" else None, seed=4)
-    ids = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(batch, 6))
-    T.reset_mac_count()
-    model.forward(ids)
-    assert T.mac_count() == batch * _forward_macs_per_example(cfg, variant, k, 6)
+    sections = {"altup": {"k": k}} if variant == "altup" else {}
+    _assert_counter_is_batch_times_forward_macs(_cfg(L=3, n=6), variant, sections, batch, 6)
 
 
 @pytest.mark.parametrize("lookup", ["softmax", "token_id", "lsh", "minhash"])
@@ -51,23 +80,41 @@ def test_batched_forward_macs_are_batch_times_per_example(variant, k, batch):
 @pytest.mark.parametrize("constant", [False, True], ids=["matrix", "constant"])
 @pytest.mark.parametrize("batch", [1, 3])
 def test_memory_forward_macs_are_dense_plus_experts_plus_router(lookup, k, constant, batch):
-    # an untaped forward adds, per layer and row, one rank-r expert product
-    # pair per selected slot (none for constant experts) and, for softmax,
-    # the (d, n) logits product; only softmax routes to more than one slot
-    cfg, t, rank = _cfg(L=3, n=6), 6, 3
+    cfg = _cfg(L=3, n=6)
     n = cfg.vocab_size if lookup == "token_id" else 6
-    ids = np.random.default_rng(7).integers(0, cfg.vocab_size, size=(batch, t))
-    T.reset_mac_count()
-    models.Model(cfg, "dense", seed=4).forward(ids)
-    dense = T.mac_count()
-    model = models.Model(cfg, "dense", seed=4, memory={"n": n, "rank": rank, "lookup": lookup,
-                                                       "k": k, "constant": constant})
-    T.reset_mac_count()
-    model.forward(ids)
-    rows, slots = batch * t, k if lookup == "softmax" else 1
-    experts = 0 if constant else slots * 2 * cfg.d_model * rank
-    router = n * cfg.d_model if lookup == "softmax" else 0
-    assert T.mac_count() == dense + cfg.n_layers * rows * (experts + router)
+    sections = {"memory": {"n": n, "rank": 3, "lookup": lookup, "k": k, "constant": constant}}
+    if k > 1 and lookup != "softmax":
+        # only softmax routes to more than one slot, so the model and the
+        # closed form both refuse a k that would do nothing
+        for build in (models.Model, costs.forward_macs):
+            with pytest.raises(ConfigError, match="memory.k"):
+                build(cfg, "dense", **sections)
+        return
+    _assert_counter_is_batch_times_forward_macs(cfg, "dense", sections, batch, 6)
+
+
+SMOKE = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64, vocab_size=258,
+                       max_seq_len=16)
+
+
+@pytest.mark.parametrize("variant,sections,per_token", [
+    ("dense", {}, 42048),
+    ("altup", {"altup": {"k": 2}}, 51072),
+    ("altup", {"altup": {"k": 4}}, 69120),
+    ("recycled_altup", {"altup": {"k": 2}}, 42816),
+    ("seq_altup", {"seq": {"stride": 4}}, 33408),
+    ("stride_skip", {"seq": {"stride": 4}}, 33408),
+    ("avg_pool", {"seq": {"stride": 4}}, 10064),
+    ("dense", {"memory": {"n": 16, "rank": 4, "lookup": "softmax"}}, 44352),
+])
+def test_smoke_forward_macs_per_token(variant, sections, per_token):
+    assert sum(costs.forward_macs(SMOKE, variant, **sections).values()) == 16 * per_token
+
+
+@pytest.mark.parametrize("seq_len", [0, 17])
+def test_forward_macs_rejects_a_length_the_model_cannot_run(seq_len):
+    with pytest.raises(ValueError, match="sequence length"):
+        costs.forward_macs(SMOKE, "dense", seq_len=seq_len)
 
 
 def test_batched_layer_macs_are_batch_times_layer_flops():

@@ -25,7 +25,8 @@ _JUNK = {
               {"selection": "bogus"}, {"mode": 1}, "x", 5],
     "seq": [{"stride": 0}, {"stride": -1}, {"wrap": "bogus"}, {"stride": 1.5}, "x", []],
     "memory": [{"n": 7, "lookup": "token_id"}, {"n": 259, "lookup": "token_id"},
-               {"n": 3, "lookup": "lsh", "k": 4}, {"n": 3, "lookup": "lsh", "rank": 0},
+               {"n": 3, "lookup": "lsh", "k": 4}, {"n": 3, "lookup": "minhash", "k": 2},
+               {"n": 3, "lookup": "lsh", "rank": 0},
                {"lookup": "lsh"}, {"n": 0, "lookup": "softmax"}, {"n": 3, "lookup": "bogus"},
                {"n": 3, "lookup": "lsh", "jitter_eps": -1.0}, "x"],
 }
@@ -33,7 +34,8 @@ _JUNK = {
 
 def _typed(name):
     """A well-typed section whose values reach just past their bounds
-    (j_fixed >= k, stride 0, rank 0, k > n, a token-id n of 257)."""
+    (j_fixed >= k, stride 0, rank 0, k > n, k > 1 for a lookup other than
+    softmax, a token-id n of 257)."""
     if name == "altup":
         return st.fixed_dictionaries({"k": st.integers(1, 3)}, optional={
             "selection": st.sampled_from(schema.SELECTION_MODES),

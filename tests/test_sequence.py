@@ -175,3 +175,25 @@ def test_average_pool():
 def test_pooled_target_positions():
     assert seq.pooled_target_positions(5, 2).tolist() == [1, 3, 4]
     assert seq.pooled_target_positions(4, 4).tolist() == [3]
+
+
+def _pool_by_loop(t, k):
+    """The pool matrix and target positions window by window, as an oracle."""
+    t_out = -(-t // k)
+    pool = np.zeros((t_out, t))
+    for j in range(t_out):
+        lo, hi = j * k, min((j + 1) * k, t)
+        pool[j, lo:hi] = 1.0 / (hi - lo)
+    targets = np.array([min((j + 1) * k, t) - 1 for j in range(t_out)], dtype=np.int64)
+    return pool, targets
+
+
+@pytest.mark.parametrize("t", range(1, 21))
+def test_pooling_arrays_equal_the_window_loop(t):
+    # the identity input makes the pooled output the pool matrix itself
+    for k in range(1, t + 2):
+        pool, targets = _pool_by_loop(t, k)
+        pooled = seq.average_pool_seq(Tensor(np.eye(t)), k).data
+        assert pooled.tobytes() == pool.tobytes(), k
+        got = seq.pooled_target_positions(t, k)
+        assert got.dtype == targets.dtype and np.array_equal(got, targets), k

@@ -583,6 +583,7 @@ def test_cli_config_error_exit_code(tmp_path):
     ["optimizer.learning_rate=1" + "0" * 400],
     ['memory={"n":8,"rank":1,"lookup":"softmax","jitter_eps":1' + "0" * 400 + "}"],
     ["task.n_train=1000000000000"],
+    ['memory={"n":8,"rank":1,"lookup":"lsh","k":2}'],
 ])
 def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, _raw())
@@ -706,7 +707,7 @@ def test_cli_cost_and_census(tmp_path, capsys):
 def test_cli_cost_labels_macs_apart_from_the_paper_overhead_count(tmp_path, capsys):
     # the smoke model at K=2: 11264 matrix-product MACs per token per layer
     # at T=16, and the paper's predict/correct count k(2k-1)d + 2kd = 320,
-    # of which the MAC counter sees k^2 d + 2kd = 256
+    # of which the MAC counter sees k^2 d + 2kd = 256 (x T x L = 12288)
     model = {"d_model": 32, "n_layers": 3, "n_heads": 2, "ffn_hidden": 64,
              "vocab_size": 258, "max_seq_len": 16}
     raw = _raw(variant="altup", altup={"k": 2}, model=model)
@@ -720,6 +721,12 @@ def test_cli_cost_labels_macs_apart_from_the_paper_overhead_count(tmp_path, caps
     assert printed["matrix-product MACs/token/layer"] == "11264"
     assert printed["AltUp predict+correct ops/token (paper count)"] == "320"
     assert not any("flops" in label.lower() for label in printed)
+    # whole-model forward MACs of one 16-token sequence, 51072 per token
+    forward = {label.rpartition(": ")[2]: int(value) for label, value in printed.items()
+               if label.startswith("forward MACs (16-token sequence): ")}
+    assert forward == {"attention": 245760, "ffn": 294912, "predict_correct": 12288,
+                       "pooling": 0, "router": 0, "experts": 0, "head": 264192,
+                       "total": 817152}
 
 
 @pytest.mark.parametrize("variant,section", [
