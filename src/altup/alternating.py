@@ -6,70 +6,51 @@ and reconstructs the rest with a predict-compute-correct scheme driven by
 K*K + K trainable scalars. Predict and correct are one tape node with a
 hand-written backward, bitwise the composition of primitives it replaces,
 so a layer adds two nodes (the block's slice and that node) to its inner
-layer's. Also provides ``widen``, which the model's input
-stream uses to tile d-wide embeddings, and the down-projection that ends the
+layer's. The layers take plain values (K, the inner layer, the selection
+rule); the resolved ``altup`` config section of :mod:`altup.schema` owns their
+defaults and bounds. Also provides ``widen``, which the model's input stream
+uses to tile d-wide embeddings, and the down-projection that ends the
 embedding-recycling path. The closed-form parameter counts of these variants
 live in :mod:`altup.costs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .schema import DEFAULTS, SELECTION_MODES
 from .tensor import Tensor
 from .transformer import LayerParams, layer_forward
 
 
-@dataclass
-class AltUpConfig:
-    k: int
-    d: int
-    selection: str = DEFAULTS["altup"]["selection"]
-    j_fixed: int = DEFAULTS["altup"]["j_fixed"]
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("expansion factor k must be >= 1")
-        if self.selection not in SELECTION_MODES:
-            raise ValueError(f"selection must be one of {SELECTION_MODES}")
-        if not (0 <= self.j_fixed < self.k):
-            raise ValueError("j_fixed must lie in [0, k)")
-
-
 class AltUpLayerParams:
-    """Per-layer prediction matrix p (k x k), correction gains g (k,), inner layer.
+    """Per-layer prediction matrix p (k x k), correction gains g (k,), and the
+    inner layer, whose width ``inner.d`` is the sub-block width d.
 
     Initialization: p = identity, g = ones, so at init every block receives the
     computed delta and the k=1 case is exactly the plain layer.
     """
 
-    def __init__(self, cfg: AltUpConfig, inner: LayerParams, prefix: str = "altup"):
-        if inner.d != cfg.d:
-            raise ValueError(f"inner layer width {inner.d} != sub-block width {cfg.d}")
-        self.cfg = cfg
+    def __init__(self, k: int, inner: LayerParams, prefix: str = "altup"):
+        self.k, self.d = k, inner.d
         self.inner = inner
-        self.p = Tensor(np.eye(cfg.k), requires_grad=True, name=f"{prefix}.p")
-        self.g = Tensor(np.ones((cfg.k, 1)), requires_grad=True, name=f"{prefix}.g")
+        self.p = Tensor(np.eye(k), requires_grad=True, name=f"{prefix}.p")
+        self.g = Tensor(np.ones((k, 1)), requires_grad=True, name=f"{prefix}.g")
 
     def params(self):
         return [self.p, self.g] + self.inner.params()
 
 
-def select_block(layer_index: int, cfg: AltUpConfig) -> int:
+def select_block(layer_index: int, k: int, selection: str) -> int:
     """Which sub-block the computation step runs on at a given layer.
 
-    'same' always picks j_fixed; 'alternating' cycles layer_index mod k
-    (zero-based layer indices).
+    'same' always picks block 0; 'alternating' cycles layer_index mod k
+    (zero-based layer indices). The blocks are exchangeable at init, so which
+    one 'same' picks does not change the model's distribution.
     """
     if layer_index < 0:
         raise ValueError("layer_index must be >= 0")
-    if cfg.selection == "same":
-        return cfg.j_fixed
-    return layer_index % cfg.k
+    return {"same": 0, "alternating": layer_index % k}[selection]
 
 
 def altup_layer_forward(x_old: Tensor, params: AltUpLayerParams, j_star: int,
@@ -85,7 +66,7 @@ def altup_layer_forward(x_old: Tensor, params: AltUpLayerParams, j_star: int,
     ``inner_fn`` overrides the compute step (any (..., T, d) -> (..., T, d)
     map); by default the wrapped transformer layer runs.
     """
-    k, d = params.cfg.k, params.cfg.d
+    k, d = params.k, params.d
     *lead, width = x_old.data.shape
     if not lead or width != k * d:
         raise T.ShapeError("altup_layer_forward", x_old.data.shape, (*lead, k * d))

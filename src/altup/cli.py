@@ -231,10 +231,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DivergenceError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except (CheckpointError, ValueError, OSError, MemoryError) as exc:
+    except (DivergenceError, CheckpointError, ValueError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .alternating import (AltUpConfig, AltUpLayerParams, altup_layer_forward,
-                          recycled_downproject, select_block, widen)
+from .alternating import (AltUpLayerParams, altup_layer_forward, recycled_downproject,
+                          select_block, widen)
 from .costs import wrapped_layers
 from .memory import (HyperplaneLshParams, MemoryTable, RouterParams, expert_rows,
                      lsh_lookup, memory_augmented_forward,
@@ -96,9 +96,7 @@ class Model:
         d, v = cfg.d_model, cfg.vocab_size
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
 
-        self.altup_cfg = None if self.altup is None else AltUpConfig(d=d, **self.altup)
-
-        emb_width = self.altup_cfg.k * d if variant == "altup" else d
+        emb_width = self.altup["k"] * d if variant == "altup" else d
         emb_std = 1.0 / np.sqrt(d)
         self.embed_table = Tensor(rng.normal(0, emb_std, (v, emb_width)),
                                   requires_grad=True, name="embed.table")
@@ -143,9 +141,10 @@ class Model:
         The steps look the layer functions up in this module when they run, so
         a function patched here after construction is the one that runs.
         """
-        if self.altup_cfg is not None:
-            block = AltUpLayerParams(self.altup_cfg, inner, prefix=f"layers.{i}.altup")
-            j_star = select_block(i, self.altup_cfg)
+        if self.altup is not None:
+            k = self.altup["k"]
+            block = AltUpLayerParams(k, inner, prefix=f"layers.{i}.altup")
+            j_star = select_block(i, k, self.altup["selection"])
             return block.params(), lambda x, *_: altup_layer_forward(x, block, j_star)
         wrapped = self.seq is not None and i in wrapped_layers(self.cfg.n_layers,
                                                                 self.seq["wrap"])
@@ -213,7 +212,7 @@ class Model:
         if self.extra_table is not None:
             x = T.add(x, embed(ids, self.extra_table))
         x = T.add(x, widen(pos, x.data.shape[-1] // self.cfg.d_model))
-        return widen(x, self.altup_cfg.k) if self.variant == "recycled_altup" else x
+        return widen(x, self.altup["k"]) if self.variant == "recycled_altup" else x
 
     def forward(self, ids, training: bool = False, rng=None):
         """Token ids (T,) or (B, T) -> (logits (..., T', V), the target
@@ -230,7 +229,7 @@ class Model:
             x = step(x, ids, training, rng)
 
         if self.variant == "recycled_altup":
-            x = recycled_downproject(x, self.altup_cfg.k)
+            x = recycled_downproject(x, self.altup["k"])
         return lm_head(x, self.embed_table), out_positions
 
     def loss(self, ids, targets, training: bool = False, rng=None):

@@ -42,8 +42,7 @@ class Field:
 
 SECTIONS = {
     "altup": {"k": Field(int, 2, minimum=1),
-              "selection": Field(str, "alternating", choices=SELECTION_MODES),
-              "j_fixed": Field(int, 0, minimum=0)},
+              "selection": Field(str, "alternating", choices=SELECTION_MODES)},
     "seq": {"stride": Field(int, 4, minimum=1),
             "wrap": Field(str, "interior", choices=WRAP_MODES)},
     "memory": {"n": Field(int, minimum=1),
@@ -138,9 +137,6 @@ def resolve(variant: str, vocab_size: int, altup: dict | None = None,
             takers = tuple(v for v, taken in VARIANTS.items() if taken == name)
             raise ConfigError(f"{name!r} section is only valid for variants {takers}")
         sections[name] = None if raw is None else complete(name, raw)
-    altup, seq = sections["altup"], sections["seq"]
-    if altup is not None and altup["j_fixed"] >= altup["k"]:
-        raise ConfigError("altup.j_fixed must lie in [0, altup.k)")
     if memory is not None:
         if variant != "dense":
             raise ConfigError("'memory' section is only valid for the dense variant")
@@ -156,4 +152,4 @@ def resolve(variant: str, vocab_size: int, altup: dict | None = None,
                               f"so k must be 1, got {memory['k']}")
         if not memory["constant"] and memory["rank"] < 1:
             raise ConfigError("memory.rank must be >= 1 for matrix experts")
-    return altup, seq, memory
+    return sections["altup"], sections["seq"], memory

@@ -50,13 +50,12 @@ def test_criterion_2_degeneracy_identities():
     rng = np.random.default_rng(0)
 
     inner = tr.LayerParams(4, 8, 1, np.random.default_rng(1))
-    params = alt.AltUpLayerParams(alt.AltUpConfig(k=1, d=4), inner)
+    params = alt.AltUpLayerParams(1, inner)
     x = Tensor(rng.standard_normal((3, 4)))
     k1_exact = np.array_equal(alt.altup_layer_forward(x, params, 0).data,
                               tr.layer_forward(x, inner).data)
 
-    wide = alt.AltUpLayerParams(alt.AltUpConfig(k=3, d=4),
-                                tr.LayerParams(4, 8, 1, np.random.default_rng(2)))
+    wide = alt.AltUpLayerParams(3, tr.LayerParams(4, 8, 1, np.random.default_rng(2)))
     wide.g.data[...] = 0.0
     xw = Tensor(rng.standard_normal((2, 12)))
     passthrough_exact = np.array_equal(
@@ -102,11 +101,10 @@ def test_criterion_3_parameter_accounting():
                 wide.embedding_params - dense.embedding_params)
 
     for k in (1, 2, 4):
-        acfg = alt.AltUpConfig(k=k, d=8)
         per_layer, emb_extra = extra_params("altup", k)
         checks_ok.append(per_layer == k * k + k)
         checks_ok.append(emb_extra == (k - 1) * 11 * 8)
-        params = alt.AltUpLayerParams(acfg, tr.LayerParams(8, 16, 2, np.random.default_rng(k)))
+        params = alt.AltUpLayerParams(k, tr.LayerParams(8, 16, 2, np.random.default_rng(k)))
         checks_ok.append(params.p.size + params.g.size == per_layer)
     checks_ok.append(extra_params("altup", 2)[0] == 6)
 

@@ -12,38 +12,35 @@ from altup import transformer as tr
 from altup.tensor import Graph, Tensor, backward, grad_check
 
 
-def _cfg(k, d, selection="alternating", j_fixed=0):
-    return alt.AltUpConfig(k=k, d=d, selection=selection, j_fixed=j_fixed)
-
-
 def _altup_params(k, d, seed=0, ffn=8, heads=1):
     inner = tr.LayerParams(d, ffn, heads, np.random.default_rng(seed), prefix="inner")
-    return alt.AltUpLayerParams(_cfg(k, d), inner)
+    return alt.AltUpLayerParams(k, inner)
 
 
 def test_select_block_alternating_cycles():
-    cfg = _cfg(2, 4)
-    assert [alt.select_block(i, cfg) for i in range(4)] == [0, 1, 0, 1]
+    assert [alt.select_block(i, 2, "alternating") for i in range(4)] == [0, 1, 0, 1]
 
 
 def test_select_block_same_is_fixed():
-    cfg = _cfg(3, 4, selection="same", j_fixed=1)
-    assert [alt.select_block(i, cfg) for i in range(5)] == [1] * 5
+    assert [alt.select_block(i, 3, "same") for i in range(5)] == [0] * 5
 
 
 def test_select_block_k1_degenerate():
-    cfg = _cfg(1, 4)
-    assert [alt.select_block(i, cfg) for i in range(3)] == [0, 0, 0]
+    assert [alt.select_block(i, 1, "alternating") for i in range(3)] == [0, 0, 0]
 
 
 def test_select_block_rejects_negative_layer():
     with pytest.raises(ValueError):
-        alt.select_block(-1, _cfg(2, 4))
+        alt.select_block(-1, 2, "alternating")
+
+
+def test_select_block_rejects_unknown_selection():
+    with pytest.raises(KeyError):
+        alt.select_block(0, 2, "bogus")
 
 
 def test_alternating_visits_every_block_equally():
-    cfg = _cfg(4, 2)
-    visits = [alt.select_block(i, cfg) for i in range(8)]
+    visits = [alt.select_block(i, 4, "alternating") for i in range(8)]
     for j in range(4):
         assert visits.count(j) == 2
 
@@ -133,7 +130,7 @@ def test_width_mismatch_raises():
 def _composed_altup_layer(x_old, params, j_star):
     """Predict and correct as separate primitives on the (..., T, K, d) view:
     the oracle the one predict/correct node must match bit for bit."""
-    k, d = params.cfg.k, params.cfg.d
+    k, d = params.k, params.d
     *lead, _ = x_old.data.shape
     block = T.slice_last(x_old, j_star * d, d)
     x_hat = T.matmul(params.p, T.reshape(x_old, (*lead, k, d)))

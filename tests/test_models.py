@@ -22,7 +22,7 @@ ALL_VARIANTS = [
     ("dense", {}),
     ("altup", {"altup": {"k": 2}}),
     ("altup", {"altup": {"k": 4}}),
-    ("altup", {"altup": {"k": 2, "selection": "same", "j_fixed": 1}}),
+    ("altup", {"altup": {"k": 3, "selection": "same"}}),
     ("recycled_altup", {"altup": {"k": 2}}),
     ("sum_baseline", {}),
     ("seq_altup", {"seq": {"stride": 2}}),

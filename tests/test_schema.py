@@ -34,12 +34,11 @@ _JUNK = {
 
 def _typed(name):
     """A well-typed section whose values reach just past their bounds
-    (j_fixed >= k, stride 0, rank 0, k > n, k > 1 for a lookup other than
-    softmax, a token-id n of 257)."""
+    (stride 0, rank 0, k > n, k > 1 for a lookup other than softmax, a
+    token-id n of 257)."""
     if name == "altup":
         return st.fixed_dictionaries({"k": st.integers(1, 3)}, optional={
-            "selection": st.sampled_from(schema.SELECTION_MODES),
-            "j_fixed": st.integers(0, 3)})
+            "selection": st.sampled_from(schema.SELECTION_MODES)})
     if name == "seq":
         return st.fixed_dictionaries({}, optional={
             "stride": st.integers(0, 5), "wrap": st.sampled_from(schema.WRAP_MODES)})

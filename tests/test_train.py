@@ -4,7 +4,11 @@ import gc
 import hashlib
 import io
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -166,8 +170,9 @@ def test_training_is_byte_deterministic(tmp_path):
 # each expert slice has the layout of a per-expert array, and the table's
 # gradients are added in the per-row order. A batched expert forward that sums
 # expert outputs in another order may change the memory entries on purpose.
-# The digests hold for the numpy/OpenBLAS build the suite runs on; another
-# BLAS may sum in another order.
+# The digests hold for the numpy/OpenBLAS build and BLAS kernel the suite runs
+# on; another kernel may sum in another order, within the bound that
+# test_pinned_runs_hold_across_blas_kernels checks.
 BITWISE_RUNS = {
     "dense": ({}, "342fbb7bc29528ee856f36419e2d57f8135ff2bde6e6a5d8024885b891e35e62",
               "5.5002480122472726"),
@@ -192,14 +197,71 @@ BITWISE_RUNS = {
 }
 
 
+def _pinned_raw(over):
+    return _raw(optimizer={"learning_rate": 0.05, "steps": 4, "batch_size": 2},
+                seed=5, eval_interval=2, **over)
+
+
 @pytest.mark.parametrize("name", BITWISE_RUNS)
 def test_metrics_bytes_are_pinned(name, tmp_path):
     over, digest, final_loss = BITWISE_RUNS[name]
-    raw = _raw(optimizer={"learning_rate": 0.05, "steps": 4, "batch_size": 2},
-               seed=5, eval_interval=2, **over)
-    summary = train(config_from_dict(raw), tmp_path)
+    summary = train(config_from_dict(_pinned_raw(over)), tmp_path)
     assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest
     assert repr(summary["final_train_loss"]) == final_loss
+
+
+# Trains each pinned config twice in the interpreter it runs in and prints
+# {name: [[metrics.csv sha256, final train loss], ...]} as JSON.
+_PINNED_CHILD = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from altup.train import config_from_dict, train
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, raw in json.load(sys.stdin).items():
+        out[name] = []
+        for rep in range(2):
+            run = Path(tmp, name, str(rep))
+            loss = train(config_from_dict(raw), run)["final_train_loss"]
+            out[name].append([hashlib.sha256((run / "metrics.csv").read_bytes()).hexdigest(),
+                              loss])
+print(json.dumps(out))
+"""
+
+
+def _has_avx():
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    return any(line.startswith("flags") and "avx" in line.split()
+               for line in cpuinfo.splitlines())
+
+
+def test_pinned_runs_hold_across_blas_kernels():
+    # another OpenBLAS kernel sums the products in another order, which may
+    # move the last bits of metrics.csv but must keep each run reproducible
+    # and its final loss within 1e-15 relative of the pin (2.6e-16 measured)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    if platform.machine() not in ("x86_64", "AMD64") or not _has_avx():
+        pytest.skip("the Sandybridge kernel needs an x86-64 host with AVX")
+    configs = {name: _pinned_raw(over) for name, (over, _, _) in BITWISE_RUNS.items()}
+    src = str(Path(models.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _PINNED_CHILD], input=json.dumps(configs),
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    runs = json.loads(child.stdout)
+    assert sorted(runs) == sorted(BITWISE_RUNS)
+    if all(runs[name][0][0] == digest for name, (_, digest, _) in BITWISE_RUNS.items()):
+        pytest.skip("every digest matches its pin: the child ran the default kernel")
+    for name, (_, _, pinned) in BITWISE_RUNS.items():
+        (digest, loss), rerun = runs[name]
+        assert rerun == [digest, loss], f"{name}: a rerun on one kernel changed the bytes"
+        assert abs(loss - float(pinned)) <= 1e-15 * abs(float(pinned)), name
 
 
 def test_sgd_step_leaves_unselected_experts_bitwise_unchanged(tmp_path, monkeypatch):
@@ -584,6 +646,7 @@ def test_cli_config_error_exit_code(tmp_path):
     ['memory={"n":8,"rank":1,"lookup":"softmax","jitter_eps":1' + "0" * 400 + "}"],
     ["task.n_train=1000000000000"],
     ['memory={"n":8,"rank":1,"lookup":"lsh","k":2}'],
+    ['variant="altup"', 'altup={"k":2,"j_fixed":0}'],
 ])
 def test_cli_bad_config_values_exit_1(tmp_path, capsys, override):
     cfg_path = _write_config(tmp_path, _raw())
@@ -689,11 +752,13 @@ def test_config_input_length_bound_matches_task_data(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_divergence_exit_code(tmp_path):
+def test_cli_divergence_exit_code(tmp_path, capsys):
     raw = _raw(optimizer={"learning_rate": 50.0, "steps": 50, "batch_size": 2})
     cfg_path = _write_config(tmp_path, raw)
     assert cli.main(["train", "--config", cfg_path, "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: non-finite loss ") and err.count("\n") == 1
 
 
 def test_cli_cost_and_census(tmp_path, capsys):
@@ -773,10 +838,8 @@ def _configs(draw, tiny=False, corpus="corpus.txt"):
     if tiny:
         raw["task"].update(n_train=draw(st.integers(1, 4)), n_eval=draw(st.integers(1, 4)))
     if variant in ("altup", "recycled_altup"):
-        k = draw(st.integers(1, 4))
         raw["altup"] = draw(st.fixed_dictionaries({}, optional={
-            "k": st.just(k), "selection": st.sampled_from(schema.SELECTION_MODES),
-            "j_fixed": st.integers(0, k - 1)}))
+            "k": st.integers(1, 4), "selection": st.sampled_from(schema.SELECTION_MODES)}))
     elif variant in ("seq_altup", "stride_skip", "avg_pool"):
         raw["seq"] = draw(st.fixed_dictionaries({}, optional={
             "stride": st.integers(1, 5), "wrap": st.sampled_from(schema.WRAP_MODES)}))
