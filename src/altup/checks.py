@@ -1,12 +1,17 @@
-"""Gradient-check suite over the full layer-variant matrix.
+"""Gradient-check suite over the full layer-variant matrix, and the
+fingerprint of the arithmetic a run's bytes depend on.
 
 Small instances (block width <= 8, sequence <= 4, vocab 11) of every variant,
 each checked end to end against central finite differences, on one sequence
 and, for the batched instances, on a batch of two. Used by the acceptance
-tests and the ``gradcheck`` CLI command.
+tests and the ``gradcheck`` CLI command. :func:`arith_fingerprint` goes into
+each run's ``summary.json``.
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
 
 import numpy as np
 
@@ -120,3 +125,32 @@ def run_gradcheck_suite(eps: float = 1e-5):
 
         results.append((name, grad_check(f, model.parameters(), eps=eps)))
     return results
+
+
+# (a, b) operand shapes of the fingerprint's products, at the smoke model's
+# (B=2, T=16, d=32, 2 heads, V=258, expert rank 4): a projection, the stacked
+# attention scores, the batched head and a stacked expert slice. Some BLAS
+# kernels sum the last two in another order while keeping the first two.
+_PROBE_PRODUCTS = (((16, 32), (32, 32)), ((8, 2, 16, 16), (8, 2, 16, 16)),
+                   ((2, 16, 32), (32, 258)), ((16, 1, 32), (16, 32, 4)))
+
+
+@functools.cache
+def arith_fingerprint() -> str:
+    """16 hex digits of the sha256 of fixed-seed probe outputs: the
+    ``_PROBE_PRODUCTS`` matrix products and exp, log and erf of one draw,
+    plus the numpy version and the BLAS name and version. Runs whose
+    fingerprints differ may sum their products in different orders, so
+    their metrics bytes may differ. Computed once per process."""
+    from scipy.special import erf  # here, so importing this module loads no scipy
+
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for a, b in _PROBE_PRODUCTS:
+        digest.update((rng.standard_normal(a) @ rng.standard_normal(b)).tobytes())
+    x = rng.standard_normal(256)
+    for out in (np.exp(x), np.log(np.abs(x)), erf(x)):
+        digest.update(out.tobytes())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    digest.update(f"numpy {np.__version__}; {blas['name']} {blas['version']}".encode())
+    return digest.hexdigest()[:16]

@@ -41,14 +41,10 @@ def _load_config(args) -> training.RunConfig:
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except OSError as exc:
+        except OSError as exc:  # missing, a directory, unreadable
             raise ConfigError(f"config file cannot be read: {exc}")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file is not UTF-8: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+        except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
+            raise ConfigError(f"config file is not UTF-8 JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
     for assignment in args.set or []:

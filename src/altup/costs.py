@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .schema import DEFAULTS, resolve
+from .schema import resolve
 from .transformer import ModelConfig
 
 
@@ -133,8 +133,7 @@ def forward_macs(cfg: ModelConfig, variant: str, altup: dict | None = None,
     return macs
 
 
-def memory_params_per_layer(n: int, rank: int, d: int, lookup: str,
-                            constant: bool = DEFAULTS["memory"]["constant"]) -> int:
+def memory_params_per_layer(n: int, rank: int, d: int, lookup: str, constant: bool) -> int:
     table = n * d if constant else 2 * rank * n * d
     router = n * d if lookup == "softmax" else 0
     return table + router

@@ -11,7 +11,9 @@ one (N, k) Tensor of probabilities for softmax. ``memory_augmented_forward``
 adds the selected experts to one row on arrays and records nothing. A model
 runs it once per position and records a layer's output, in the layer's
 (..., T, d) shape, as one ``expert_rows`` node, whose backward handles all
-rows at once and gives the table and the weights their gradients.
+rows at once and gives the table and the weights their gradients. The table,
+router and hyperplane classes take the values of a resolved ``memory`` config
+section and re-check none of the rules its resolver enforces.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .schema import DEFAULTS
 from .tensor import Tensor
 
 _M64 = (1 << 64) - 1
@@ -46,20 +47,18 @@ class MemoryTable:
     output b_i, stored as ``b`` (n, d). ``experts[i]`` is expert i's handle,
     the tuple ``(u[i], v[i])`` or ``(b[i],)`` of Tensors viewing the table,
     built once, so its identity is stable; handles are not parameters.
+    ``n`` >= 1, and ``rank`` >= 1 for matrix experts, as the config resolver
+    requires of a memory section; ``rank`` is unused for constant experts.
     """
 
     def __init__(self, n: int, d: int, rank: int, rng: np.random.Generator,
-                 constant: bool = DEFAULTS["memory"]["constant"], prefix: str = "table"):
-        if n < 1:
-            raise ValueError("table size must be >= 1")
+                 constant: bool, prefix: str = "table"):
         self.n = n
         self.constant = constant
         if constant:
             self.b = Tensor(np.zeros((n, d)), requires_grad=True, name=f"{prefix}.b")
             self.experts = [(Tensor(b),) for b in self.b.data]
             return
-        if rank < 1:
-            raise ValueError("matrix expert rank must be >= 1")
         # LeCun-normal, std 1/sqrt(fan_in), drawn expert by expert: U_i, then
         # V_i as (d, rank). One draw in that order, scaled as rng.normal
         # scales (loc + scale * z), gives the bits of a per-expert loop.
@@ -79,22 +78,19 @@ class MemoryTable:
 
 @dataclass
 class RouterParams:
-    """Learned softmax router: logits h(x) = W x, probabilities by softmax."""
+    """Learned softmax router: logits h(x) = W x, probabilities by softmax.
+
+    ``k`` (in [1, n] for an (n, d) ``w``) and ``jitter_eps`` (>= 0) are the
+    resolved memory section's, as the config resolver checks them.
+    """
 
     w: Tensor
-    k: int = DEFAULTS["memory"]["k"]
-    jitter_eps: float = DEFAULTS["memory"]["jitter_eps"]
-
-    def __post_init__(self):
-        if self.k > self.w.data.shape[0]:
-            raise ValueError("top-k count exceeds table size")
-        if self.jitter_eps < 0:
-            raise ValueError("jitter_eps must be >= 0")
+    k: int
+    jitter_eps: float
 
     @classmethod
-    def create(cls, n: int, d: int, rng: np.random.Generator,
-               k: int = DEFAULTS["memory"]["k"],
-               jitter_eps: float = DEFAULTS["memory"]["jitter_eps"], name: str = "router.w"):
+    def create(cls, n: int, d: int, rng: np.random.Generator, k: int, jitter_eps: float,
+               name: str = "router.w"):
         w = Tensor(rng.normal(0, 2e-2, (n, d)), requires_grad=True, name=name)
         return cls(w=w, k=k, jitter_eps=jitter_eps)
 
@@ -107,12 +103,6 @@ class HyperplaneLshParams:
     offsets: np.ndarray     # (m,) uniform in [0, w)
     width: float
     n: int
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("bucket width must be > 0")
-        if self.directions.shape[0] < 1:
-            raise ValueError("need at least one projection")
 
     @classmethod
     def create(cls, d: int, n: int, seed):

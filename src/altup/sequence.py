@@ -23,8 +23,6 @@ class SeqAltUpParams:
     """Prediction mix scalars a1, a2, correction gain b, and the stride."""
 
     def __init__(self, stride: int, prefix: str = "seq"):
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
         self.stride = stride
         self.a1 = Tensor(np.ones((1, 1)), requires_grad=True, name=f"{prefix}.a1")
         self.a2 = Tensor(np.zeros((1, 1)), requires_grad=True, name=f"{prefix}.a2")

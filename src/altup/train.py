@@ -2,8 +2,9 @@
 
 Everything downstream of (config, seed) is pinned: initialization, batch
 order, SGD updates, metric rows. The metrics CSV contains only deterministic
-columns so identical runs produce identical bytes; wall-clock throughput and
-the process's peak resident memory go to the JSON summary instead.
+columns so identical runs produce identical bytes; wall-clock throughput, the
+process's peak resident memory and the fingerprint of the arithmetic the run
+used (``checks.arith_fingerprint``) go to the JSON summary instead.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import costs
+from .checks import arith_fingerprint
 from .checkpoint import save_model
 from .data import VOCAB_SIZE, input_length, make_task
 from .models import Model
@@ -240,6 +242,7 @@ def train(cfg: RunConfig, out_dir) -> dict:
         "tokens_per_second": tokens / elapsed if elapsed > 0 else 0.0,
         # the whole process's peak so far, in MiB (ru_maxrss is KiB on Linux)
         "process_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "arith_fingerprint": arith_fingerprint(),
         "metrics_csv": str(csv_path),
         "checkpoint": str(ckpt_path),
         "config": cfg.as_dict(),

@@ -38,8 +38,6 @@ class LayerParams:
     """Projection and FFN weights for one transformer layer of width d."""
 
     def __init__(self, d: int, ffn_hidden: int, n_heads: int, rng: np.random.Generator, prefix: str = "layer"):
-        if d % n_heads != 0:
-            raise ValueError(f"layer width {d} not divisible by n_heads {n_heads}")
         self.d = d
         self.ffn_hidden = ffn_hidden
         self.n_heads = n_heads

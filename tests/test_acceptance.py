@@ -70,7 +70,7 @@ def test_criterion_2_degeneracy_identities():
     ref = tr.layer_forward(xs, inner_s).data
     seq_rel = np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300))
 
-    table = mem.MemoryTable(n=3, d=4, rank=2, rng=np.random.default_rng(4))
+    table = mem.MemoryTable(n=3, d=4, rank=2, rng=np.random.default_rng(4), constant=False)
     table.u.data[...] = 0.0
     table.v.data[...] = 0.0
     x1 = Tensor(rng.standard_normal((1, 4)))
@@ -116,8 +116,9 @@ def test_criterion_3_parameter_accounting():
     checks_ok.append(recycled.embed_table.size == dense.embed_table.size)
     checks_ok.append(extra_params("recycled_altup", 2)[1] == 0)
 
-    table = mem.MemoryTable(n=128, d=64, rank=16, rng=np.random.default_rng(9))
-    formula = costs.memory_params_per_layer(128, 16, 64, "lsh")
+    table = mem.MemoryTable(n=128, d=64, rank=16, rng=np.random.default_rng(9),
+                             constant=False)
+    formula = costs.memory_params_per_layer(128, 16, 64, "lsh", constant=False)
     checks_ok.append(sum(p.size for p in table.params()) == formula == 2 * 16 * 128 * 64)
     constant = mem.MemoryTable(n=128, d=64, rank=16, rng=np.random.default_rng(9), constant=True)
     formula = costs.memory_params_per_layer(128, 16, 64, "lsh", constant=True)

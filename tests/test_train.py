@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altup import checkpoint as ckpt
-from altup import cli, collisions, costs, models, schema, transformer as tr
+from altup import checks, cli, collisions, costs, models, schema, transformer as tr
 from altup import tensor as T
 from altup import train as train_module
 from altup.data import TASKS, input_length, make_demo_corpus, make_task
@@ -211,10 +211,12 @@ def test_metrics_bytes_are_pinned(name, tmp_path):
 
 
 # Trains each pinned config twice in the interpreter it runs in and prints
-# {name: [[metrics.csv sha256, final train loss], ...]} as JSON.
+# {"fingerprint": its arith_fingerprint, "runs": {name: [[metrics.csv sha256,
+# final train loss], ...]}} as JSON.
 _PINNED_CHILD = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
+from altup.checks import arith_fingerprint
 from altup.train import config_from_dict, train
 out = {}
 with tempfile.TemporaryDirectory() as tmp:
@@ -225,7 +227,7 @@ with tempfile.TemporaryDirectory() as tmp:
             loss = train(config_from_dict(raw), run)["final_train_loss"]
             out[name].append([hashlib.sha256((run / "metrics.csv").read_bytes()).hexdigest(),
                               loss])
-print(json.dumps(out))
+print(json.dumps({"fingerprint": arith_fingerprint(), "runs": out}))
 """
 
 
@@ -238,7 +240,7 @@ def _has_avx():
                for line in cpuinfo.splitlines())
 
 
-def test_pinned_runs_hold_across_blas_kernels():
+def test_pinned_runs_hold_across_blas_kernels(tmp_path):
     # another OpenBLAS kernel sums the products in another order, which may
     # move the last bits of metrics.csv but must keep each run reproducible
     # and its final loss within 1e-15 relative of the pin (2.6e-16 measured)
@@ -254,10 +256,18 @@ def test_pinned_runs_hold_across_blas_kernels():
     child = subprocess.run([sys.executable, "-c", _PINNED_CHILD], input=json.dumps(configs),
                            env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    runs = json.loads(child.stdout)
+    printed = json.loads(child.stdout)
+    runs = printed["runs"]
     assert sorted(runs) == sorted(BITWISE_RUNS)
-    if all(runs[name][0][0] == digest for name, (_, digest, _) in BITWISE_RUNS.items()):
-        pytest.skip("every digest matches its pin: the child ran the default kernel")
+    if printed["fingerprint"] == checks.arith_fingerprint():
+        # equal fingerprints stand for equal arithmetic, so the child's bytes
+        # must be the parent's; a fingerprint blind to the kernel fails here
+        for name, raw in configs.items():
+            train(config_from_dict(raw), tmp_path / name)
+            digest = hashlib.sha256((tmp_path / name / "metrics.csv").read_bytes()).hexdigest()
+            assert runs[name][0][0] == digest, f"{name}: bytes moved, the fingerprint did not"
+        pytest.skip("the child's arithmetic fingerprint is the parent's: "
+                    "it ran the parent's kernel")
     for name, (_, _, pinned) in BITWISE_RUNS.items():
         (digest, loss), rerun = runs[name]
         assert rerun == [digest, loss], f"{name}: a rerun on one kernel changed the bytes"
@@ -305,6 +315,11 @@ def test_summary_reports_the_process_peak_rss(tmp_path):
     assert summary["process_peak_rss_mb"] > 0
     assert written["process_peak_rss_mb"] == summary["process_peak_rss_mb"]
     assert "process_peak_rss_mb" not in (tmp_path / "metrics.csv").read_text()
+    # so is the arithmetic fingerprint, 16 hex digits
+    fingerprint = summary["arith_fingerprint"]
+    assert written["arith_fingerprint"] == fingerprint == checks.arith_fingerprint()
+    assert len(fingerprint) == 16 and set(fingerprint) <= set("0123456789abcdef")
+    assert fingerprint not in (tmp_path / "metrics.csv").read_text()
 
 
 def test_long_runs_do_not_grow_memory(tmp_path, monkeypatch):
@@ -681,17 +696,19 @@ def test_cli_non_object_config_root_exits_1(tmp_path, capsys, root, extra):
 
 
 
-@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "missing", "invalid_json"])
 def test_cli_unreadable_config_exits_1(tmp_path, capsys, kind):
     path = tmp_path / "cfg.json"
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "not_utf8":
         path.write_bytes(b"\xff\xfe{}")
+    elif kind == "invalid_json":
+        path.write_text('{"seed": 1,}')
     for argv in (["cost"], ["train", "--seed", "1", "--out", str(tmp_path / "x")]):
         assert cli.main(argv + ["--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
+        assert err.startswith("config error: config file") and "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
@@ -880,7 +897,7 @@ def corpus_file(tmp_path_factory):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_train_never_fails_with_a_traceback(corpus_file, data):
     raw = data.draw(_configs(tiny=True, corpus=corpus_file))
@@ -892,6 +909,9 @@ def test_train_never_fails_with_a_traceback(corpus_file, data):
             rc = cli.main(["train", "--seed", "1", "--out", str(out)] + argv)
         assert rc in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        # the schema is the only gate: exit 2 only for a run that diverged
+        if rc == 2:
+            assert err.getvalue().startswith("runtime error: non-finite loss"), err.getvalue()
         if rc == 1:
             assert not out.exists()
         if rc == 0:
