@@ -6,8 +6,16 @@ sentence, its representation is taken to be the average of its token
 embeddings; sentence-level lookups (hyperplane LSH, spherical LSH realized as
 top-1 softmax routing over random unit rows) hash that mixed vector, while
 token-id lookup collides per token. Collision probabilities are estimated
-with fresh pairs and fresh hash randomness per trial, seeded per trial by
-counter so results are independent of batching or worker count.
+with fresh pairs and fresh hash randomness per trial.
+
+Trials are seeded in blocks of ``_TRIAL_BLOCK``. Each kind of draw (the
+overlap's Bernoulli, the walk cosines, the frame, the hyperplane hash, the
+router, the token-id position) is a stream, and each (seed, block, stream)
+keys one counter-based Philox generator. A stream is drawn trial-major and
+NumPy fills arrays in order, so a call for the first k trials of a block
+draws only their values, and trial t's randoms depend on (seed, t) alone:
+not on the trial count, the batching or the worker count. A generator costs
+about 4 us, so seeding costs well under 1 us per trial.
 
 Both vector schemes are rotation invariant, so a trial draws only the pair's
 geometry, never its d-dimensional vocabulary. With S the sum of the s shared
@@ -22,7 +30,7 @@ the same arithmetic, so at f = 1 they are bitwise equal and always collide.
 
 A hyperplane trial projects the two 3-vector mixes on m Gaussian directions
 in that frame, which has the law of projecting the d-dimensional mixes. Each
-chunk of trials then hashes all its grid cells (both mixes, every swept
+block of trials then hashes all its grid cells (both mixes, every swept
 width) in one uint64 pass of the splitmix chain of
 ``memory.hyperplane_lsh_lookup``.
 
@@ -31,7 +39,7 @@ for an isotropic Gaussian row g in the ambient d dimensions and two unit
 mixes spanning the plane (e1, e2), g = a e1 + b e2 + g_perp with a, b
 standard normal and |g_perp|^2 chi-square with d-2 degrees of freedom, all
 independent. The row's angle to either mix, and so the top-1 routing, depends
-on (a, b, |g|) alone.
+on (a, b, |g|) alone. A block's trials are routed in one argmax.
 
 Calls that share trials out over several workers use one process pool per
 process, built on first use and kept for later calls of the same size, so
@@ -49,13 +57,13 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .memory import lsh_cell_hash, lsh_projections
 # unused here; the benchmark tracer patches both names in this module
 from .memory import hyperplane_lsh_lookup, softmax_route  # noqa: F401
 
 SCHEMES = ("hyperplane", "spherical", "minhash")
-_SCHEME_SALT = {"hyperplane": 1, "spherical": 2, "minhash": 3}
 
 #: two-sided 99% normal quantile
 Z99 = 2.5758293035489004
@@ -126,7 +134,7 @@ def _split_overlap(l: int, f: float):
     """floor(f*l) and the fraction with which a trial shares one more word.
 
     Randomized rounding makes the expected overlap exactly f. A trial draws
-    its Bernoulli first from its pair stream, and draws none for integral f*l.
+    its Bernoulli from the overlap stream, and draws none for integral f*l.
     """
     exact = f * l
     s = int(np.floor(exact))
@@ -187,13 +195,62 @@ class TheoryConstants:
         return np.log(1.0 / self.p1) / np.log(1.0 / self.p2)
 
 
-def _pair_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
+#: trials per seeding block. It depends on neither the trial count nor the
+#: worker count, so neither moves a trial's randoms. A pool takes one block
+#: per task, and 50 splits a count in hundreds evenly over 2 or 4 workers.
+_TRIAL_BLOCK = 50
+
+#: the kinds of draw of a trial; each (seed, block, stream) keys one generator
+_STREAMS = ("overlap", "walk", "frame_cos", "frame_dir", "frame_rest",
+            "lsh_directions", "lsh_offsets", "router_plane", "router_rest", "position")
 
 
-def _hash_rng(seed: int, trial: int, scheme: str) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), int(trial), _SCHEME_SALT[scheme]]))
+class _PhiloxKey(ISeedSequence):
+    """Hands ``np.random.Philox`` its two key words as they are.
+
+    Philox is counter-based: each key gives its own stream, independent of
+    every other key's by design, so a key needs no hashing. This makes a
+    generator in about 4 us; ``Philox(key=...)`` takes about 10 us, since it
+    also gathers OS entropy for a seed it then ignores.
+    """
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=np.uint64).view(dtype)
+
+
+def _stream(seed: int, block: int, stream: str) -> np.random.Generator:
+    """The generator of one stream of one block of trials, keyed by (seed,
+    block * 256 + the stream's index): no two of them share a key."""
+    key = (seed, block * 256 + _STREAMS.index(stream))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
+def _draw(seed: int, start: int, stop: int, stream: str, sample) -> np.ndarray:
+    """One stream's values for trials start..stop-1, trial along axis 0.
+
+    ``start`` must open a block. For each block, ``sample(rng, i, j)`` draws
+    the values of this range's trials i..j-1, the block's first trials,
+    trial-major from the block's generator. NumPy fills an array in order,
+    so those are the first values of any longer draw: trial t's values
+    depend only on (seed, t), and a short call draws only what it uses.
+    """
+    if start % _TRIAL_BLOCK:
+        raise ValueError(f"trial {start} does not open a block of {_TRIAL_BLOCK}")
+    parts = [sample(_stream(seed, (start + i) // _TRIAL_BLOCK, stream), i,
+                    min(i + _TRIAL_BLOCK, stop - start))
+             for i in range(0, stop - start, _TRIAL_BLOCK)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _shared_counts(l: int, f: float, seed: int, start: int, stop: int) -> np.ndarray:
+    """The shared wordpiece counts of trials start..stop-1 (see ``_split_overlap``)."""
+    base, frac = _split_overlap(l, f)
+    if not frac:
+        return np.full(stop - start, base)
+    return base + (_draw(seed, start, stop, "overlap", lambda rng, i, j: rng.random(j - i)) < frac)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -212,11 +269,15 @@ def _walk_norms(cos: np.ndarray, count: np.ndarray) -> np.ndarray:
     which leaves r exactly as it is.
     """
     live = np.arange(cos.shape[-1]) < count[..., None] - 1
-    c = np.where(live, cos, 0.0)
-    rest = np.where(live, 1.0 - cos * cos, 0.0)
+    # step-major copies, so each step reads contiguous rows
+    c = np.moveaxis(np.where(live, cos, 0.0), -1, 0).copy()
+    rest = np.moveaxis(np.where(live, 1.0 - cos * cos, 0.0), -1, 0).copy()
     r = (count >= 1).astype(np.float64)
-    for j in range(cos.shape[-1]):
-        r = np.sqrt((r + c[..., j]) ** 2 + rest[..., j])
+    for c_j, rest_j in zip(c, rest):
+        r += c_j
+        r *= r
+        r += rest_j
+        np.sqrt(r, out=r)
     return r
 
 
@@ -235,25 +296,25 @@ def _frame_mixes(r: np.ndarray, c1: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _pair_mixes(l: int, f: float, d: int, seed: int, start: int, stop: int) -> np.ndarray:
     """Unit mixes (T, 2, 3) of trials start..stop-1, each drawn from the
-    sufficient statistics of its sentence pair on its own pair stream."""
-    base, frac = _split_overlap(l, f)
+    sufficient statistics of its sentence pair."""
     half = 0.5 * (d - 1)  # (1 + c)/2 ~ Beta(half, half) for c a uniform unit vector's coordinate
-    shared, steps, frame = [], [], []
-    for t in range(start, stop):
-        rng = _pair_rng(seed, t)
-        s = base + int(frac > 0 and rng.random() < frac)
-        shared.append(s)
-        # walk steps of the shared sum, then of each private sum
-        steps.append(rng.beta(half, half, max(s - 1, 0) + 2 * max(l - s - 1, 0)))
-        frame.append((rng.beta(half, half), *rng.standard_normal(2),
-                      np.sqrt(rng.chisquare(d - 2)) if d > 2 else 0.0))
-    shared = np.array(shared)
+    shared = _shared_counts(l, f, seed, start, stop)
     count = np.stack([shared, l - shared, l - shared], axis=1)
-    beta = np.zeros((len(shared), 3, max(l - 1, 0)))
-    beta[np.arange(beta.shape[-1]) < count[..., None] - 1] = np.concatenate(steps)
-    frame = np.array(frame)
-    return _frame_mixes(_walk_norms(2.0 * beta - 1.0, count), 2.0 * frame[:, 0] - 1.0,
-                        frame[:, 1:])
+    live = np.arange(max(l - 1, 0)) < count[..., None] - 1
+    steps = live.sum(axis=(1, 2))
+    # a block's walk is one exact-length run, trial by trial: the steps of
+    # the shared sum, then of each private sum
+    beta = np.zeros(live.shape)
+    beta[live] = _draw(seed, start, stop, "walk",
+                       lambda rng, i, j: rng.beta(half, half, steps[i:j].sum()))
+    c1 = _draw(seed, start, stop, "frame_cos", lambda rng, i, j: rng.beta(half, half, j - i))
+    g = np.zeros((stop - start, 3))
+    g[:, :2] = _draw(seed, start, stop, "frame_dir",
+                     lambda rng, i, j: rng.standard_normal((j - i, 2)))
+    if d > 2:
+        g[:, 2] = np.sqrt(_draw(seed, start, stop, "frame_rest",
+                                lambda rng, i, j: rng.chisquare(d - 2, j - i)))
+    return _frame_mixes(_walk_norms(2.0 * beta - 1.0, count), 2.0 * c1 - 1.0, g)
 
 
 def _lsh_buckets(u: np.ndarray, directions: np.ndarray, unit_offsets: np.ndarray,
@@ -271,15 +332,14 @@ def _lsh_buckets(u: np.ndarray, directions: np.ndarray, unit_offsets: np.ndarray
 
 
 def _hyperplane_hits(u: np.ndarray, n: int, m: int, seed: int, start: int) -> np.ndarray:
-    """Per-width hit counts of the trials from ``start`` with unit mixes u."""
-    directions = np.empty((len(u), m, 3))
-    unit_offsets = np.empty((len(u), m))
-    for i in range(len(u)):
-        rng = _hash_rng(seed, start + i, "hyperplane")
-        directions[i] = rng.standard_normal((m, 3))
-        unit_offsets[i] = rng.uniform(0.0, 1.0, m)
+    """Per-width hits (T, widths) of the trials from ``start`` with unit mixes u."""
+    stop = start + len(u)
+    directions = _draw(seed, start, stop, "lsh_directions",
+                       lambda rng, i, j: rng.standard_normal((j - i, m, 3)))
+    unit_offsets = _draw(seed, start, stop, "lsh_offsets",
+                         lambda rng, i, j: rng.random((j - i, m)))
     buckets = _lsh_buckets(u, directions, unit_offsets, n)
-    return (buckets[:, 0] == buckets[:, 1]).sum(axis=0)
+    return buckets[:, 0] == buckets[:, 1]
 
 
 def _plane_basis(m1: np.ndarray, m2: np.ndarray):
@@ -302,63 +362,64 @@ def _plane_basis(m1: np.ndarray, m2: np.ndarray):
     return e1, e2 / np.sqrt(dot(e2, e2))
 
 
-def _spherical_bucket(x: float, y: float, a: np.ndarray, b: np.ndarray,
-                      norms: np.ndarray) -> int:
+def _spherical_bucket(x, y, a: np.ndarray, b: np.ndarray, norms: np.ndarray):
     """First row maximizing g_i . m / |g_i| for a mix m = x e1 + y e2 and rows
-    g_i = a_i e1 + b_i e2 + g_perp_i.
+    g_i = a_i e1 + b_i e2 + g_perp_i, the rows along the last axis.
 
     Bitwise-equal mixes get bitwise-equal scores, so they always collide.
     """
-    return int(np.argmax((a * x + b * y) / norms))
+    scores = a * x
+    scores += b * y
+    scores /= norms
+    return np.argmax(scores, axis=-1)
 
 
-def _spherical_hits(u: np.ndarray, n: int, d: int, seed: int, start: int) -> int:
-    """Hits of the trials from ``start`` with unit mixes u.
+def _spherical_hits(u: np.ndarray, n: int, d: int, seed: int, start: int) -> np.ndarray:
+    """Hits (T,) of the trials from ``start`` with unit mixes u.
 
     Top-1 softmax routing over n isotropic unit rows is the nearest row in
     angle: softmax is monotone and the stable top-1 is the first maximum.
     """
+    stop = start + len(u)
     e1, e2 = _plane_basis(u[:, 0], u[:, 1])
-    x = (u * e1[:, None]).sum(axis=-1)  # (T, 2) in-plane coordinates of the mixes
-    y = (u * e2[:, None]).sum(axis=-1)
-    hits = 0
-    for i in range(len(u)):
-        rng = _hash_rng(seed, start + i, "spherical")
-        a, b = rng.standard_normal((2, n))
-        rest = rng.chisquare(d - 2, n) if d > 2 else 0.0
-        norms = np.sqrt(a * a + b * b + rest)
-        hits += (_spherical_bucket(x[i, 0], y[i, 0], a, b, norms)
-                 == _spherical_bucket(x[i, 1], y[i, 1], a, b, norms))
-    return hits
+    x = (u * e1[:, None]).sum(axis=-1)[..., None]  # (T, 2, 1) in-plane coordinates of the mixes
+    y = (u * e2[:, None]).sum(axis=-1)[..., None]
+    ab = _draw(seed, start, stop, "router_plane",
+               lambda rng, i, j: rng.standard_normal((j - i, 2, n)))
+    a, b = ab[:, :1], ab[:, 1:]  # (T, 1, n)
+    sq_norms = a * a + b * b
+    if d > 2:
+        sq_norms += _draw(seed, start, stop, "router_rest",
+                          lambda rng, i, j: rng.chisquare(d - 2, (j - i, 1, n)))
+    buckets = _spherical_bucket(x, y, a, b, np.sqrt(sq_norms, out=sq_norms))
+    return buckets[:, 0] == buckets[:, 1]
 
 
-def _token_id_hits(l: int, f: float, seed: int, start: int, stop: int) -> int:
-    """Trials whose uniform position of sentence 1 holds a shared wordpiece.
+def _token_id_hits(l: int, f: float, seed: int, start: int, stop: int) -> np.ndarray:
+    """Hits (T,) of trials start..stop-1: whether a uniform position of
+    sentence 1 holds a shared wordpiece.
 
     Sentence 1 holds ids 0..l-1 and shares exactly ids 0..s-1, so position
     pos hits when pos < s.
     """
-    base, frac = _split_overlap(l, f)
-    hits = 0
-    for t in range(start, stop):
-        s = base + int(frac > 0 and _pair_rng(seed, t).random() < frac)
-        hits += int(_hash_rng(seed, t, "minhash").integers(0, l)) < s
-    return hits
+    pos = _draw(seed, start, stop, "position", lambda rng, i, j: rng.integers(0, l, j - i))
+    return pos < _shared_counts(l, f, seed, start, stop)
 
 
-def _hits_chunk(args) -> np.ndarray:
-    """Integer hit counts for one contiguous trial range (one scheme)."""
-    scheme, n, l, f, d, seed, start, stop, m = args
+def _trial_hits(scheme, n, l, f, d, seed, start, stop, m=None) -> np.ndarray:
+    """Hits (T, columns) of trials start..stop-1 of one scheme: a column per
+    swept width for hyperplane, one column otherwise."""
     if scheme == "minhash":
-        return np.array([_token_id_hits(l, f, seed, start, stop)], dtype=np.int64)
+        return _token_id_hits(l, f, seed, start, stop)[:, None]
     u = _pair_mixes(l, f, d, seed, start, stop)
     if scheme == "hyperplane":
         return _hyperplane_hits(u, n, m, seed, start)
-    return np.array([_spherical_hits(u, n, d, seed, start)], dtype=np.int64)
+    return _spherical_hits(u, n, d, seed, start)[:, None]
 
 
-#: most trials in one chunk, which bounds a chunk's arrays for any trial count
-_MAX_CHUNK = 1000
+def _block_hits(args) -> np.ndarray:
+    """Integer hit counts per column of one block's trials (one scheme)."""
+    return _trial_hits(*args).sum(axis=0)
 
 
 class _SharedPool:
@@ -436,24 +497,23 @@ atexit.register(close_pool)
 def _run_trials(scheme, n, l, d, trials, passes, m=None, workers=1) -> list:
     """Summed per-trial hit counts of each (f, seed) pass.
 
-    More than one worker shares the chunks out over this process's reused
-    pool (see ``_SharedPool``), cut down to the machine's CPU count; one
-    worker runs them in this process. Per-trial seeds are derived by counter
-    and the summed counts are integers, so the result is bitwise-identical
-    for any worker count.
+    The trials run one block at a time, which bounds each block's arrays
+    for any trial count. One worker runs the blocks in this process; more
+    share them out over this process's reused pool (see ``_SharedPool``),
+    cut down to the machine's CPU count. A trial's randoms depend only on
+    (seed, t) and the summed counts are integers, so the result is
+    bitwise-identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(int(workers), os.cpu_count() or 1)
-    # a pool gets four chunks per worker to balance its load; a serial run one
-    chunk = min(_MAX_CHUNK, -(-trials // (4 * workers)) if workers > 1 else trials)
-    starts = range(0, trials, chunk)
-    args = [(scheme, n, l, f, d, seed, a, min(a + chunk, trials), m)
+    starts = range(0, trials, _TRIAL_BLOCK)
+    args = [(scheme, n, l, f, d, seed, a, min(a + _TRIAL_BLOCK, trials), m)
             for f, seed in passes for a in starts]
     if workers == 1 or len(args) == 1:
-        parts = [_hits_chunk(a) for a in args]
+        parts = [_block_hits(a) for a in args]
     else:
-        parts = _POOL.map(_hits_chunk, args, workers)
+        parts = _POOL.map(_block_hits, args, workers)
     k = len(starts)
     return [np.sum(parts[i:i + k], axis=0) for i in range(0, len(parts), k)]
 
@@ -485,6 +545,8 @@ def estimate_collision(scheme: str, n: int, l: int, f: float, d: int,
         raise ValueError("bucket count n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     _validate_pair_args(l, f, d)
 
     if scheme == "hyperplane":

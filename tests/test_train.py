@@ -927,21 +927,22 @@ def test_cli_collide(tmp_path, capsys):
 
 
 # What `altup collide --seed 3 --n 64 --l 16 --d 16 --ordering` prints for
-# these overlaps and arguments, recorded while the ordering check still
-# estimated every scheme a second time.
+# these overlaps and arguments, recorded from the block-seeded trial streams.
+# Estimates are deterministic, so estimating a scheme a second time for the
+# ordering check would print the same.
 COLLIDE_ORDERING_RUNS = [
     ((0.1, 0.5), ["--trials", "300"], """\
-hyperplane  f=0.1    p=0.026667 ci99=[0.002708, 0.050626] width=2.0 [r1=1.342 r2=1.414 c=1.054 p1=2.67e-02 p2=3.67e-02 rho=1.096]
-spherical   f=0.1    p=0.030000 ci99=[0.004631, 0.055369]
-minhash     f=0.1    p=0.070000 ci99=[0.032056, 0.107944]
-hyperplane  f=0.5    p=0.110000 ci99=[0.063468, 0.156532] width=2.0 [r1=1.000 r2=1.414 c=1.414 p1=1.10e-01 p2=3.67e-02 rho=0.668]
-spherical   f=0.5    p=0.110000 ci99=[0.063468, 0.156532]
-minhash     f=0.5    p=0.443333 ci99=[0.369455, 0.517212]
+hyperplane  f=0.1    p=0.036667 ci99=[0.008717, 0.064617] width=2.0 [r1=1.342 r2=1.414 c=1.054 p1=3.67e-02 p2=2.33e-02 rho=0.880]
+spherical   f=0.1    p=0.033333 ci99=[0.006638, 0.060029]
+minhash     f=0.1    p=0.140000 ci99=[0.088398, 0.191602]
+hyperplane  f=0.5    p=0.073333 ci99=[0.034566, 0.112101] width=2.0 [r1=1.000 r2=1.414 c=1.414 p1=7.33e-02 p2=2.33e-02 rho=0.695]
+spherical   f=0.5    p=0.140000 ci99=[0.088398, 0.191602]
+minhash     f=0.5    p=0.543333 ci99=[0.469255, 0.617411]
 ordering at f=0.1: token_id >= spherical >= hyperplane FAIL
 ordering at f=0.5: token_id >= spherical >= hyperplane FAIL
 """),
     ((0.25,), ["--trials", "200", "--schemes", "spherical"], """\
-spherical   f=0.25   p=0.040000 ci99=[0.004308, 0.075692]
+spherical   f=0.25   p=0.050000 ci99=[0.010304, 0.089696]
 ordering at f=0.25: token_id >= spherical >= hyperplane FAIL
 """),
 ]
