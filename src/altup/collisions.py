@@ -30,7 +30,7 @@ the same arithmetic, so at f = 1 they are bitwise equal and always collide.
 
 A hyperplane trial projects the two 3-vector mixes on m Gaussian directions
 in that frame, which has the law of projecting the d-dimensional mixes. Each
-block of trials then hashes all its grid cells (both mixes, every swept
+run of trials then hashes all its grid cells (both mixes, every swept
 width) in one uint64 pass of the splitmix chain of
 ``memory.hyperplane_lsh_lookup``.
 
@@ -39,9 +39,13 @@ for an isotropic Gaussian row g in the ambient d dimensions and two unit
 mixes spanning the plane (e1, e2), g = a e1 + b e2 + g_perp with a, b
 standard normal and |g_perp|^2 chi-square with d-2 degrees of freedom, all
 independent. The row's angle to either mix, and so the top-1 routing, depends
-on (a, b, |g|) alone. A block's trials are routed in one argmax.
+on (a, b, |g|) alone. A run's trials are routed in one argmax.
 
-Calls that share trials out over several workers use one process pool per
+A pass of trials runs as a few runs of whole blocks, each one vectorized
+call. A run holds at most one worker's share of the pass, and more than one
+block only while its arrays stay under an element budget: a token-id or
+hyperplane pass is one run per worker, a spherical run at large n one block.
+Calls that share runs out over several workers use one process pool per
 process, built on first use and kept for later calls of the same size, so
 only the first pays for starting it. ``close_pool`` (also run at exit)
 terminates it. A child made by ``os.fork`` neither uses nor terminates its
@@ -196,9 +200,14 @@ class TheoryConstants:
 
 
 #: trials per seeding block. It depends on neither the trial count nor the
-#: worker count, so neither moves a trial's randoms. A pool takes one block
-#: per task, and 50 splits a count in hundreds evenly over 2 or 4 workers.
+#: worker count, so neither moves a trial's randoms. Work is cut into runs of
+#: whole blocks, and 50 splits a count in hundreds evenly over 2 or 4 workers.
 _TRIAL_BLOCK = 50
+
+#: array elements a run of more than one block may hold (see ``_trial_elements``):
+#: 1 MiB of float64. A spherical block at n = 1024 is over it and runs alone,
+#: since longer spherical runs there timed no faster, and 16 blocks slower
+_RUN_ELEMENTS = 1 << 17
 
 #: the kinds of draw of a trial; each (seed, block, stream) keys one generator
 _STREAMS = ("overlap", "walk", "frame_cos", "frame_dir", "frame_rest",
@@ -417,9 +426,28 @@ def _trial_hits(scheme, n, l, f, d, seed, start, stop, m=None) -> np.ndarray:
     return _spherical_hits(u, n, d, seed, start)[:, None]
 
 
-def _block_hits(args) -> np.ndarray:
-    """Integer hit counts per column of one block's trials (one scheme)."""
+def _run_hits(args) -> np.ndarray:
+    """Integer hit counts per column of one run's trials (one scheme)."""
     return _trial_hits(*args).sum(axis=0)
+
+
+def _trial_elements(scheme, n, l, m) -> int:
+    """About how many array elements one trial of a scheme holds at once: the
+    walk of the pair's mixes (3l), then spherical's router statistics (3n) or
+    hyperplane's projections and grid cells (10m); token-id holds a few."""
+    if scheme == "minhash":
+        return 4
+    return 3 * l + (10 * m if scheme == "hyperplane" else 3 * n)
+
+
+def _runs(scheme, n, l, m, trials, workers) -> list:
+    """(start, stop) of each run of one pass: whole blocks from trial 0, at
+    most one worker's share of the pass, and more than one block only while
+    the run stays under ``_RUN_ELEMENTS``."""
+    blocks = -(-trials // _TRIAL_BLOCK)
+    fit = _RUN_ELEMENTS // (_TRIAL_BLOCK * _trial_elements(scheme, n, l, m))
+    size = max(1, min(-(-blocks // workers), fit)) * _TRIAL_BLOCK
+    return [(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
 class _SharedPool:
@@ -497,24 +525,23 @@ atexit.register(close_pool)
 def _run_trials(scheme, n, l, d, trials, passes, m=None, workers=1) -> list:
     """Summed per-trial hit counts of each (f, seed) pass.
 
-    The trials run one block at a time, which bounds each block's arrays
-    for any trial count. One worker runs the blocks in this process; more
-    share them out over this process's reused pool (see ``_SharedPool``),
-    cut down to the machine's CPU count. A trial's randoms depend only on
-    (seed, t) and the summed counts are integers, so the result is
-    bitwise-identical for any worker count.
+    Each pass runs as the runs of ``_runs``, one vectorized ``_trial_hits``
+    call each. One worker, or a call of a single run, runs them in this
+    process; more share them out over this process's reused pool (see ``_SharedPool``),
+    one run per task, cut down to the machine's CPU count. A trial's randoms
+    depend only on (seed, t) and the summed counts are integers, so the
+    result is bitwise-identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(int(workers), os.cpu_count() or 1)
-    starts = range(0, trials, _TRIAL_BLOCK)
-    args = [(scheme, n, l, f, d, seed, a, min(a + _TRIAL_BLOCK, trials), m)
-            for f, seed in passes for a in starts]
+    runs = _runs(scheme, n, l, m, trials, workers)
+    args = [(scheme, n, l, f, d, seed, a, b, m) for f, seed in passes for a, b in runs]
     if workers == 1 or len(args) == 1:
-        parts = [_block_hits(a) for a in args]
+        parts = [_run_hits(a) for a in args]
     else:
-        parts = _POOL.map(_block_hits, args, workers)
-    k = len(starts)
+        parts = _POOL.map(_run_hits, args, workers)
+    k = len(runs)
     return [np.sum(parts[i:i + k], axis=0) for i in range(0, len(parts), k)]
 
 

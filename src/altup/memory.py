@@ -18,6 +18,7 @@ section and re-check none of the rules its resolver enforces.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,15 +28,31 @@ from .tensor import Tensor
 
 _M64 = (1 << 64) - 1
 _LSH_SEED_CONST = 0x8445D61A4E774912
+_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_SPLITMIX_U64 = tuple(np.uint64(c) for c in _SPLITMIX)
+_SHIFTS_U64 = tuple(np.uint64(k) for k in (30, 27, 31))
 
 
 def _splitmix64(z):
     """SplitMix64 finalizer of a Python int in [0, 2**64), or elementwise of a
-    uint64 array with the same bits (array arithmetic wraps mod 2**64)."""
-    z = (z + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+    uint64 array with the same bits. Array arithmetic wraps mod 2**64, so that
+    path needs no masks; it steps in place on one new array, and the caller's
+    array is left as it was."""
+    if isinstance(z, int):
+        gamma, mul1, mul2 = _SPLITMIX
+        z = (z + gamma) & _M64
+        z = ((z ^ (z >> 30)) * mul1) & _M64
+        z = ((z ^ (z >> 27)) * mul2) & _M64
+        return z ^ (z >> 31)
+    gamma, mul1, mul2 = _SPLITMIX_U64
+    s1, s2, s3 = _SHIFTS_U64
+    z = z + gamma
+    z ^= z >> s1
+    z *= mul1
+    z ^= z >> s2
+    z *= mul2
+    z ^= z >> s3
+    return z
 
 
 class MemoryTable:
@@ -181,8 +198,11 @@ def minhash_lookup(token_ids, perm_seed: int) -> int:
     """Member of the set of int64 ids with the smallest seeded pseudo-random
     priority. Distinct ids never tie.
     """
-    ids = (np.asarray(token_ids, dtype=np.int64) if isinstance(token_ids, np.ndarray)
-           else np.fromiter(token_ids, dtype=np.int64))
+    if isinstance(token_ids, np.ndarray):
+        ids = np.asarray(token_ids, dtype=np.int64)
+    else:
+        count = len(token_ids) if isinstance(token_ids, Sized) else -1
+        ids = np.fromiter(token_ids, dtype=np.int64, count=count)
     if ids.size == 0:
         raise ValueError("minhash_lookup: empty set")
     return int(ids[np.argmin(_minhash_priorities(ids, perm_seed))])

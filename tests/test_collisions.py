@@ -315,6 +315,54 @@ def test_a_trial_depends_only_on_seed_and_index(scheme, counts, f, seed, pools, 
             assert np.array_equal(hits, per_trial[:trials].sum(axis=0)), (trials, workers)
 
 
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.sampled_from(col.SCHEMES),
+       trials=st.integers(3 * col._TRIAL_BLOCK + 1, 7 * col._TRIAL_BLOCK + 3),
+       blocks_per_run=st.integers(1, 3), f=st.sampled_from((0.3, 0.5)),
+       seed=st.integers(0, 2**64 - 1))
+def test_runs_sum_to_the_single_block_hits(scheme, trials, blocks_per_run, f, seed,
+                                           pools, monkeypatch):
+    # runs of whole blocks, serial or pooled over 2 or 3 workers, count the
+    # same hits as one single-block call per block; the element budget is
+    # cut so that even a serial pass spans several runs
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    n, l, d = 16, 8, 4
+    m = mem.lsh_projections(n) if scheme == "hyperplane" else None
+    monkeypatch.setattr(col, "_RUN_ELEMENTS", blocks_per_run * col._TRIAL_BLOCK
+                        * col._trial_elements(scheme, n, l, m))
+    assert len(col._runs(scheme, n, l, m, trials, 1)) > 1
+    want = sum(col._run_hits((scheme, n, l, f, d, seed, a, min(a + col._TRIAL_BLOCK, trials), m))
+               for a in range(0, trials, col._TRIAL_BLOCK))
+    for workers in (1, 2, 3):
+        (hits,) = col._run_trials(scheme, n, l, d, trials, [(f, seed)], m=m, workers=workers)
+        assert np.array_equal(hits, want), workers
+
+
+@pytest.mark.parametrize("scheme,trials,ranges", [
+    # token-id and hyperplane passes: one run, so one task, per worker
+    ("minhash", 10000, [(0, 5000), (5000, 10000)]),
+    ("hyperplane", 200, [(0, 100), (100, 200)] * 2),  # the calibration pass, then f
+    # a spherical block at n = 1024 is over the element budget: one task each
+    ("spherical", 200, [(0, 50), (50, 100), (100, 150), (150, 200)]),
+])
+def test_a_pooled_pass_sends_one_task_per_run(scheme, trials, ranges, pools, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = []
+
+    class TaskRecordingPool(InProcessPool):
+        def map(self, fn, args):
+            tasks.extend(args)
+            return super().map(fn, args)
+
+    monkeypatch.setattr(multiprocessing, "Pool", TaskRecordingPool)
+    n, l, d = 1024, 64, 64  # the benchmark's collision sizes
+    pooled = col.estimate_collision(scheme, n, l, 0.1, d, trials, seed=8, workers=2)
+    assert [(task[6], task[7]) for task in tasks] == ranges
+    assert pooled.probability == col.estimate_collision(scheme, n, l, 0.1, d, trials,
+                                                        seed=8).probability
+
+
 def _overcommits_always():
     try:
         with open("/proc/sys/vm/overcommit_memory") as fh:
