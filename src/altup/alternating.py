@@ -91,10 +91,11 @@ def _predict_correct(x_old: Tensor, p: Tensor, g: Tensor, y: Tensor, j_star: int
     through bitwise (x - x cancels exactly), which the degeneracy identities
     rely on. Forward and backward run the array operations of the composition
     of ``matmul``, ``gather_rows``, ``sub``, ``add`` and ``reshape`` in its
-    order, and count its K*K*N*d + 2*K*N*d MACs for N token positions. g's
-    gradient is its two products' sum, in the composition's order, so all
-    gradients are bitwise the composition's when g.grad starts empty, as in
-    every training step.
+    order (``sub`` is kept in ``tests/tape_oracles.py``, and the composition
+    is the tests' oracle), and count its K*K*N*d + 2*K*N*d MACs for N token
+    positions. g's gradient is its two products' sum, in the composition's
+    order, so all gradients are bitwise the composition's when g.grad starts
+    empty, as in every training step.
     """
     shape = x_old.data.shape
     pd, gd = p.data, g.data

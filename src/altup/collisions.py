@@ -146,14 +146,6 @@ def _split_overlap(l: int, f: float):
     return s, (frac if frac > 1e-9 else 0.0)
 
 
-def mix(embeddings: np.ndarray) -> np.ndarray:
-    """Post-attention stand-in: the mean of the sentence's token embeddings."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[0] < 1:
-        raise ValueError("mix: need a non-empty (l, d) embedding stack")
-    return emb.mean(axis=0)
-
-
 @dataclass
 class CollisionEstimate:
     scheme: str

@@ -1,9 +1,9 @@
 """Corpus ingestion and deterministic synthetic tasks.
 
-Byte-level language modeling reads a UTF-8 text file into byte ids (0..255,
-plus separator/begin specials). The copy and reverse tasks generate their
-sequences procedurally from the seed, so a (config, seed) pair pins the
-dataset bytes exactly.
+Byte-level language modeling reads a UTF-8 text file into byte ids (0..255).
+The copy and reverse tasks generate their sequences procedurally from the
+seed, with a separator id between source and echo, so a (config, seed) pair
+pins the dataset bytes exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 SEP_ID = 256
-BOS_ID = 257
+# byte ids, the separator and id 257, which is reserved and never emitted; it
+# stays in the vocabulary so that model shapes and parameter counts hold
 VOCAB_SIZE = 258
 # copy/reverse draw their symbols from ids [ECHO_BASE, ECHO_BASE + alphabet),
 # which must stay below the separator

@@ -88,8 +88,10 @@ def _correct(y_hat: Tensor, b: Tensor, y_sub: Tensor, anchors, k: int) -> Tensor
     b = 0 returns the prediction bitwise, and k = 1, b = 1 returns the layer
     output bitwise. Forward and backward run the array operations of the
     composition of ``gather_rows``, ``mul``, ``sub`` and ``add`` in its
-    order; b's gradient is its two terms' sum, in the composition's order,
-    so it is bitwise the composition's when b.grad starts empty.
+    order (``sub`` is kept in ``tests/tape_oracles.py``, and the composition
+    is the tests' oracle); b's gradient is its two terms' sum, in the
+    composition's order, so it is bitwise the composition's when b.grad
+    starts empty.
     """
     hd, bd, sd = y_hat.data, b.data, y_sub.data
     at_hat, at_sub = np.s_[..., anchors, :], np.s_[..., anchors // k, :]

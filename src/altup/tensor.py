@@ -10,7 +10,10 @@ and leaf gradients accumulate across graphs. A node's output is one tensor.
 :func:`record` adds a node; modules outside this one use it for fused nodes
 whose backward they own: a whole memory layer, AltUp's and seq-AltUp's
 predict/correct steps and the cross-entropy loss. Such a node adds its
-matrix products' MACs through :func:`count_macs`. Broadcasting is
+matrix products' MACs through :func:`count_macs`. The ops that no layer
+records but the fused nodes' reference compositions use (``sub``,
+``scalar_mul``, ``relu``, ``log_softmax``, ``sum_all``, ``mean_all``) live
+in ``tests/tape_oracles.py``. Broadcasting is
 deliberately restricted: operand shapes must match exactly, or the smaller
 shape must be a trailing suffix of the larger (leading-batch expansion), or
 one operand must be scalar-shaped. Anything else raises :class:`ShapeError`
@@ -258,16 +261,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record("add", [a, b], out, bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise("sub", a, b)
-    out = a.data - b.data
-
-    def bw(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
-
-    return record("sub", [a, b], out, bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("mul", a, b)
     out = a.data * b.data
@@ -277,15 +270,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
 
     return record("mul", [a, b], out, bw)
-
-
-def scalar_mul(a: Tensor, c: float) -> Tensor:
-    out = a.data * c
-
-    def bw(g):
-        return (g * c,)
-
-    return record("scalar_mul", [a], out, bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -322,7 +306,7 @@ def matmul_relu_matmul(x: Tensor, u: Tensor, v: Tensor) -> Tensor:
 
     Forward and backward compute the products of ``matmul``, ``relu``,
     ``matmul`` in the same order, so values and gradients are bitwise equal
-    to that composition; the forward's ``ndarray.dot`` gives the bits of
+    to that composition, the tests' oracle; the forward's ``ndarray.dot`` gives the bits of
     ``@`` on these 2-D operands, at less call overhead. Counts the
     composition's N*r*d + N*e*r multiply-accumulates.
     """
@@ -386,16 +370,6 @@ def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
     return record("transpose", [a], out, bw)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0
-
-    def bw(g):
-        return (g * mask,)
-
-    return record("relu", [a], out, bw)
-
-
 def gelu(a: Tensor) -> Tensor:
     """Exact erf-based GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
 
@@ -427,17 +401,6 @@ def softmax(a: Tensor) -> Tensor:
         return (y * (g - dot),)
 
     return record("softmax", [a], y, bw)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-
-    def bw(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
-
-    return record("log_softmax", [a], out, bw)
 
 
 def layer_norm(x: Tensor, scale: Tensor, eps: float = _LN_EPS) -> Tensor:
@@ -574,27 +537,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         return (g.reshape(xshape),)
 
     return record("reshape", [x], out, bw)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = x.data.sum()
-    xshape = x.data.shape
-
-    def bw(g):
-        return (np.full(xshape, float(g)),)
-
-    return record("sum_all", [x], out, bw)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    out = x.data.mean()
-    xshape = x.data.shape
-    inv = 1.0 / x.data.size
-
-    def bw(g):
-        return (np.full(xshape, float(g) * inv),)
-
-    return record("mean_all", [x], out, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from . import costs
 from .checks import arith_fingerprint
 from .checkpoint import save_model
-from .data import VOCAB_SIZE, input_length, make_task
+from .data import VOCAB_SIZE, TaskData, input_length, make_task
 from .models import Model
 from .schema import SECTIONS, ConfigError, complete, resolve, take_fields
 from .tensor import Graph, backward
@@ -83,7 +83,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model: {exc}") from exc
     if model.vocab_size < VOCAB_SIZE:
-        # every task emits byte ids plus the separator and begin specials
+        # the task vocabulary: byte ids, the separator and one reserved id
         raise ConfigError(f"model.vocab_size: {model.vocab_size} is below the "
                           f"task vocabulary of {VOCAB_SIZE} ids")
 
@@ -152,6 +152,25 @@ def evaluate(model: Model, inputs, targets, batch_cap: int | None = None):
     return cross_entropy(logits, mapped).item(), correct / mapped.size
 
 
+def _batches(rng, data: TaskData, batch: int):
+    """Endless (inputs, targets) training batches: permutations of the
+    training set drawn from ``rng`` one after another, cut into ``batch``-long
+    slices, so a batch that runs past the end of one permutation continues
+    in the next."""
+    n_train = len(data.train_inputs)
+    perm, cursor = rng.permutation(n_train), 0
+    while True:
+        parts, need = [], batch
+        while need:
+            if cursor == n_train:
+                perm, cursor = rng.permutation(n_train), 0
+            parts.append(perm[cursor:cursor + need])
+            cursor += len(parts[-1])
+            need -= len(parts[-1])
+        idx = np.concatenate(parts)
+        yield data.train_inputs[idx], data.train_targets[idx]
+
+
 def train(cfg: RunConfig, out_dir) -> dict:
     """Run the loop, writing metrics.csv, summary.json, and model.ckpt."""
     data = make_task_data(cfg)
@@ -166,21 +185,7 @@ def train(cfg: RunConfig, out_dir) -> dict:
     jitter_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
     velocity = {id(p): np.zeros_like(p.data) for p in params} if opt["momentum"] else None
 
-    n_train = len(data.train_inputs)
-    perm = order_rng.permutation(n_train)
-    cursor = 0
-
-    def next_batch():
-        nonlocal perm, cursor
-        idx = []
-        for _ in range(opt["batch_size"]):
-            if cursor == n_train:
-                perm = order_rng.permutation(n_train)
-                cursor = 0
-            idx.append(perm[cursor])
-            cursor += 1
-        idx = np.array(idx)
-        return data.train_inputs[idx], data.train_targets[idx]
+    batches = _batches(order_rng, data, opt["batch_size"])
 
     rows = []
 
@@ -189,7 +194,7 @@ def train(cfg: RunConfig, out_dir) -> dict:
         rows.append((step, train_loss, eval_loss, eval_acc, census))
 
     # init row: loss of the first batch, which step 1 then trains on
-    inputs, targets = next_batch()
+    inputs, targets = next(batches)
     emit(0, model.loss(inputs, targets).item())
 
     started = time.perf_counter()
@@ -197,7 +202,7 @@ def train(cfg: RunConfig, out_dir) -> dict:
     window = []
     for step in range(1, opt["steps"] + 1):
         if step > 1:
-            inputs, targets = next_batch()
+            inputs, targets = next(batches)
         model.zero_grad()
         with Graph() as graph:
             loss = model.loss(inputs, targets, training=True, rng=jitter_rng)

@@ -39,9 +39,7 @@ class LayerParams:
 
     def __init__(self, d: int, ffn_hidden: int, n_heads: int, rng: np.random.Generator, prefix: str = "layer"):
         self.d = d
-        self.ffn_hidden = ffn_hidden
         self.n_heads = n_heads
-        self.prefix = prefix
 
         def w(rows, cols, name):
             return Tensor(rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols)),
@@ -60,12 +58,6 @@ class LayerParams:
     def params(self):
         return [self.wq, self.wk, self.wv, self.wo,
                 self.w_gate, self.w_up, self.w_down, self.ln_attn, self.ln_ffn]
-
-    def zero_all(self):
-        """Zero every sublayer weight, keeping LN scales. Makes the layer an identity map."""
-        for p in (self.wq, self.wk, self.wv, self.wo, self.w_gate, self.w_up, self.w_down):
-            p.data[...] = 0.0
-        return self
 
 
 def embed(token_ids, table: Tensor) -> Tensor:
@@ -109,8 +101,10 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     Forward and backward run the array operations of the composition
     ``scalar_mul(mean_all(gather_cols(log_softmax(logits), targets)), -1)``
     in its order, so the loss and the logits' gradient are bitwise that
-    composition's. A target outside the vocabulary raises ``IndexError``,
-    and targets whose shape is not the logits' leading shape ``ShapeError``.
+    composition's. The composition, of ops kept in ``tests/tape_oracles.py``,
+    is the tests' oracle. A target outside the vocabulary raises
+    ``IndexError``, and targets whose shape is not the logits' leading shape
+    ``ShapeError``.
     """
     x = logits.data
     idx = np.asarray(targets, dtype=np.int64)[..., None]

@@ -11,6 +11,8 @@ from altup import tensor as T
 from altup import transformer as tr
 from altup.tensor import Graph, Tensor, backward, grad_check
 
+from tape_oracles import mean_all, scalar_mul, sub, sum_all
+
 
 def _altup_params(k, d, seed=0, ffn=8, heads=1):
     inner = tr.LayerParams(d, ffn, heads, np.random.default_rng(seed), prefix="inner")
@@ -79,7 +81,7 @@ def test_hand_example_doubling_inner():
     b = np.array([3.0, 0.5])
     x = Tensor(np.concatenate([a, b])[None, :])
     out = alt.altup_layer_forward(x, params, j_star=0,
-                                  inner_fn=lambda z: T.scalar_mul(z, 2.0))
+                                  inner_fn=lambda z: scalar_mul(z, 2.0))
     expected = np.concatenate([a + 0.5 * a, b + 2.0 * a])[None, :]
     assert np.allclose(out.data, expected, rtol=0, atol=1e-15)
 
@@ -116,7 +118,7 @@ def test_gradients_through_p_g_and_inner(k):
 
     def f(ps):
         out = alt.altup_layer_forward(x, params, j_star=k - 1)
-        return T.mean_all(T.mul(out, out))
+        return mean_all(T.mul(out, out))
 
     assert grad_check(f, params.params(), eps=1e-5) < 1e-4
 
@@ -136,7 +138,7 @@ def _composed_altup_layer(x_old, params, j_star):
     x_hat = T.matmul(params.p, T.reshape(x_old, (*lead, k, d)))
     y = tr.layer_forward(block, params.inner)
     hat_star = T.gather_rows(x_hat, [j_star])
-    base = T.sub(x_hat, T.matmul(params.g, hat_star))
+    base = sub(x_hat, T.matmul(params.g, hat_star))
     x_new = T.add(base, T.matmul(params.g, T.reshape(y, (*lead, 1, d))))
     return T.reshape(x_new, x_old.data.shape)
 
@@ -158,7 +160,7 @@ def test_predict_correct_node_is_bitwise_the_composed_path(lead, n, k, d, data):
         with Graph() as graph:
             out = forward(x_old, params, j_star)
             ops = [node.op for node in graph.nodes]
-            loss = T.sum_all(T.mul(out, Tensor(c)))
+            loss = sum_all(T.mul(out, Tensor(c)))
         macs = T.mac_count()
         backward(graph, loss)
         results.append(([out.data, x_old.grad] + [q.grad for q in params.params()], macs, ops))
@@ -213,13 +215,13 @@ def test_sum_consume_gradients_reach_both_tables():
     ids = [0, 2, 2]
     with Graph() as g:
         s = T.add(tr.embed(ids, base), tr.embed(ids, extra))
-        loss = T.sum_all(T.mul(s, s))
+        loss = sum_all(T.mul(s, s))
     backward(g, loss)
     assert np.abs(base.grad).sum() > 0 and np.abs(extra.grad).sum() > 0
 
     def f(ps):
         s = T.add(tr.embed(ids, base), tr.embed(ids, extra))
-        return T.sum_all(T.mul(s, s))
+        return sum_all(T.mul(s, s))
 
     assert grad_check(f, [base, extra], eps=1e-5) < 1e-6
 
@@ -244,14 +246,14 @@ def test_recycled_embed_gradient_is_k_at_rows():
     table = Tensor(np.random.default_rng(33).standard_normal((5, 3)),
                    requires_grad=True, name="table")
     with Graph() as g:
-        loss = T.sum_all(_recycled_embed([2], table, k=3))
+        loss = sum_all(_recycled_embed([2], table, k=3))
     backward(g, loss)
     expected = np.zeros((5, 3))
     expected[2] = 3.0
     assert np.array_equal(table.grad, expected)
 
     def f(ps):
-        return T.sum_all(_recycled_embed([2], table, k=3))
+        return sum_all(_recycled_embed([2], table, k=3))
 
     table.grad = None
     assert grad_check(f, [table], eps=1e-5) < 1e-6

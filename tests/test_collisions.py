@@ -18,6 +18,14 @@ from altup import collisions as col
 from altup import memory as mem
 
 
+def mix(embeddings: np.ndarray) -> np.ndarray:
+    """Post-attention stand-in: the mean of the sentence's token embeddings."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    if emb.ndim != 2 or emb.shape[0] < 1:
+        raise ValueError("mix: need a non-empty (l, d) embedding stack")
+    return emb.mean(axis=0)
+
+
 def test_pair_full_overlap_identical():
     pair = col.gen_sentence_pair(8, 1.0, 4, seed=0)
     assert np.array_equal(pair.ids1, pair.ids2)
@@ -55,7 +63,7 @@ def test_mixed_vectors_correlate_with_overlap():
     dots, cosines = [], []
     for t in range(1000):
         pair = col.gen_sentence_pair(l, f, d, seed=np.random.default_rng([4, t]))
-        m1, m2 = col.mix(pair.emb1), col.mix(pair.emb2)
+        m1, m2 = mix(pair.emb1), mix(pair.emb2)
         dots.append(np.dot(m1, m2) * l)
         cosines.append(np.dot(m1, m2) / (np.linalg.norm(m1) * np.linalg.norm(m2)))
     assert abs(np.mean(dots) - f) < 0.05
@@ -64,14 +72,14 @@ def test_mixed_vectors_correlate_with_overlap():
 
 def test_mix_basics():
     one = np.array([[0.6, 0.8]])
-    assert np.array_equal(col.mix(one), one[0])
+    assert np.array_equal(mix(one), one[0])
     opposite = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert np.array_equal(col.mix(opposite), [0.0, 0.0])
+    assert np.array_equal(mix(opposite), [0.0, 0.0])
     rng = np.random.default_rng(5)
     emb = rng.standard_normal((5, 3))
-    assert np.allclose(col.mix(2.5 * emb), 2.5 * col.mix(emb))
+    assert np.allclose(mix(2.5 * emb), 2.5 * mix(emb))
     with pytest.raises(ValueError):
-        col.mix(np.zeros((0, 3)))
+        mix(np.zeros((0, 3)))
 
 
 def test_estimate_rejects_unknown_scheme():
@@ -463,7 +471,7 @@ def test_spherical_statistics_reduce_a_full_router_draw():
         router = RouterParams(w=Tensor(g / np.linalg.norm(g, axis=1, keepdims=True)),
                               k=1, jitter_eps=0.0)
         pair = col.gen_sentence_pair(8, 0.25, d, seed=rng)
-        m1, m2 = col._unit(col.mix(pair.emb1)), col._unit(col.mix(pair.emb2))
+        m1, m2 = col._unit(mix(pair.emb1)), col._unit(mix(pair.emb2))
         e1, e2 = col._plane_basis(m1, m2)
         assert abs(e1 @ e2) < 1e-12
         assert np.allclose([e1 @ e1, e2 @ e2], 1.0)
@@ -501,7 +509,7 @@ def _full_draw_mixes(l, f, d, rng):
     base, frac = col._split_overlap(l, f)
     s = base + int(frac > 0 and rng.random() < frac)
     pair = col.gen_sentence_pair(l, s / l, d, seed=rng)
-    return col._unit(col.mix(pair.emb1)), col._unit(col.mix(pair.emb2))
+    return col._unit(mix(pair.emb1)), col._unit(mix(pair.emb2))
 
 
 def _full_draw_rate(n, l, f, d, trials, seed):
@@ -596,7 +604,7 @@ def test_pair_geometry_reduces_a_full_vocabulary_draw():
         x, y = dirs[2] @ e1, dirs[2] @ e2
         g = np.array([x, y, np.sqrt(max(1.0 - x * x - y * y, 0.0))])
         u = col._frame_mixes(r, np.array(c1), g)
-        want = col._unit(col.mix(pair.emb1)) @ col._unit(col.mix(pair.emb2))
+        want = col._unit(mix(pair.emb1)) @ col._unit(mix(pair.emb2))
         assert abs(u[0] @ u[1] - want) <= 1e-12, (l, s, d)
 
 

@@ -12,6 +12,8 @@ from altup import tensor as T
 from altup.tensor import Graph, Tensor, backward
 from altup.transformer import ModelConfig
 
+from tape_oracles import scalar_mul, sum_all
+
 
 def test_expert_forward_zero_weights():
     table = mem.MemoryTable(n=2, d=4, rank=2, rng=np.random.default_rng(0), constant=False)
@@ -466,7 +468,7 @@ def _per_row_memory_augment(slot, x_in, inner_out, ids, training, rng):
         out = T.gather_rows(inner_rows, [r])
         for j, i in enumerate(route):
             if table.constant:
-                e_out = T.add(T.scalar_mul(x, 0.0), T.gather_rows(table.b, [i]))
+                e_out = T.add(scalar_mul(x, 0.0), T.gather_rows(table.b, [i]))
             else:
                 e_out = T.matmul_relu_matmul(x, expert_slice(table.u, i),
                                              expert_slice(table.v, i))
@@ -507,7 +509,7 @@ def test_memory_layer_node_is_bitwise_the_per_row_tape(lookup, k, constant, batc
                        requires_grad=True)
         with Graph() as g:
             out = layer(slot, x_in, inner, ids, training, np.random.default_rng(seed + 3))
-            loss = T.sum_all(T.mul(out, Tensor(cotangent)))
+            loss = sum_all(T.mul(out, Tensor(cotangent)))
         backward(g, loss)
         runs.append([out.data, x_in.grad, inner.grad] + [p.grad for p in params])
     for got, want in zip(*runs):

@@ -10,6 +10,8 @@ from altup import tensor as T
 from altup import transformer as tr
 from altup.tensor import Graph, Tensor, backward, grad_check
 
+from tape_oracles import mean_all, sub, sum_all, zero_all
+
 
 def _inner(d=4, ffn=8, heads=1, seed=0):
     return tr.LayerParams(d, ffn, heads, np.random.default_rng(seed), prefix="inner")
@@ -41,7 +43,7 @@ def test_zero_gain_skips_layer_entirely():
 
 def test_hand_example_identity_layer():
     # T=3, k=2, identity layer, a1=0, a2=1, b=1 -> (x0, x0, x2)
-    inner = _inner(seed=6).zero_all()
+    inner = zero_all(_inner(seed=6))
     p = seq.SeqAltUpParams(stride=2)
     p.a1.data[...] = 0.0
     p.a2.data[...] = 1.0
@@ -60,7 +62,7 @@ def _composed_seq_altup(x, inner, p):
     y_sub = tr.layer_forward(T.gather_rows(x, np.arange(0, t, k)), inner)
     y_comp = T.gather_rows(y_sub, anchors // k)
     y_hat_anchor = T.gather_rows(y_hat, anchors)
-    return T.add(T.sub(y_hat, T.mul(p.b, y_hat_anchor)), T.mul(p.b, y_comp))
+    return T.add(sub(y_hat, T.mul(p.b, y_hat_anchor)), T.mul(p.b, y_comp))
 
 
 @settings(max_examples=120, deadline=None)
@@ -81,7 +83,7 @@ def test_predict_and_correct_nodes_are_bitwise_the_composed_path(lead, n, stride
         with Graph() as graph:
             out = forward(x_in, inner, p)
             ops = [node.op for node in graph.nodes]
-            loss = T.sum_all(T.mul(out, Tensor(c)))
+            loss = sum_all(T.mul(out, Tensor(c)))
         macs = T.mac_count()
         backward(graph, loss)
         results.append(([out.data, x_in.grad] + [q.grad for q in p.params() + inner.params()],
@@ -119,7 +121,7 @@ def test_gradients_through_mix_and_gain_scalars():
 
     def f(ps):
         out = seq.seq_altup_forward(x, inner, p)
-        return T.mean_all(T.mul(out, out))
+        return mean_all(T.mul(out, out))
 
     assert grad_check(f, p.params() + inner.params(), eps=1e-5) < 1e-4
 
@@ -153,7 +155,7 @@ def test_stride_and_skip_basics():
     ref = tr.layer_forward(x, inner)
     assert np.array_equal(out.data, ref.data)
 
-    identity = _inner(seed=17).zero_all()
+    identity = zero_all(_inner(seed=17))
     out2 = seq.stride_and_skip_forward(x, identity, 2)
     assert np.array_equal(out2.data, x.data)
 

