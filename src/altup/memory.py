@@ -332,27 +332,46 @@ def softmax_lookup(router: RouterParams, training: bool = False,
                    rng: np.random.Generator | None = None):
     """Lookup routing by learned softmax top-k, with differentiable weights.
 
-    Builds the routing probabilities inside the active graph so gradients
-    reach W through the probability weighting; the top-k selection itself is
-    discrete and carries no gradient. W is transposed once per lookup; x is
-    reshaped to its N rows on the tape, whose logits are one product and
-    their softmax one node. In training mode each row is scaled elementwise
-    by multiplicative jitter drawn uniformly from [1-eps, 1+eps], one (N, d)
-    draw, row after row; top-k ties break toward the lowest index.
+    A call routes the N rows of its (..., d) input as one ``softmax_router``
+    tape node with inputs x and W, whose output is the (N, k) probability
+    weights; the top-k selection itself is discrete and carries no gradient.
+    In training mode each row is scaled elementwise by multiplicative jitter
+    drawn uniformly from [1-eps, 1+eps], one (N, d) draw, row after row. The
+    logits are one product with W^T, transposed once per lookup, then come a
+    max-shifted softmax and the top-k pick, whose ties break toward the
+    lowest index. Forward and backward run the array operations of the
+    composition transpose, reshape, mul, matmul, softmax, gather_cols in its
+    order, so the route, weights and gradients are bitwise the composition's,
+    the tests' oracle.
     """
-    w_t = T.transpose(router.w)
+    w_t = router.w.data.swapaxes(-2, -1).copy()
 
     def q(x: Tensor, token_ids):
-        d = x.data.shape[-1]
-        x = T.reshape(x, (x.data.size // d, d))
+        shape = x.data.shape
+        rows = x.data.reshape(-1, shape[-1])
+        jitter = None
         if training and router.jitter_eps > 0:
             if rng is None:
                 raise ValueError("softmax_lookup: training jitter requires an rng")
-            x = T.mul(x, Tensor(rng.uniform(1.0 - router.jitter_eps, 1.0 + router.jitter_eps,
-                                            x.data.shape)))
-        probs = T.softmax(T.matmul(x, w_t))
-        order = top_k(probs.data, router.k)
-        return order, T.gather_cols(probs, order)
+            jitter = rng.uniform(1.0 - router.jitter_eps, 1.0 + router.jitter_eps, rows.shape)
+            rows = rows * jitter
+        logits = rows @ w_t
+        T.count_macs(logits.size * rows.shape[1])
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        order = top_k(probs, router.k)
+
+        def bw(g):
+            gp = np.zeros(probs.shape)
+            np.put_along_axis(gp, order, g, axis=-1)
+            gl = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+            gx = gl @ w_t.swapaxes(-1, -2)
+            if jitter is not None:
+                gx = gx * jitter
+            return gx.reshape(shape), (rows.swapaxes(-1, -2) @ gl).swapaxes(-2, -1)
+
+        weights = np.take_along_axis(probs, order, axis=-1)
+        return order, T.record("softmax_router", [x, router.w], weights, bw)
 
     return q
 

@@ -8,16 +8,16 @@ output's gradient, so a graph runs backward once. Only leaves (tensors no
 node of the graph produced, such as parameters and inputs) keep ``.grad``,
 and leaf gradients accumulate across graphs. A node's output is one tensor.
 :func:`record` adds a node; modules outside this one use it for fused nodes
-whose backward they own: a whole memory layer, AltUp's and seq-AltUp's
-predict/correct steps and the cross-entropy loss. Such a node adds its
-matrix products' MACs through :func:`count_macs`. The ops that no layer
-records but the fused nodes' reference compositions use (``sub``,
-``scalar_mul``, ``relu``, ``log_softmax``, ``sum_all``, ``mean_all``) live
-in ``tests/tape_oracles.py``. Broadcasting is
-deliberately restricted: operand shapes must match exactly, or the smaller
-shape must be a trailing suffix of the larger (leading-batch expansion), or
-one operand must be scalar-shaped. Anything else raises :class:`ShapeError`
-rather than silently expanding. Gradient arrays are never written in place,
+whose backward they own: a whole memory layer, the softmax router, AltUp's
+and seq-AltUp's predict/correct steps and the cross-entropy loss. Such a
+node adds its matrix products' MACs through :func:`count_macs`. The ops
+that no layer records but the fused nodes' reference compositions use
+(``sub``, ``scalar_mul``, ``relu``, ``softmax``, ``log_softmax``,
+``reshape``, ``gather_cols``, ``sum_all``, ``mean_all``) live in
+``tests/tape_oracles.py``. Broadcasting is deliberately restricted: operand
+shapes must match exactly, or the smaller shape must be a trailing suffix of
+the larger (leading-batch expansion), or one operand must be scalar-shaped.
+Anything else raises :class:`ShapeError` rather than silently expanding. Gradient arrays are never written in place,
 so a ``.grad`` may share its array with another tensor's. Importing this
 module does not load scipy: :func:`gelu` imports ``scipy.special.erf`` at
 its first call, so a process that never runs a forward never pays for it.
@@ -25,7 +25,6 @@ its first call, so a process that never runs a forward never pays for it.
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
@@ -59,8 +58,8 @@ class NonFiniteError(FloatingPointError):
 
 # Multiply-accumulate counter for matrix products. Only the nodes that run
 # matrix products count, through count_macs: the primitives matmul,
-# matmul_relu_matmul and causal_attention, and AltUp's predict/correct node in
-# ``alternating``. Elementwise ops, normalizations and activations are excluded
+# matmul_relu_matmul and causal_attention, AltUp's predict/correct node in
+# ``alternating`` and the softmax router in ``memory``. Elementwise ops, normalizations and activations are excluded
 # so the counter matches the closed forms of ``costs.layer_flops`` and
 # ``costs.forward_macs`` exactly.
 _mac_count = 0
@@ -390,19 +389,6 @@ def gelu(a: Tensor) -> Tensor:
     return record("gelu", [a], out, bw)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return record("softmax", [a], y, bw)
-
-
 def layer_norm(x: Tensor, scale: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale."""
     if x.data.shape[-1] != scale.data.shape[-1] or scale.data.ndim != 1:
@@ -474,28 +460,6 @@ def scatter_rows(x: Tensor, indices, n_rows: int) -> Tensor:
     return record("scatter_rows", [x], out, bw)
 
 
-def gather_cols(x: Tensor, indices) -> Tensor:
-    """Pick k elements per row along the last axis: for ``indices`` of shape
-    (..., k), the (..., k) array ``np.take_along_axis(x, indices, -1)``, in
-    its memory order, which fixes the summation order of any reduction over
-    it. Backward is ``np.put_along_axis``, so a row's k indices must differ."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if x.data.ndim < 2 or idx.shape[:-1] != x.data.shape[:-1]:
-        raise ShapeError("gather_cols", x.data.shape, idx.shape)
-    _check_range("gather_cols", idx, x.data.shape[-1])
-    if idx.shape[-1] > 1 and (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
-        raise ValueError("gather_cols: a row picks one column twice")
-    out = np.take_along_axis(x.data, idx, axis=-1)
-    xshape = x.data.shape
-
-    def bw(g):
-        gx = np.zeros(xshape, dtype=np.float64)
-        np.put_along_axis(gx, idx, g, axis=-1)
-        return (gx,)
-
-    return record("gather_cols", [x], out, bw)
-
-
 def concat_last(tensors) -> Tensor:
     tensors = list(tensors)
     lead = tensors[0].data.shape[:-1]
@@ -524,19 +488,6 @@ def slice_last(x: Tensor, start: int, size: int) -> Tensor:
         return (gx,)
 
     return record("slice_last", [x], out, bw)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    if math.prod(shape) != x.data.size:
-        raise ShapeError("reshape", x.data.shape, shape)
-    out = x.data.reshape(shape)
-    xshape = x.data.shape
-
-    def bw(g):
-        return (g.reshape(xshape),)
-
-    return record("reshape", [x], out, bw)
 
 
 # ---------------------------------------------------------------------------

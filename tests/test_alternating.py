@@ -11,7 +11,7 @@ from altup import tensor as T
 from altup import transformer as tr
 from altup.tensor import Graph, Tensor, backward, grad_check
 
-from tape_oracles import mean_all, scalar_mul, sub, sum_all
+from tape_oracles import mean_all, reshape, scalar_mul, sub, sum_all
 
 
 def _altup_params(k, d, seed=0, ffn=8, heads=1):
@@ -135,12 +135,12 @@ def _composed_altup_layer(x_old, params, j_star):
     k, d = params.k, params.d
     *lead, _ = x_old.data.shape
     block = T.slice_last(x_old, j_star * d, d)
-    x_hat = T.matmul(params.p, T.reshape(x_old, (*lead, k, d)))
+    x_hat = T.matmul(params.p, reshape(x_old, (*lead, k, d)))
     y = tr.layer_forward(block, params.inner)
     hat_star = T.gather_rows(x_hat, [j_star])
     base = sub(x_hat, T.matmul(params.g, hat_star))
-    x_new = T.add(base, T.matmul(params.g, T.reshape(y, (*lead, 1, d))))
-    return T.reshape(x_new, x_old.data.shape)
+    x_new = T.add(base, T.matmul(params.g, reshape(y, (*lead, 1, d))))
+    return reshape(x_new, x_old.data.shape)
 
 
 @settings(max_examples=120, deadline=None)

@@ -12,7 +12,7 @@ from altup import tensor as T
 from altup.tensor import Graph, Tensor, backward
 from altup.transformer import ModelConfig
 
-from tape_oracles import scalar_mul, sum_all
+from tape_oracles import gather_cols, reshape, scalar_mul, softmax, sum_all
 
 
 def test_expert_forward_zero_weights():
@@ -184,6 +184,64 @@ def test_softmax_lookup_routes_rows_as_if_one_at_a_time():
         assert np.abs(weights.data[i] - one_weights.data[0]).max() <= 1e-15
     assert mem.softmax_route(Tensor(xs[2]), router)[0] == \
         mem.softmax_lookup(router)(Tensor(xs), range(7))[0][2].tolist()
+
+
+def _router_composition(router, training, rng):
+    """``softmax_lookup`` as the six-op tape of primitives its one node runs."""
+    w_t = T.transpose(router.w)
+
+    def q(x, token_ids):
+        d = x.data.shape[-1]
+        x = reshape(x, (x.data.size // d, d))
+        if training and router.jitter_eps > 0:
+            x = T.mul(x, Tensor(rng.uniform(1.0 - router.jitter_eps, 1.0 + router.jitter_eps,
+                                            x.data.shape)))
+        probs = softmax(T.matmul(x, w_t))
+        order = mem.top_k(probs.data, router.k)
+        return order, gather_cols(probs, order)
+
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(5, 4), (1, 3), (2, 3, 4), (3, 1, 6)]), n=st.integers(1, 6),
+       k=st.sampled_from(["1", "2", "n"]), training=st.booleans(),
+       jitter_eps=st.sampled_from([0.0, 0.1]), zero_router=st.booleans(),
+       seed=st.integers(0, 2**16))
+# a zero router ties all n experts on every row, so the route is 0..k-1
+@example(shape=(2, 3, 4), n=5, k="2", training=True, jitter_eps=0.1, zero_router=True, seed=1)
+def test_softmax_router_node_is_bitwise_the_six_op_tape(shape, n, k, training, jitter_eps,
+                                                        zero_router, seed):
+    d, rows = shape[-1], int(np.prod(shape[:-1]))
+    k = min(n, 2) if k == "2" else n if k == "n" else 1
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, d)) if zero_router else 3.0 * rng.standard_normal((n, d))
+    x = rng.standard_normal(shape)
+    cotangent = rng.standard_normal((rows, k))
+    runs = []
+    for make in (mem.softmax_lookup, _router_composition):
+        router = mem.RouterParams(w=Tensor(w.copy(), requires_grad=True), k=k,
+                                  jitter_eps=jitter_eps)
+        x_in = Tensor(x.copy(), requires_grad=True)
+        with Graph() as g:
+            macs = T.mac_count()
+            order, weights = make(router, training, np.random.default_rng(seed + 1))(x_in, None)
+            macs = T.mac_count() - macs
+            loss = sum_all(T.mul(weights, Tensor(cotangent)))
+        ops = [node.op for node in g.nodes]
+        backward(g, loss)
+        assert macs == rows * n * d
+        runs.append((ops, order, weights.data, x_in.grad, router.w.grad))
+    (ops, *got), (oracle_ops, *want) = runs
+    jittered = ["mul"] if training and jitter_eps > 0 else []
+    assert ops == ["softmax_router", "mul", "sum_all"]
+    assert oracle_ops == ["transpose", "reshape", *jittered, "matmul", "softmax",
+                          "gather_cols", "mul", "sum_all"]
+    assert np.array_equal(got[0], want[0])
+    if zero_router:
+        assert np.array_equal(got[0], np.broadcast_to(np.arange(k), (rows, k)))
+    for a, b in zip(got[1:], want[1:]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_token_id_lookup():
@@ -444,7 +502,7 @@ def test_per_position_rows_call_no_primitive_but_the_expert_product(monkeypatch,
     with Graph() as g:
         model.loss(ids, ids, training=True, rng=np.random.default_rng(0))
     assert ops == ([] if constant else ["matmul_relu_matmul"] * 2 * ids.size)
-    assert [node.op for node in g.nodes].count("gather_cols") == 1  # the route's
+    assert [node.op for node in g.nodes].count("softmax_router") == 1  # the route's
 
 
 # -- one node per memory layer against the per-row tape ------------------------
@@ -455,12 +513,12 @@ def _per_row_memory_augment(slot, x_in, inner_out, ids, training, rng):
     gathered row, each with its own entry of the (N, k) probability weights."""
     table = slot["table"]
     indices, weights = models._lookup(slot, ids, training, rng)(x_in, ids.reshape(-1).tolist())
-    x_rows = T.reshape(x_in, (ids.size, x_in.data.shape[-1]))
-    inner_rows = T.reshape(inner_out, x_rows.data.shape)
+    x_rows = reshape(x_in, (ids.size, x_in.data.shape[-1]))
+    inner_rows = reshape(inner_out, x_rows.data.shape)
 
     def expert_slice(p, i):
-        flat = T.reshape(p, (table.n, p.data[0].size))
-        return T.reshape(T.gather_rows(flat, [i]), p.data.shape[1:])
+        flat = reshape(p, (table.n, p.data[0].size))
+        return reshape(T.gather_rows(flat, [i]), p.data.shape[1:])
 
     rows = []
     for r, route in enumerate(indices.tolist()):
@@ -475,7 +533,7 @@ def _per_row_memory_augment(slot, x_in, inner_out, ids, training, rng):
             out = T.add(out, e_out if weights is None
                         else T.mul(T.slice_last(T.gather_rows(weights, [r]), j, 1), e_out))
         rows.append(out)
-    return T.reshape(T.concat_last(rows), x_in.data.shape)
+    return reshape(T.concat_last(rows), x_in.data.shape)
 
 
 @settings(max_examples=60, deadline=None)

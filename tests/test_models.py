@@ -147,11 +147,12 @@ SMOKE_OPS = {"dense": DENSE_SMOKE_OPS, "altup": ALTUP_SMOKE_OPS, "seq_altup": SE
 
 # A memory layer records the same tape for any batch size too: one node
 # (expert_rows) for all its rows, in the layer's (B, T, d) shape. Softmax
-# routing adds 6 more per layer at any top-k count: the router's transpose,
-# the reshape of the input to rows, the jitter, the logits product, the
-# softmax and the one pick of the (N, k) probability weights.
-MEMORY_SMOKE_NODES = [("softmax", 64, 1, 69), ("softmax", 64, 2, 69),
+# routing adds one more per layer at any top-k count, the softmax_router node
+# that routes all rows and gives the (N, k) probability weights.
+MEMORY_SMOKE_NODES = [("softmax", 64, 1, 54), ("softmax", 64, 2, 54),
                       ("token_id", 258, 1, 51), ("lsh", 64, 1, 51), ("minhash", 64, 1, 51)]
+MEMORY_SMOKE_OPS = {**DENSE_SMOKE_OPS, "expert_rows": 3}
+SOFTMAX_MEMORY_SMOKE_OPS = {**MEMORY_SMOKE_OPS, "softmax_router": 3}
 
 SMOKE_CFG = tr.ModelConfig(d_model=32, n_layers=3, n_heads=2, ffn_hidden=64,
                            vocab_size=258, max_seq_len=20)
@@ -262,7 +263,10 @@ def test_memory_tape_nodes_per_step(lookup, n, k, nodes):
                          memory={"n": n, "rank": 4, "lookup": lookup, "k": k})
     rng = np.random.default_rng(2)
     for batch in (1, 8):
-        assert _step_ops(model, batch, rng).total() == nodes, f"batch {batch}"
+        ops = _step_ops(model, batch, rng)
+        assert ops.total() == nodes, f"batch {batch}"
+        assert ops == (SOFTMAX_MEMORY_SMOKE_OPS if lookup == "softmax" else MEMORY_SMOKE_OPS), \
+            f"batch {batch}"
 
 
 # One training step of the smoke model at B=8, T=16. Backward frees each node

@@ -14,7 +14,8 @@ from scipy.special import erf
 from altup import tensor as T
 from altup.tensor import _INV_SQRT2, _INV_SQRT2PI, Graph, Tensor, backward, grad_check
 
-from tape_oracles import log_softmax, mean_all, relu, scalar_mul, sub, sum_all
+from tape_oracles import (gather_cols, log_softmax, mean_all, relu, reshape, scalar_mul, softmax,
+                          sub, sum_all)
 
 
 def t(data, rg=False, name=None):
@@ -34,7 +35,7 @@ def test_relu_definition():
 
 
 def test_softmax_symmetry():
-    out = T.softmax(t([0.0, 0.0]))
+    out = softmax(t([0.0, 0.0]))
     assert np.array_equal(out.data, [0.5, 0.5])
 
 
@@ -183,7 +184,7 @@ UNARY_CASES = [
     ("relu", relu, (5,)),
     ("gelu", T.gelu, (6,)),
     ("swap_outer_axes", swap_outer_axes, (3, 3, 2)),
-    ("softmax", T.softmax, (3, 5)),
+    ("softmax", softmax, (3, 5)),
     ("log_softmax", log_softmax, (2, 7)),
     ("transpose", T.transpose, (4, 4)),
     ("sum_all", sum_all, (4, 3)),
@@ -237,10 +238,10 @@ def test_structural_primitives_match_finite_differences():
             xx, ss = params
             a = T.gather_rows(xx, idx)
             b = T.scatter_rows(a, np.arange(4), 7)
-            c = T.gather_cols(xx, cols)
+            c = gather_cols(xx, cols)
             d = T.mul(xx, ss)
             e = T.concat_last([T.slice_last(xx, 1, 3), T.slice_last(xx, 0, 3)])
-            r = T.reshape(e, (6, 5))
+            r = reshape(e, (6, 5))
             return T.add(T.add(T.add(sum_all(b), sum_all(c)), mean_all(d)),
                          sum_all(T.mul(r, r)))
 
@@ -310,8 +311,8 @@ def test_batched_structural_primitives_match_finite_differences():
             (xx,) = params
             a = T.gather_rows(xx, idx)                       # (2, 4, 6)
             b = T.scatter_rows(a, np.array([6, 0, 2, 3]), 7)  # (2, 7, 6)
-            c = T.gather_cols(xx, cols)                      # (2, 5, 1)
-            r = T.transpose(T.reshape(xx, (2, 5, 2, 3)), -3, -2)
+            c = gather_cols(xx, cols)                        # (2, 5, 1)
+            r = T.transpose(reshape(xx, (2, 5, 2, 3)), -3, -2)
             return T.add(T.add(sum_all(T.mul(b, b)), sum_all(c)),
                          sum_all(T.mul(r, T.transpose(T.transpose(r)))))
 
@@ -336,7 +337,7 @@ def test_backward_is_deterministic():
         w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
         with Graph() as g:
             h = T.gelu(T.matmul(x, w))
-            loss = mean_all(T.mul(h, T.softmax(h)))
+            loss = mean_all(T.mul(h, softmax(h)))
         backward(g, loss)
         return x.grad.copy(), w.grad.copy()
 
@@ -421,7 +422,7 @@ def test_gather_cols_is_bitwise_take_and_put_along_axis(lead, m, k, fortran, see
     idx = np.argsort(rng.random(lead + (m,)), axis=-1)[..., :k]
     if fortran:  # batches of targets picked by fancy indexing arrive in this order
         idx = np.asfortranarray(idx[..., 0])[..., None] if k == 1 else np.asfortranarray(idx)
-    out, bw = _recorded(T.gather_cols, t(x, rg=True), idx)
+    out, bw = _recorded(gather_cols, t(x, rg=True), idx)
     want = np.take_along_axis(x, idx, axis=-1)
     assert out.shape == want.shape and np.array_equal(out, want)
     # the memory order decides the summation order of a reduction over it
@@ -436,11 +437,11 @@ def test_gather_cols_is_bitwise_take_and_put_along_axis(lead, m, k, fortran, see
 def test_gather_cols_rejects_a_row_that_picks_one_column_twice():
     # put_along_axis would keep one of the two picks' gradients
     x = t(np.zeros((2, 5)))
-    assert T.gather_cols(x, [[4, 0], [1, 3]]).data.shape == (2, 2)
+    assert gather_cols(x, [[4, 0], [1, 3]]).data.shape == (2, 2)
     with pytest.raises(ValueError, match="picks one column twice"):
-        T.gather_cols(x, [[4, 0], [3, 3]])
+        gather_cols(x, [[4, 0], [3, 3]])
     with pytest.raises(T.ShapeError):
-        T.gather_cols(x, [4, 0])
+        gather_cols(x, [4, 0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -479,7 +480,7 @@ def test_matmul_backward_is_bitwise_numpy(lead, mkn, seed):
 def test_reshape_is_bitwise_numpy_and_checks_size(shape, data, seed):
     target = tuple(data.draw(st.permutations(shape + (1,) * data.draw(st.integers(0, 2)))))
     x = _floats(shape, seed)
-    out, bw = _recorded(T.reshape, t(x, rg=True), target)
+    out, bw = _recorded(reshape, t(x, rg=True), target)
     assert np.array_equal(out, x.reshape(target)) and out.shape == target
     g = _floats(target, seed + 1)
     (gx,) = bw(g)
@@ -487,7 +488,7 @@ def test_reshape_is_bitwise_numpy_and_checks_size(shape, data, seed):
     wrong = target + (2,) if x.size else (1,)
     assert math.prod(wrong) != x.size
     with pytest.raises(T.ShapeError):
-        T.reshape(t(x), wrong)
+        reshape(t(x), wrong)
 
 
 def test_graphs_do_not_see_other_threads():
@@ -521,7 +522,7 @@ def test_graphs_do_not_see_other_threads():
 @pytest.mark.parametrize("op,call", [
     ("gather_rows", lambda idx: T.gather_rows(t(np.zeros((5, 4))), idx)),
     ("scatter_rows", lambda idx: T.scatter_rows(t(np.zeros((6, 4))), np.reshape(idx, -1), 5)),
-    ("gather_cols", lambda idx: T.gather_cols(t(np.zeros((2, 5))), idx)),
+    ("gather_cols", lambda idx: gather_cols(t(np.zeros((2, 5))), idx)),
 ], ids=["gather_rows", "scatter_rows", "gather_cols"])
 def test_index_errors_name_the_bad_value_and_its_position(op, call):
     # the first index outside [0, 5) in row-major order, either side
@@ -539,7 +540,7 @@ def test_size_one_losses_backward_item_and_grad_check(shape):
     b = t(rng.standard_normal((3, 1)), rg=True)
 
     def f(params):
-        return T.reshape(T.matmul(*params), shape)
+        return reshape(T.matmul(*params), shape)
 
     with Graph() as g:
         loss = f([a, b])
@@ -605,13 +606,13 @@ def _composed_attention(q, k, v, n_heads):
     dh = d // n_heads
 
     def split(x):
-        return T.transpose(T.reshape(x, (*lead, n, n_heads, dh)), -3, -2)
+        return T.transpose(reshape(x, (*lead, n, n_heads, dh)), -3, -2)
 
     qh, kh, vh = split(q), split(k), split(v)
     scores = scalar_mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
     scores = T.add(scores, t(np.triu(np.full((n, n), -1e30), k=1)))
-    mixed = T.transpose(T.matmul(T.softmax(scores), vh), -3, -2)
-    return T.reshape(mixed, (*lead, n, d))
+    mixed = T.transpose(T.matmul(softmax(scores), vh), -3, -2)
+    return reshape(mixed, (*lead, n, d))
 
 
 @settings(max_examples=120, deadline=None)

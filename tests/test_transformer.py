@@ -10,7 +10,7 @@ from altup import tensor as T
 from altup import transformer as tr
 from altup.tensor import Graph, Tensor, backward, grad_check
 
-from tape_oracles import log_softmax, mean_all, scalar_mul, sum_all, zero_all
+from tape_oracles import gather_cols, log_softmax, mean_all, scalar_mul, softmax, sum_all, zero_all
 
 
 def test_model_config_validation():
@@ -99,7 +99,7 @@ def test_causal_masking_blocks_future():
 
 def test_attention_softmax_rows_sum_to_one():
     rng = np.random.default_rng(7)
-    probs = T.softmax(Tensor(rng.standard_normal((6, 6)))).data
+    probs = softmax(Tensor(rng.standard_normal((6, 6)))).data
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
 
@@ -130,7 +130,7 @@ def test_lm_head_row_of_table_and_zero_input():
     assert np.isclose(logits.data[0, 1], np.sum(table.data[1] ** 2))
     zero = tr.lm_head(Tensor(np.zeros((2, 2))), table)
     assert np.array_equal(zero.data, np.zeros((2, 3)))
-    probs = T.softmax(Tensor(zero.data))
+    probs = softmax(Tensor(zero.data))
     assert np.allclose(probs.data, 1.0 / 3.0)
 
 
@@ -168,7 +168,7 @@ def test_cross_entropy_target_range_error():
 def _composed_cross_entropy(logits, targets):
     """The loss as separate primitives: the oracle the one loss node must
     match bit for bit."""
-    picked = T.gather_cols(log_softmax(logits), np.asarray(targets)[..., None])
+    picked = gather_cols(log_softmax(logits), np.asarray(targets)[..., None])
     return scalar_mul(mean_all(picked), -1.0)
 
 
